@@ -8,7 +8,6 @@ every reported distance is a halved rational.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
@@ -99,7 +98,12 @@ def ball(model: GroupModel, radius: int, *, cap: int = DEFAULT_BALL_CAP) -> Ball
 
 
 class MetricGraph:
-    """Undirected weighted graph; weights are positive ints (scaled x2)."""
+    """Undirected weighted graph; weights are positive ints (scaled x2).
+
+    Adjacency is held once, as CSR arrays: the neighbours of vertex u are
+    ``_nbr[_indptr[u]:_indptr[u + 1]]``, in increasing order, with weights
+    ``_wt`` alongside.
+    """
 
     def __init__(self, n: int, edges, labels: Optional[list[str]] = None,
                  ball_radius: Optional[int] = None):
@@ -117,66 +121,66 @@ class MetricGraph:
         self.edges = sorted((u, v, w) for (u, v), w in seen.items())
         self.labels = labels if labels is not None else [str(i) for i in range(n)]
         self.ball_radius = ball_radius
-        self._adj: Optional[list[list[tuple[int, int]]]] = None
+        e = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+        tail = np.concatenate([e[:, 0], e[:, 1]])
+        head = np.concatenate([e[:, 1], e[:, 0]])
+        order = np.lexsort((head, tail))
+        self._nbr = head[order]
+        self._wt = np.concatenate([e[:, 2], e[:, 2]])[order]
+        self._indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail, minlength=n), out=self._indptr[1:])
         self._dist_cache: dict[int, list[int]] = {}
-        if n > 0 and len(self._components()) != 1:
+        if n > 0 and min(self.distances_from(0)) < 0:
             raise DomainError("metric graph must be connected")
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            self._adj = adj
-        return self._adj
-
-    def _components(self):
-        adj = self.adjacency()
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v, _ in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        stack.append(v)
-            comps.append(comp)
-        return comps
-
     def edge_weight(self, u: int, v: int) -> Optional[int]:
-        for x, w in self.adjacency()[u]:
-            if x == v:
-                return w
-        return None
+        lo, hi = self._indptr[u], self._indptr[u + 1]
+        k = lo + np.searchsorted(self._nbr[lo:hi], v)
+        return int(self._wt[k]) if k < hi and self._nbr[k] == v else None
 
     def distances_from(self, source: int) -> list[int]:
-        """Scaled shortest-path distances from one vertex (cached)."""
+        """Scaled shortest-path distances from one vertex (cached); -1 marks
+        an unreachable vertex.
+
+        Dial's bucket queue: weights are positive integers, so every vertex
+        left in bucket d when it is popped has final distance d, and the
+        whole bucket is relaxed at once.
+        """
         got = self._dist_cache.get(source)
         if got is not None:
             return got
-        adj = self.adjacency()
-        dist = [-1] * self.n
+        indptr, nbr, wt = self._indptr, self._nbr, self._wt
+        unreached = np.iinfo(np.int64).max
+        dist = np.full(self.n, unreached, dtype=np.int64)
         dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] >= 0:
-                continue
-            for v, w in adj[u]:
-                nd = d + w
-                if dist[v] < 0 or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        self._dist_cache[source] = dist
-        return dist
+        slot = np.empty(self.n, dtype=np.int64)
+        buckets = {0: [np.array([source])]}
+        while buckets:
+            d = min(buckets)
+            frontier = np.concatenate(buckets.pop(d))
+            frontier = frontier[dist[frontier] == d]  # drop entries improved since
+            start = indptr[frontier]
+            count = indptr[frontier + 1] - start
+            offset = np.cumsum(count) - count
+            arcs = np.arange(int(count.sum())) + np.repeat(start - offset, count)
+            v = nbr[arcs]
+            nd = d + wt[arcs]
+            better = nd < dist[v]
+            v, nd = v[better], nd[better]
+            np.minimum.at(dist, v, nd)
+            settled = nd == dist[v]
+            v, nd = v[settled], nd[settled]
+            # one entry per vertex: the one whose index its slot kept
+            idx = np.arange(len(v))
+            slot[v] = idx
+            first = slot[v] == idx
+            v, nd = v[first], nd[first]
+            for level in np.unique(nd).tolist():
+                buckets.setdefault(level, []).append(v[nd == level])
+        dist[dist == unreached] = -1
+        row = dist.tolist()
+        self._dist_cache[source] = row
+        return row
 
     def distance_scaled(self, u: int, v: int) -> int:
         d = self.distances_from(u)[v]
@@ -283,15 +287,27 @@ class CyclicSubgroup(SubgroupOracle):
         return middle == core * k or middle == model.inverse(core) * k
 
     def coset_key(self, model, elem):
-        # fast path: single-letter generator of a free group -> strip the
-        # trailing run of that letter
-        if isinstance(model, FreeGroup) and len(self.generator) == 1:
-            letter = abs(self.generator[0])
-            i = len(elem)
-            while i and abs(elem[i - 1]) == letter:
-                i -= 1
-            return elem[:i]
-        return None
+        """For a free group: the least element of elem<h> by (length, letters).
+
+        Write h = p c p^-1 with c cyclically reduced.  Then elem<h> = x<c>p^-1
+        with x = elem p, so the least element of x<c> names the coset.  Once
+        whole copies of c and c^-1 are stripped off the end of x, lengths
+        only grow past x c and x c^-1.
+        """
+        if not isinstance(model, FreeGroup):
+            return None
+        pre, core = cyclic_reduce(self.generator)
+        if not core:
+            return elem
+        x = model.multiply(elem, pre) if pre else elem
+        inv = model.inverse(core)
+        k = len(core)
+        while x[-k:] == core:
+            x = x[:-k]
+        while x[-k:] == inv:
+            x = x[:-k]
+        return min((x, model.multiply(x, core), model.multiply(x, inv)),
+                   key=lambda w: (len(w), w))
 
 
 class FactorSubgroup(SubgroupOracle):
@@ -464,8 +480,6 @@ def coned_off(b: Ball, factors, *, rep_verify_limit: int = 500) -> ConedOffGraph
 
 def distance(graph, u: int, v: int) -> Fraction:
     """Exact shortest-path distance (true, unscaled units) on either kind of graph."""
-    if isinstance(graph, ConedOffGraph):
-        return graph.distance(u, v)
     return graph.distance(u, v)
 
 
@@ -473,20 +487,34 @@ def distance(graph, u: int, v: int) -> Fraction:
 # four-point hyperbolicity
 
 
+_SWEEP_BLOCK = 1 << 16  # entries per temporary array in the quadruple sweep
+
+
 def _four_point_max_defect(D: np.ndarray) -> int:
-    """Max over quadruples of (largest sum - middle sum), scaled units."""
+    """Max over quadruples of (largest sum - middle sum), scaled units.
+
+    The defect is invariant under permuting the four points and is 0 when
+    two of them coincide (triangle inequality), so it suffices to take
+    x < y < z, w: each 4-set is visited twice instead of 12 times.  For one
+    y the x are swept in blocks of at most ``_SWEEP_BLOCK`` entries.
+    """
     n = D.shape[0]
+    dtype = np.int32 if 6 * int(D.max(initial=0)) < 2**31 else np.int64
+    D = np.asarray(D, dtype=dtype)
     best = 0
-    for x in range(n):
-        dx = D[x]
-        for y in range(x + 1, n):
-            s1 = int(D[x, y]) + D
-            s2 = np.add.outer(dx, D[y])
-            s3 = np.add.outer(D[y], dx)
+    for y in range(1, n - 2):
+        m = n - y - 1
+        dy = D[y, y + 1:]
+        inner = D[y + 1:, y + 1:]
+        step = max(1, _SWEEP_BLOCK // (m * m))
+        for x0 in range(0, y, step):
+            xs = slice(x0, min(x0 + step, y))
+            s1 = D[xs, y, None, None] + inner  # d(x,y) + d(z,w)
+            s2 = D[xs, y + 1:, None] + dy  # d(x,z) + d(y,w)
+            s3 = s2.transpose(0, 2, 1)  # d(x,w) + d(y,z)
             mx = np.maximum(np.maximum(s1, s2), s3)
             mn = np.minimum(np.minimum(s1, s2), s3)
-            mid = s1 + s2 + s3 - mx - mn
-            defect = int((mx - mid).max())
+            defect = int((2 * mx + mn - s1 - s2 - s3).max())
             if defect > best:
                 best = defect
     return best

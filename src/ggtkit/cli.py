@@ -27,7 +27,7 @@ from .cayley import (
     coned_off,
     estimate_delta_4point,
 )
-from .config import CACHE_DIR_ENV, RunConfig, Caps
+from .config import CACHE_DIR_ENV, DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP, RunConfig, Caps
 from .conjugacy import (
     brute_force_conjugator,
     free_group_conjugacy,
@@ -188,15 +188,21 @@ def _cmd_delta(args, cfg):
         model, args.radius, cfg.resolved_cache_dir(), cap=cfg.caps.ball_size
     )
     graph = cayley_graph(b)
-    exhaustive = True if args.exhaustive else None
+    exhaustive = args.exhaustive or graph.n <= DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
     delta = estimate_delta_4point(
         graph, exhaustive=exhaustive, sample_vertices=args.sample_vertices, seed=cfg.seed
     )
-    mode = "exhaustive" if (args.exhaustive or graph.n <= 200) else "sampled"
+    results = {"delta": str(delta), "vertices": graph.n, "cache": source}
+    if not exhaustive:
+        results["lower_bound"] = True  # a vertex sample only bounds delta from below
     return _report(
         "delta",
-        {"group": model.to_dict(), "radius": args.radius, "mode": mode},
-        {"delta": str(delta), "vertices": graph.n, "cache": source},
+        {
+            "group": model.to_dict(),
+            "radius": args.radius,
+            "mode": "exhaustive" if exhaustive else "sampled",
+        },
+        results,
     )
 
 

@@ -6,10 +6,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ggtkit import cayley
 from ggtkit.cayley import (
     CyclicSubgroup,
     FactorSubgroup,
+    MetricGraph,
+    _four_point_max_defect,
     ball,
     cayley_graph,
     coned_off,
@@ -98,6 +103,59 @@ def test_distance_units_halved(f2):
     assert g.distance(0, 0) == 0
 
 
+@st.composite
+def connected_graphs(draw, max_n=9):
+    """Random connected graphs with weights in {1, 2, 3}: a random spanning
+    tree plus random extra edges."""
+    n = draw(st.integers(1, max_n))
+    weight = st.sampled_from([1, 2, 3])
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+    for u, v, w in draw(st.lists(extra, max_size=2 * n)):
+        if u != v:
+            edges[(min(u, v), max(u, v))] = w
+    return MetricGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def _assert_rows_match_networkx(graph, sources):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_weighted_edges_from(graph.edges)
+    for s in sources:
+        ref = nx.single_source_dijkstra_path_length(g, s)
+        assert graph.distances_from(s) == [ref[v] for v in range(graph.n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_distances_and_edge_weights_match_networkx_on_random_graphs(g):
+    _assert_rows_match_networkx(g, range(g.n))
+    weights = {(u, v): w for u, v, w in g.edges}
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.edge_weight(u, v) == weights.get((min(u, v), max(u, v)))
+
+
+@pytest.mark.parametrize("h", [(1,), (1, 2)])
+def test_coned_f2_distances_match_networkx(f2, h):
+    coned = coned_off(ball(f2, 4), [CyclicSubgroup(h)])
+    _assert_rows_match_networkx(coned.graph, range(0, coned.graph.n, 7))
+
+
+def test_factor_coned_distances_match_networkx():
+    P = FreeProduct([FreeAbelian(2), FreeAbelian(1)])
+    coned = coned_off(ball(P, 3), [FactorSubgroup(0), FactorSubgroup(1)])
+    _assert_rows_match_networkx(coned.graph, range(0, coned.graph.n, 5))
+
+
+def test_disconnected_graph_rejected():
+    with pytest.raises(DomainError):
+        MetricGraph(4, [(0, 1, 2), (2, 3, 1)])
+    with pytest.raises(DomainError):
+        MetricGraph(3, [(0, 1, 2)])
+
+
 # -- coned-off graphs ----------------------------------------------------------
 
 
@@ -159,6 +217,43 @@ def test_inconsistent_oracle_rejected(f2):
         coned_off(b, [Broken((1,))])
 
 
+COSET_GENERATORS = [(1,), (1, 2), (1, 1), (2, 1, -2), (1, 2, -1, -2)]
+
+
+@pytest.fixture(scope="module")
+def f2_ball5(f2):
+    return ball(f2, 5)
+
+
+@pytest.mark.parametrize("h", COSET_GENERATORS)
+def test_coset_key_partition_matches_membership_oracle(f2, f2_ball5, h):
+    oracle = CyclicSubgroup(h)
+    elems = f2_ball5.elements
+    keys = [oracle.coset_key(f2, g) for g in elems]
+    wrong = [
+        (i, j)
+        for i, g in enumerate(elems)
+        for j in range(i + 1, len(elems))
+        if (keys[i] == keys[j]) != oracle.contains(f2, f2.multiply(f2.inverse(g), elems[j]))
+    ]
+    assert wrong == []
+
+
+class _ScanOnly(CyclicSubgroup):
+    def coset_key(self, model, elem):
+        return None
+
+
+@pytest.mark.parametrize("h", COSET_GENERATORS)
+def test_coned_off_by_coset_key_equals_generic_scan(f2_ball5, h):
+    keyed = coned_off(f2_ball5, [CyclicSubgroup(h, "H")])
+    scanned = coned_off(f2_ball5, [_ScanOnly(h, "H")])
+    assert keyed.graph.edges == scanned.graph.edges
+    assert keyed.graph.labels == scanned.graph.labels
+    assert keyed.cones == scanned.cones
+    assert keyed.coset_of == scanned.coset_of
+
+
 # -- four-point condition ------------------------------------------------------
 
 
@@ -189,6 +284,36 @@ def test_delta_matches_slow_oracle(z2):
         s = sorted([D[x][y] + D[zz][w], D[x][zz] + D[y][w], D[x][w] + D[y][zz]])
         best = max(best, s[2] - s[1])
     assert estimate_delta_4point(g) == Fraction(best, 4)
+
+
+def _brute_force_defect(D):
+    n = len(D)
+    best = 0
+    for x, y, zz, w in itertools.product(range(n), repeat=4):
+        s = sorted([D[x][y] + D[zz][w], D[x][zz] + D[y][w], D[x][w] + D[y][zz]])
+        best = max(best, s[2] - s[1])
+    return best
+
+
+def test_reduced_sweep_matches_brute_force_on_coned_graph(f2, monkeypatch):
+    coned = coned_off(ball(f2, 2), [CyclicSubgroup((1, 2))])
+    assert {w for _, _, w in coned.graph.edges} == {1, 2}
+    D = coned.graph.distance_matrix_scaled()
+    expected = _brute_force_defect(D.tolist())
+    assert expected > 0
+    for block in (1, 64, cayley._SWEEP_BLOCK):  # one x per block, a few, all
+        monkeypatch.setattr(cayley, "_SWEEP_BLOCK", block)
+        assert _four_point_max_defect(D) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_reduced_sweep_matches_brute_force_on_random_metrics(g):
+    D = g.distance_matrix_scaled()
+    expected = _brute_force_defect(D.tolist())
+    assert _four_point_max_defect(D) == expected
+    # large distances take the int64 path
+    assert _four_point_max_defect(D * 10**9) == expected * 10**9
 
 
 def test_delta_sampled_mode_deterministic(f2):

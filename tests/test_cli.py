@@ -131,6 +131,31 @@ def test_reports_byte_identical_across_runs(capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_delta_exhaustive_report_has_no_bound_label(capsys):
+    code, out, _ = run_cli(
+        capsys, ["delta", "--group", '{"type":"free","rank":2}', "--radius", "2"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["mode"] == "exhaustive"
+    assert payload["results"]["delta"] == "0"
+    assert "lower_bound" not in payload["results"]
+
+
+def test_delta_sampled_report_is_labelled_a_lower_bound(capsys):
+    # 485 vertices, above DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
+    code, out, _ = run_cli(
+        capsys,
+        ["delta", "--group", '{"type":"free","rank":2}', "--radius", "5",
+         "--sample-vertices", "24"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["mode"] == "sampled"
+    assert payload["results"]["vertices"] == 485
+    assert payload["results"]["lower_bound"] is True
+
+
 def test_timing_only_with_flag(capsys):
     _, out, err = run_cli(capsys, ["bounds", "eval", "--k", "1"])
     assert "wall_time_s" not in json.loads(out)
