@@ -20,8 +20,6 @@ from .rdalgebra import BoundingFunction, Poly
 
 Number = Union[int, Fraction, float]
 
-PolynomialBound = Poly  # nonneg rational coefficients over the (1+x)^m basis
-
 
 @dataclass(frozen=True)
 class PresentationConstants:
@@ -236,7 +234,7 @@ def theorem_bound(
     lv: Number,
     consts: PresentationConstants,
     c_of_k: BoundingFunction,
-    subgroup_bounds: Sequence[PolynomialBound] = (),
+    subgroup_bounds: Sequence[Poly] = (),
 ) -> TheoremBoundReport:
     """Composite conjugator-length bound, by element type.
 

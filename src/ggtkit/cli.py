@@ -133,7 +133,6 @@ def _config_from_args(args) -> RunConfig:
             basis_size=getattr(args, "cap_basis", None) or Caps().basis_size,
         ),
         seed=getattr(args, "seed", 0),
-        parallelism=getattr(args, "parallelism", 1),
         cache_dir=getattr(args, "cache_dir", None),
     )
     cfg.validate()
@@ -306,7 +305,6 @@ def _cmd_profile(args, cfg):
         slack=args.slack,
         fit_cap=cfg.fit_cap,
         ball_cap=cfg.caps.ball_size,
-        parallelism=cfg.parallelism,
         base_ball=base,
         search_ball=search,
     )
@@ -437,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap-ball", type=int, help="ball size cap")
     common.add_argument("--cap-basis", type=int, help="tuple basis cap")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
-    common.add_argument("--parallelism", type=int, default=1)
     common.add_argument("--cache-dir", help=f"ball cache directory (or ${CACHE_DIR_ENV})")
     common.add_argument("--timing", action="store_true", help="include wall time in the report")
 

@@ -1,4 +1,4 @@
-"""Run-wide configuration: resource caps, numeric mode, determinism knobs."""
+"""Run-wide configuration: resource caps, seed, cache directory, fit cap."""
 
 from __future__ import annotations
 
@@ -27,10 +27,9 @@ class Caps:
 
     ball_size: int = DEFAULT_BALL_CAP
     basis_size: int = DEFAULT_BASIS_CAP
-    radius: int = DEFAULT_RADIUS_CAP
 
     def validate(self) -> None:
-        for name in ("ball_size", "basis_size", "radius"):
+        for name in ("ball_size", "basis_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"cap {name!r} must be positive")
 
@@ -40,24 +39,12 @@ class RunConfig:
     """Everything a reproducible run depends on besides the inputs themselves."""
 
     caps: Caps = field(default_factory=Caps)
-    numeric_mode: str = "exact"  # "exact" | "float"
     seed: int = 0
-    parallelism: int = 1
-    output_format: str = "json"  # "json" | "csv"
     cache_dir: str | None = None
-    delta_min: Fraction = DEFAULT_DELTA_MIN
     fit_cap: Fraction = DEFAULT_FIT_CAP
 
     def validate(self) -> None:
         self.caps.validate()
-        if self.numeric_mode not in ("exact", "float"):
-            raise ConfigError(f"numeric_mode must be 'exact' or 'float', got {self.numeric_mode!r}")
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"output_format must be 'json' or 'csv', got {self.output_format!r}")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        if self.delta_min <= 0:
-            raise ConfigError("delta_min must be positive")
 
     def resolved_cache_dir(self) -> str | None:
         return self.cache_dir or os.environ.get(CACHE_DIR_ENV)

@@ -10,7 +10,6 @@ exact multiplication (g^-1 u g = v) before it leaves the module.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 from .cayley import Ball, ball
 from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, DEFAULT_RADIUS_CAP
 from .errors import DomainError, UnsupportedCase
-from .exactla import reduce_by_kernel, smith_normal_form, solve_integer_system  # noqa: F401
+from .exactla import reduce_by_kernel, solve_integer_system
 from .groups import (
     Element,
     FiniteGroup,
@@ -226,7 +225,14 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
 
 
 def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyResult:
-    """Exact free-group conjugacy via cyclic reduction and rotation matching."""
+    """Exact free-group conjugacy via cyclic reduction and rotation matching.
+
+    With u = p1 c1 p1^-1, v = p2 c2 p2^-1 and c2 the rotation c1[k:] c1[:k],
+    the conjugators of least length are p1 w p2^-1 with w = c1[:k] or
+    w = (c1[k:])^-1.  Nothing cancels at either junction when w is nonempty,
+    so the shortest such w (the empty word when k = 0 matches) gives a
+    witness of least length.
+    """
     if not isinstance(model, FreeGroup):
         raise UnsupportedCase("free solver needs a free group model")
     model.validate_element(u)
@@ -235,20 +241,15 @@ def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyR
     p2, c2 = cyclic_reduce(v)
     if len(c1) != len(c2):
         return ConjugacyResult(NOT_CONJUGATE, certificate="cyclic reduction lengths differ")
-    if not c1:
-        return verified_conjugate(model, u, v, model.identity())
     n = len(c1)
-    best: Optional[tuple] = None
-    for k in range(n):
-        if c1[k:] + c1[:k] == c2:
-            g = model.multiply(model.multiply(p1, c1[:k]), model.inverse(p2))
-            if best is None or len(g) < len(best):
-                best = g
-    if best is None:
+    shifts = [k for k in range(n) if c1[k:] + c1[:k] == c2] if n else [0]
+    if not shifts:
         return ConjugacyResult(
             NOT_CONJUGATE, certificate="cyclic words are not rotations of each other"
         )
-    return verified_conjugate(model, u, v, best)
+    k = min(shifts, key=lambda s: min(s, n - s))
+    w = c1[:k] if k <= n - k else model.inverse(c1[k:])
+    return verified_conjugate(model, u, v, model.multiply(model.multiply(p1, w), model.inverse(p2)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +388,58 @@ class ProfileResult:
         return rows
 
 
-def _scan_chunk(args):
-    model, u_list, sb_elements, sb_lengths, target_index = args
+def _conjugacy_key(model: GroupModel, u: Element):
+    """An invariant shared by conjugate elements; only pairs with equal keys
+    can be conjugate.
+
+    Free groups: the least rotation of the cyclic core, which is complete
+    (equal keys iff conjugate).  Two-step nilpotent: the base part, which
+    conjugation fixes.  Free abelian: the element.  Every other model puts
+    all elements in one bucket.
+    """
+    if isinstance(model, FreeGroup):
+        core = cyclic_reduce(u)[1]
+        return min((core[k:] + core[:k] for k in range(len(core))), default=core)
+    if isinstance(model, TwoStepNilpotent):
+        return u[0]
+    if isinstance(model, FreeAbelian):
+        return u
+    return None
+
+
+def _central_coset_reps(model: GroupModel, sb: Ball) -> list:
+    """(length, g) for the first search-ball element of each coset of the
+    central coordinates, in BFS order.
+
+    g^-1 u g depends only on that coset, and the first element of a coset is
+    its shortest, so scanning the representatives finds the same first
+    witness as scanning the whole ball.
+    """
+    if isinstance(model, FreeAbelian):
+        return [(sb.lengths[0], sb.elements[0])]
+    pairs = zip(sb.lengths, sb.elements)
+    if not isinstance(model, TwoStepNilpotent):
+        return list(pairs)
+    reps: dict = {}
+    for length, g in pairs:
+        reps.setdefault(g[0], (length, g))
+    return list(reps.values())
+
+
+def _scan_chunk(model, base: Ball, keys: list, buckets: dict, conjugators: list) -> dict:
+    """(ui, vi) -> the first (length, g) of ``conjugators`` with g^-1 u g = v,
+    where v ranges over the base-ball elements that share u's key."""
     found = {}
-    for ui, u in u_list:
-        for gi, g in enumerate(sb_elements):
-            w = model.conjugate(g, u)
-            vi = target_index.get(w)
-            if vi is not None:
-                key = (ui, vi)
-                if key not in found:
-                    found[key] = (sb_lengths[gi], gi)
+    for ui, u in enumerate(base.elements):
+        targets = buckets[keys[ui]]
+        missing = len(targets)
+        for length, g in conjugators:
+            vi = targets.get(model.conjugate(g, u))
+            if vi is not None and (ui, vi) not in found:
+                found[ui, vi] = (length, g)
+                missing -= 1
+                if not missing:
+                    break
     return found
 
 
@@ -449,36 +491,60 @@ def profile_conjugacy_bound(
     fit_cap: Fraction = DEFAULT_FIT_CAP,
     max_degree: int = 6,
     ball_cap: int = DEFAULT_BALL_CAP,
-    parallelism: int = 1,
     base_ball: Optional[Ball] = None,
     search_ball: Optional[Ball] = None,
 ) -> ProfileResult:
     """Minimal conjugator lengths for every conjugate pair in the ball.
 
-    Conjugacy is decided by brute force within radius 2*radius + slack; an
-    exact solver (chosen per model unless ``solver='brute'``) reports the
+    Only pairs with equal conjugacy keys are examined.  Free groups take
+    each pair's minimal witness from the exact solver and keep it when it
+    lies within the search radius (2*radius + slack, or the radius of the
+    given search ball).  Other models scan the
+    search ball in BFS order, one element per coset of the central
+    coordinates; their exact solver (chosen per model) then reports the
     conjugate pairs whose witnesses exceeded the search radius, so nothing
-    is dropped silently.
+    is dropped silently.  ``solver='brute'`` scans the whole search ball
+    over all pairs, with no keys, cosets or exact solver: the oracle.
     """
+    if solver not in ("auto", "brute"):
+        wanted = {"free": FreeGroup, "nilpotent": TwoStepNilpotent}.get(solver)
+        if wanted is None or not isinstance(model, wanted):
+            raise DomainError(f"solver {solver!r} does not apply to {model!r}")
+    brute = solver == "brute"
     notes: list[str] = []
     b = base_ball if base_ball is not None else ball(model, radius, cap=ball_cap)
     search_radius = 2 * radius + slack
-    sb = (
-        search_ball
-        if search_ball is not None
-        else ball(model, search_radius, cap=ball_cap)
-    )
+    keys = [None if brute else _conjugacy_key(model, u) for u in b.elements]
+    buckets: dict = {}
+    for vi, v in enumerate(b.elements):
+        buckets.setdefault(keys[vi], {})[v] = vi
 
-    u_items = list(enumerate(b.elements))
-    if parallelism > 1:
-        chunks = [u_items[i::parallelism] for i in range(parallelism)]
-        args = [(model, chunk, sb.elements, sb.lengths, b.index) for chunk in chunks if chunk]
-        found: dict = {}
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for part in pool.map(_scan_chunk, args):
-                found.update(part)  # chunks cover disjoint (ui, vi) keys
+    exact = None if brute else _exact_solver_for(model)
+    unknown_pairs = []
+    if isinstance(model, FreeGroup) and exact is not None:
+        limit = search_ball.radius if search_ball is not None else search_radius
+        found = {}
+        for ui, u in enumerate(b.elements):
+            for v, vi in buckets[keys[ui]].items():
+                res = exact(u, v)  # equal keys: conjugate, with a minimal witness
+                if res.witness_length <= limit:
+                    found[ui, vi] = (res.witness_length, res.witness)
+                else:
+                    unknown_pairs.append((u, v))
     else:
-        found = _scan_chunk((model, u_items, sb.elements, sb.lengths, b.index))
+        sb = search_ball if search_ball is not None else ball(model, search_radius, cap=ball_cap)
+        conjugators = list(zip(sb.lengths, sb.elements)) if brute else _central_coset_reps(model, sb)
+        found = _scan_chunk(model, b, keys, buckets, conjugators)
+        if exact is not None:
+            for ui, u in enumerate(b.elements):
+                for v, vi in buckets[keys[ui]].items():
+                    if (ui, vi) not in found and exact(u, v).is_conjugate:
+                        unknown_pairs.append((u, v))
+        elif not brute:
+            notes.append(
+                "no exact solver for this model: pairs beyond the search radius "
+                "are undetectable and are not reported"
+            )
 
     # connected components of the found pairs = conjugacy classes in the ball
     parent = list(range(len(b.elements)))
@@ -495,38 +561,18 @@ def profile_conjugacy_bound(
             parent[max(ri, rj)] = min(ri, rj)
 
     records = []
-    for (ui, vi), (length, gi) in found.items():
+    for (ui, vi), (length, g) in found.items():
         records.append(
             ProfileRecord(
                 u=b.elements[ui],
                 v=b.elements[vi],
                 input_length=b.lengths[ui] + b.lengths[vi],
                 min_conjugator_length=length,
-                witness=sb.elements[gi],
+                witness=g,
                 class_rep=find(ui),
             )
         )
-    order = {e: i for i, e in enumerate(b.elements)}
-    records.sort(key=lambda r: (r.input_length, order[r.u], order[r.v]))
-
-    unknown_pairs = []
-    exact = None if solver == "brute" else _exact_solver_for(model)
-    if solver not in ("auto", "brute"):
-        wanted = {"free": FreeGroup, "nilpotent": TwoStepNilpotent}.get(solver)
-        if wanted is None or not isinstance(model, wanted):
-            raise DomainError(f"solver {solver!r} does not apply to {model!r}")
-    if exact is None:
-        if solver != "brute":
-            notes.append(
-                "no exact solver for this model: pairs beyond the search radius "
-                "are undetectable and are not reported"
-            )
-    else:
-        for ui in range(len(b.elements)):
-            for vi in range(len(b.elements)):
-                if (ui, vi) not in found:
-                    if exact(b.elements[ui], b.elements[vi]).is_conjugate:
-                        unknown_pairs.append((b.elements[ui], b.elements[vi]))
+    records.sort(key=lambda r: (r.input_length, b.index[r.u], b.index[r.v]))
 
     fit = fit_dominating_bound(records, fit_cap=fit_cap, max_degree=max_degree)
     return ProfileResult(

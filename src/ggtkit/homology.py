@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .cayley import ball
@@ -124,14 +125,8 @@ def hochschild_boundary(
         face = (model.multiply(t[n], t[0]),) + t[1:n]
         key = (_tuple_index(o, face), col)
         acc[key] = acc.get(key, 0) + (-1) ** n
-    out.entries = {k: v for k, v in ((k, _frac(v)) for k, v in acc.items()) if v != 0}
+    out.entries = {k: Fraction(v) for k, v in acc.items() if v != 0}
     return out
-
-
-def _frac(v):
-    from fractions import Fraction
-
-    return Fraction(v)
 
 
 def connes_B(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> SparseRationalMatrix:
@@ -161,7 +156,7 @@ def connes_B(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP) 
             acc[k1] = acc.get(k1, 0) + sign
             k2 = (_tuple_index(o, second), col)
             acc[k2] = acc.get(k2, 0) + sign
-    out.entries = {k: v for k, v in ((k, _frac(v)) for k, v in acc.items()) if v != 0}
+    out.entries = {k: Fraction(v) for k, v in acc.items() if v != 0}
     return out
 
 
@@ -172,7 +167,7 @@ def tau_matrix(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP
     out = SparseRationalMatrix(o ** (n + 1), o ** (n + 1))
     for t in _tuples(o, n):
         rotated = (t[-1],) + t[:-1]
-        out.entries[(_tuple_index(o, rotated), _tuple_index(o, t))] = _frac((-1) ** n)
+        out.entries[(_tuple_index(o, rotated), _tuple_index(o, t))] = Fraction((-1) ** n)
     return out
 
 

@@ -6,8 +6,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from ggtkit.cayley import ball
 from ggtkit.conjugacy import (
+    _conjugacy_key,
     bounded_conjugacy,
     brute_force_conjugator,
     centralizer_generators,
@@ -21,6 +24,7 @@ from ggtkit.groups import (
     FreeAbelian,
     FreeGroup,
     FreeProduct,
+    TwoStepNilpotent,
     cyclic_group,
     exact_length,
     heisenberg_group,
@@ -178,6 +182,14 @@ def test_free_solver_examples():
     res = free_group_conjugacy(F2, (1, 2), (2, 1))
     assert res.is_conjugate and len(res.witness) == 1
     assert free_group_conjugacy(F2, (1,), (2,)).status == "not_conjugate"
+
+
+def test_free_solver_witness_is_minimal():
+    # aab -> baa: the rotation prefix gives aa, the inverse suffix b^-1
+    res = free_group_conjugacy(F2, (1, 1, 2), (2, 1, 1))
+    assert res.witness == (-2,) and res.witness_length == 1
+    brute = brute_force_conjugator(F2, (1, 1, 2), (2, 1, 1), 2)
+    assert brute.witness_length == 1
 
 
 def test_free_solver_witness_length_bound():
@@ -366,9 +378,145 @@ def test_fit_prefers_smallest_degree():
     assert fit.constant == Fraction(5, 6)
 
 
-def test_profile_parallel_merge_matches_serial():
-    serial = profile_conjugacy_bound(FreeAbelian(2), 3)
-    parallel = profile_conjugacy_bound(FreeAbelian(2), 3, parallelism=2)
-    assert [
-        (r.u, r.v, r.min_conjugator_length) for r in serial.records
-    ] == [(r.u, r.v, r.min_conjugator_length) for r in parallel.records]
+# -- profiler against an independent oracle -------------------------------------------------
+
+
+def _m3_nilpotent():
+    # f1 f2 = f2 f1 e1, f1 f3 = f3 f1 e2, f2 f3 = f3 f2 e1 e2
+    C = [[(0, 0)] * 3 for _ in range(3)]
+    for i, j, c in [(1, 0, (1, 0)), (2, 0, (0, 1)), (2, 1, (1, 1))]:
+        C[i][j] = c
+        C[j][i] = tuple(-x for x in c)
+    return TwoStepNilpotent(3, 2, C)
+
+
+def _oracle_pairs(model, base, search):
+    """(ui, vi) -> minimal conjugator length within the search ball: the
+    first g in BFS order with g^-1 u g = v, over every ordered pair."""
+    found = {}
+    for gi, g in enumerate(search.elements):
+        inv = model.inverse(g)
+        for ui, u in enumerate(base.elements):
+            vi = base.index.get(model.multiply(inv, model.multiply(u, g)))
+            if vi is not None and (ui, vi) not in found:
+                found[ui, vi] = search.lengths[gi]
+    return found
+
+
+def _smallest_in_component(n, pairs):
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for ui, vi in pairs:
+            low = min(label[ui], label[vi])
+            if label[ui] != low or label[vi] != low:
+                label[ui] = label[vi] = low
+                changed = True
+    return label
+
+
+def _in_column_lattice(cols, b):
+    """Whether b is an integer combination of cols, by column-style
+    Hermite elimination one coordinate at a time."""
+    b = list(b)
+    cols = [list(c) for c in cols]
+    for t in range(len(b)):
+        pivot, rest = None, []
+        for col in cols:
+            if col[t] and pivot is None:
+                pivot, col = col, [0] * len(b)
+            while col[t]:
+                q = pivot[t] // col[t]
+                pivot, col = col, [x - q * y for x, y in zip(pivot, col)]
+            if any(col):
+                rest.append(col)
+        if pivot is None:
+            if b[t]:
+                return False
+        else:
+            if b[t] % pivot[t]:
+                return False
+            k = b[t] // pivot[t]
+            b = [x - k * y for x, y in zip(b, pivot)]
+        cols = rest
+    return True
+
+
+def _conjugacy_decider(model, base):
+    """An exact conjugacy decision for pairs of base-ball elements that
+    shares no code with the profiler's fast path."""
+    if isinstance(model, FreeAbelian):
+        return lambda u, v: u == v
+    if isinstance(model, FreeGroup):
+        # a minimal free conjugator has length <= |u| + |v| <= 2 radius
+        complete = _oracle_pairs(model, base, ball(model, 2 * base.radius))
+        return lambda u, v: (base.index[u], base.index[v]) in complete
+
+    def nilpotent(u, v):
+        # conjugating u by g moves its central part by a linear function of
+        # g's base part; the columns are its values on the base generators
+        if u[0] != v[0]:
+            return False
+        cols = [
+            [a - b for a, b in zip(model.conjugate(f, u)[1], u[1])]
+            for f in model.positive_generators()[: model.m]
+        ]
+        return _in_column_lattice(cols, [a - b for a, b in zip(v[1], u[1])])
+
+    return nilpotent
+
+
+# (model, radius, slack); a negative slack leaves conjugate pairs beyond the
+# search radius, so the exact-solver tail must report them as unknown
+PROFILE_CASES = [
+    pytest.param(F2, 3, 0, id="F2-r3"),
+    pytest.param(F2, 3, -5, id="F2-r3-search1"),
+    pytest.param(FreeGroup(3), 2, 0, id="F3-r2"),
+    pytest.param(FreeAbelian(2), 4, 2, id="Z2-r4"),
+    pytest.param(HEIS, 3, 0, id="Heisenberg-r3"),
+    pytest.param(HEIS, 3, -5, id="Heisenberg-r3-search1"),
+    pytest.param(_m3_nilpotent(), 2, 0, id="nilpotent-m3-r2"),
+]
+
+
+@pytest.mark.parametrize("model,radius,slack", PROFILE_CASES)
+def test_profile_matches_brute_force_oracle(model, radius, slack):
+    base = ball(model, radius)
+    search = ball(model, 2 * radius + slack)
+    oracle = _oracle_pairs(model, base, search)
+    rep = _smallest_in_component(len(base), oracle)
+    expect = [
+        (base.elements[ui], base.elements[vi], n, length, rep[ui])
+        for n, ui, vi, length in sorted(
+            (base.lengths[ui] + base.lengths[vi], ui, vi, length)
+            for (ui, vi), length in oracle.items()
+        )
+    ]
+    conjugate = _conjugacy_decider(model, base)
+    expect_unknown = [
+        (u, v)
+        for ui, u in enumerate(base.elements)
+        for vi, v in enumerate(base.elements)
+        if (ui, vi) not in oracle and conjugate(u, v)
+    ]
+    assert bool(expect_unknown) == (slack < 0)
+
+    def summary(prof):
+        return [(r.u, r.v, r.input_length, r.min_conjugator_length, r.class_rep) for r in prof.records]
+
+    fast = profile_conjugacy_bound(model, radius, slack=slack)
+    assert summary(fast) == expect
+    assert fast.unknown_pairs == expect_unknown
+    for rec in fast.records:
+        assert model.conjugate(rec.witness, rec.u) == rec.v
+    brute = profile_conjugacy_bound(model, radius, "brute", slack=slack, search_ball=search)
+    assert summary(brute) == expect
+
+
+def test_conjugacy_key_is_complete_on_free_ball():
+    b3 = ball(F2, 3)
+    for u in b3.elements:
+        for v in b3.elements:
+            same_key = _conjugacy_key(F2, u) == _conjugacy_key(F2, v)
+            assert same_key == free_group_conjugacy(F2, u, v).is_conjugate
