@@ -1,8 +1,7 @@
-"""Run-wide configuration: resource caps, seed, cache directory, fit cap."""
+"""Run-wide configuration: resource caps, seed, fit cap."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,8 +16,6 @@ DEFAULT_DELTA_MIN = Fraction(1, 4)
 # min_length <= A * (1 + input_length)**d with A <= this cap.
 DEFAULT_FIT_CAP = Fraction(1)
 DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP = 200
-
-CACHE_DIR_ENV = "GGTKIT_CACHE_DIR"
 
 
 @dataclass
@@ -40,11 +37,7 @@ class RunConfig:
 
     caps: Caps = field(default_factory=Caps)
     seed: int = 0
-    cache_dir: str | None = None
     fit_cap: Fraction = DEFAULT_FIT_CAP
 
     def validate(self) -> None:
         self.caps.validate()
-
-    def resolved_cache_dir(self) -> str | None:
-        return self.cache_dir or os.environ.get(CACHE_DIR_ENV)

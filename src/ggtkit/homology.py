@@ -9,7 +9,7 @@ Everything here is fraction-free exact arithmetic; no floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -193,14 +193,6 @@ class ComplexSlice:
     class_of_basis: Optional[list] = None  # per degree: class id per basis position
     cyclic_reps: Optional[list] = None
     projections: Optional[dict] = None
-    _rank_cache: dict = field(default_factory=dict)
-
-    def rank(self, n: int) -> int:
-        if n < 1 or n > self.n_max:
-            return 0
-        if n not in self._rank_cache:
-            self._rank_cache[n] = self.boundaries[n].rank()
-        return self._rank_cache[n]
 
     def class_blocks(self, n: int) -> dict:
         """Class id -> basis positions of degree n."""
@@ -375,29 +367,61 @@ class HomologyDims:
 
 
 def homology_dims(slice_: ComplexSlice) -> HomologyDims:
-    """dim H_n = dim C_n - rank b_n - rank b_(n+1), per class when split.
+    """dim H_n = dim C_n - rank b_n - rank b_(n+1) on each diagonal block.
 
-    Degrees 0..n_max-1 (the top degree needs the next boundary).
+    The boundaries of a split slice are block-diagonal over conjugacy
+    classes (verified when the slice was built), so only the class blocks
+    are ranked and the totals are the sums of the block dimensions.  An
+    unsplit slice is a single block of all positions.  Degrees
+    0..n_max-1 (the top degree needs the next boundary).
     """
     top = slice_.n_max
-    total = tuple(slice_.dims[n] - slice_.rank(n) - slice_.rank(n + 1) for n in range(top))
-    per_class = None
-    if slice_.class_of_basis is not None:
-        per_class = {}
+    if slice_.class_of_basis is None:
+        blocks = [{0: list(range(slice_.dims[n]))} for n in range(top + 1)]
+    else:
         blocks = [slice_.class_blocks(n) for n in range(top + 1)]
-        class_ids = sorted({cid for n in range(top + 1) for cid in blocks[n]})
-        for cid in class_ids:
-            ranks = {}
-            for n in range(1, top + 1):
-                sub = slice_.boundaries[n].restrict(
-                    blocks[n - 1].get(cid, []), blocks[n].get(cid, [])
-                )
-                ranks[n] = sub.rank()
-            per_class[cid] = tuple(
-                len(blocks[n].get(cid, [])) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-                for n in range(top)
-            )
+    per_block = {}
+    for cid in sorted({cid for degree in blocks for cid in degree}):
+        ranks = [0] * (top + 2)
+        for n in range(1, top + 1):
+            ranks[n] = slice_.boundaries[n].restrict(
+                blocks[n - 1].get(cid, []), blocks[n].get(cid, [])
+            ).rank()
+        per_block[cid] = tuple(
+            len(blocks[n].get(cid, [])) - ranks[n] - ranks[n + 1] for n in range(top)
+        )
+    total = tuple(sum(dims[n] for dims in per_block.values()) for n in range(top))
+    per_class = per_block if slice_.class_of_basis is not None else None
     return HomologyDims(slice_.kind, total, per_class)
+
+
+def chain_identities(slice_: ComplexSlice, *, basis_cap: int = DEFAULT_BASIS_CAP) -> dict:
+    """Exact checks of b^2 = 0, B^2 = 0 and bB + Bb = 0 on a Hochschild slice.
+
+    Reads b_1..b_(n_max) from the slice and builds each B_0..B_(n_max-1)
+    once.  Keys are ``b(n-1)b(n)``, ``B(n+1)B(n)`` (n <= 2) and ``bB+Bb@n``;
+    values are "0" or "NONZERO".
+    """
+    if slice_.kind != "hochschild":
+        raise DomainError("chain identities need a Hochschild slice")
+    top = slice_.n_max
+    b = slice_.boundaries
+    B = {n: connes_B(slice_.model, n, basis_cap=basis_cap) for n in range(top)}
+
+    def verdict(m: SparseRationalMatrix) -> str:
+        return "0" if m.is_zero() else "NONZERO"
+
+    identities = {}
+    for n in range(2, top + 1):
+        identities[f"b{n - 1}b{n}"] = verdict(b[n - 1].matmul(b[n]))
+    for n in range(min(3, top - 1)):
+        identities[f"B{n + 1}B{n}"] = verdict(B[n + 1].matmul(B[n]))
+    for n in range(1, top):
+        anti = b[n + 1].matmul(B[n])
+        for (i, j), v in B[n - 1].matmul(b[n]).entries.items():
+            anti.add_at(i, j, v)
+        identities[f"bB+Bb@{n}"] = verdict(anti)
+    return identities
 
 
 # ---------------------------------------------------------------------------

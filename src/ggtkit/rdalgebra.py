@@ -429,47 +429,31 @@ def _to_pair(value):
 class SupportedVector:
     """Finitely supported function from group elements to C.
 
-    In exact mode coefficients are pairs of rationals; in float mode they
-    are python complex numbers.  Zero coefficients are never stored.
+    Coefficients are pairs (re, im) of rationals; python ints, Fractions,
+    floats and complex numbers are converted exactly.  Zero coefficients
+    are never stored.
     """
 
-    def __init__(self, model: GroupModel, terms=None, exact: bool = True):
+    def __init__(self, model: GroupModel, terms=None):
         self.model = model
-        self.exact = exact
         self.coeffs: dict = {}
         if terms:
             for elem, value in terms:
                 self.add_term(elem, value)
 
     @staticmethod
-    def delta(model: GroupModel, elem: Element, coefficient=1, exact: bool = True):
-        return SupportedVector(model, [(elem, coefficient)], exact=exact)
-
-    def _coerce(self, value):
-        if self.exact:
-            pair = _to_pair(value)
-            return None if pair == (0, 0) else pair
-        c = complex(value[0], value[1]) if isinstance(value, tuple) else complex(value)
-        return None if c == 0 else c
+    def delta(model: GroupModel, elem: Element, coefficient=1):
+        return SupportedVector(model, [(elem, coefficient)])
 
     def add_term(self, elem: Element, value) -> None:
         self.model.validate_element(elem)
-        if self.exact:
-            old = self.coeffs.get(elem, (Fraction(0), Fraction(0)))
-            new_pair = _to_pair(value)
-            new = (old[0] + new_pair[0], old[1] + new_pair[1])
-            if new == (0, 0):
-                self.coeffs.pop(elem, None)
-            else:
-                self.coeffs[elem] = new
+        old = self.coeffs.get(elem, (Fraction(0), Fraction(0)))
+        re, im = _to_pair(value)
+        new = (old[0] + re, old[1] + im)
+        if new == (0, 0):
+            self.coeffs.pop(elem, None)
         else:
-            val = self.coeffs.get(elem, 0j) + (
-                complex(value[0], value[1]) if isinstance(value, tuple) else complex(value)
-            )
-            if val == 0:
-                self.coeffs.pop(elem, None)
-            else:
-                self.coeffs[elem] = val
+            self.coeffs[elem] = new
 
     def support(self):
         return list(self.coeffs.keys())
@@ -481,45 +465,34 @@ class SupportedVector:
         return (
             isinstance(other, SupportedVector)
             and other.model == self.model
-            and self._normalized() == other._normalized()
+            and self.coeffs == other.coeffs
         )
-
-    def _normalized(self):
-        if self.exact:
-            return dict(self.coeffs)
-        return {k: complex(v) for k, v in self.coeffs.items()}
 
     def __add__(self, other):
         if other.model != self.model:
             raise DomainError("vectors live over different models")
-        out = SupportedVector(self.model, exact=self.exact and other.exact)
+        out = SupportedVector(self.model)
         for src in (self, other):
             for elem, val in src.coeffs.items():
                 out.add_term(elem, val)
         return out
 
     def scale(self, c):
-        out = SupportedVector(self.model, exact=self.exact and not isinstance(c, (float, complex)))
-        for elem, val in self.coeffs.items():
-            if out.exact:
-                a, b = val
-                cr, ci = _to_pair(c)
-                out.add_term(elem, (a * cr - b * ci, a * ci + b * cr))
-            else:
-                va = complex(val[0], val[1]) if isinstance(val, tuple) else complex(val)
-                out.add_term(elem, va * complex(c))
+        out = SupportedVector(self.model)
+        cr, ci = _to_pair(c)
+        for elem, (a, b) in self.coeffs.items():
+            out.add_term(elem, (a * cr - b * ci, a * ci + b * cr))
         return out
 
     def abs_coefficient(self, elem: Element):
-        val = self.coeffs[elem]
-        if self.exact:
-            re, im = val
-            if im == 0:
-                return abs(re)
-            if re == 0:
-                return abs(im)
-            return math.sqrt(float(re * re + im * im))
-        return abs(val)
+        """|coeff(elem)|: exact for a real or imaginary coefficient, a float
+        otherwise (the modulus is irrational in general)."""
+        re, im = self.coeffs[elem]
+        if im == 0:
+            return abs(re)
+        if re == 0:
+            return abs(im)
+        return math.sqrt(float(re * re + im * im))
 
     def convolve(self, other: "SupportedVector") -> "SupportedVector":
         """Group-algebra product: coefficient of g is the sum of a(g1) b(g2)
@@ -527,35 +500,23 @@ class SupportedVector:
         if other.model != self.model:
             raise DomainError("vectors live over different models")
         model = self.model
-        out = SupportedVector(model, exact=self.exact and other.exact)
-        for g1, v1 in self.coeffs.items():
-            for g2, v2 in other.coeffs.items():
-                prod = model.multiply(g1, g2)
-                if out.exact:
-                    a, b = v1
-                    c, d = v2
-                    out.add_term(prod, (a * c - b * d, a * d + b * c))
-                else:
-                    w1 = complex(v1[0], v1[1]) if isinstance(v1, tuple) else complex(v1)
-                    w2 = complex(v2[0], v2[1]) if isinstance(v2, tuple) else complex(v2)
-                    out.add_term(prod, w1 * w2)
+        out = SupportedVector(model)
+        for g1, (a, b) in self.coeffs.items():
+            for g2, (c, d) in other.coeffs.items():
+                out.add_term(model.multiply(g1, g2), (a * c - b * d, a * d + b * c))
         return out
 
     def to_json(self) -> list:
         """JSON form: a list of {element, re, im} with normal-form element
         strings and rational coefficient strings."""
-        out = []
-        for elem, val in self.items_sorted():
-            if self.exact:
-                re, im = val
-            else:
-                re, im = Fraction(val.real), Fraction(val.imag)
-            out.append({"element": self.model.element_str(elem), "re": str(re), "im": str(im)})
-        return out
+        return [
+            {"element": self.model.element_str(elem), "re": str(re), "im": str(im)}
+            for elem, (re, im) in self.items_sorted()
+        ]
 
     @staticmethod
-    def from_json(model: GroupModel, data, exact: bool = True) -> "SupportedVector":
-        vec = SupportedVector(model, exact=exact)
+    def from_json(model: GroupModel, data) -> "SupportedVector":
+        vec = SupportedVector(model)
         for term in data:
             elem = model.parse_element(term["element"])
             vec.add_term(elem, (Fraction(term["re"]), Fraction(term["im"])))

@@ -204,7 +204,7 @@ def test_criterion_7_product_estimate(f2):
         for _ in range(1000):
             vecs = []
             for _ in range(2):
-                vec = SupportedVector(f2, exact=True)
+                vec = SupportedVector(f2)
                 for _ in range(rng.randint(1, 5)):
                     vec.add_term(
                         b3.elements[rng.randrange(len(b3))],

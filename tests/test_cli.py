@@ -1,16 +1,13 @@
-"""CLI dispatch, reports, exit codes, determinism, and ball caching."""
+"""CLI dispatch, reports, exit codes and determinism."""
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
-from ggtkit.cache import cache_ball, get_or_build_ball, load_ball
-from ggtkit.cayley import ball
 from ggtkit.cli import run
-from ggtkit.groups import FreeGroup, heisenberg_group
+from ggtkit.groups import heisenberg_group
 
 
 def run_cli(capsys, argv):
@@ -101,14 +98,6 @@ def test_profile_csv_schema(capsys, tmp_path):
     assert json.loads(out)["results"]["fit_degree"] == 0
 
 
-def test_conj_profile_alias_matches_top_level(capsys):
-    argv_tail = ["--group", '{"type":"free_abelian","rank":2}', "--radius", "2"]
-    code1, out1, _ = run_cli(capsys, ["profile"] + argv_tail)
-    code2, out2, _ = run_cli(capsys, ["conj", "profile"] + argv_tail)
-    assert code1 == code2 == 0
-    assert json.loads(out1)["results"] == json.loads(out2)["results"]
-
-
 def test_reports_byte_identical_across_runs(capsys):
     battery = [
         ["ball", "--group", '{"type":"free","rank":2}', "--radius", "3"],
@@ -162,62 +151,3 @@ def test_timing_only_with_flag(capsys):
     assert "wall_time_s" in err
     _, out, _ = run_cli(capsys, ["bounds", "eval", "--k", "1", "--timing"])
     assert "wall_time_s" in json.loads(out)
-
-
-# -- ball cache -----------------------------------------------------------------
-
-
-def test_cache_round_trip(tmp_path):
-    f2 = FreeGroup(2)
-    b, source = get_or_build_ball(f2, 3, str(tmp_path))
-    assert source == "miss"
-    b2, source2 = get_or_build_ball(f2, 3, str(tmp_path))
-    assert source2 == "hit"
-    assert b2.elements == b.elements and b2.parents == b.parents
-
-
-def test_cache_model_mismatch_recomputes(tmp_path):
-    f2 = FreeGroup(2)
-    cache_ball(ball(f2, 2), str(tmp_path))
-    # same radius, different model: cached file is keyed by the model hash
-    assert load_ball(FreeGroup(3), 2, str(tmp_path)) is None
-
-
-def test_corrupt_cache_recomputes(tmp_path, capsys):
-    f2 = FreeGroup(2)
-    path = cache_ball(ball(f2, 2), str(tmp_path))
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["lengths"][3] = 0  # break the parent tree
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    assert load_ball(f2, 2, str(tmp_path)) is None
-    err = capsys.readouterr().err
-    assert "recomputing" in err
-    b, source = get_or_build_ball(f2, 2, str(tmp_path))
-    assert source == "miss" and len(b) == 17
-
-
-def test_truncated_cache_file_recomputes(tmp_path, capsys):
-    f2 = FreeGroup(2)
-    path = cache_ball(ball(f2, 2), str(tmp_path))
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    assert load_ball(f2, 2, str(tmp_path)) is None
-
-
-def test_cli_uses_cache_dir(capsys, tmp_path):
-    argv = [
-        "ball",
-        "--group",
-        '{"type":"free","rank":2}',
-        "--radius",
-        "3",
-        "--cache-dir",
-        str(tmp_path),
-    ]
-    code, out, _ = run_cli(capsys, argv)
-    assert json.loads(out)["results"]["cache"] == "miss"
-    code, out, _ = run_cli(capsys, argv)
-    assert json.loads(out)["results"]["cache"] == "hit"
-    assert any(name.startswith("ball_") for name in os.listdir(tmp_path))

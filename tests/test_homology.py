@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from ggtkit.errors import PartitionViolation, ResourceCapError
+import ggtkit.homology
+from ggtkit.errors import DomainError, PartitionViolation, ResourceCapError
 from ggtkit.exactla import SparseRationalMatrix
 from ggtkit.groups import FreeAbelian, FreeGroup, cyclic_group, symmetric_group_3
 from ggtkit.homology import (
     burghelea_split,
+    chain_identities,
     conj_classes,
     connes_B,
     cyclic_quotient,
@@ -28,6 +30,8 @@ Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 S3 = symmetric_group_3()
 GROUPS = [("Z2", Z2, 2), ("Z3", Z3, 3), ("S3", S3, 3)]
+# GROUPS first, so the shared cases keep their test ids
+ALL_GROUPS = GROUPS + [(f"Z{o}", cyclic_group(o), o) for o in (4, 5, 6)]
 
 
 def _sum_matrices(a, b):
@@ -35,6 +39,33 @@ def _sum_matrices(a, b):
     for (i, j), v in b.entries.items():
         out.add_at(i, j, v)
     return out
+
+
+def _B_flipped(G, n, basis_cap=None):
+    """connes_B with the sign of the degenerate sum flipped."""
+    o = G.order
+    out = SparseRationalMatrix(o ** (n + 2), o ** (n + 1))
+    for t in itertools.product(range(o), repeat=n + 1):
+        col = 0
+        for g in t:
+            col = col * o + g
+        for i in range(n + 1):
+            rot = t[i:] + t[:i]
+            sign = (-1) ** (n * i)
+            for tup, s in (((0,) + rot, sign), ((rot[0], 0) + rot[1:], -sign)):
+                idx = 0
+                for g in tup:
+                    idx = idx * o + g
+                out.add_at(idx, col, s)
+    return out
+
+
+def _full_rank_dims(slice_):
+    """Reference dims from ranks of the whole boundary matrices."""
+    rank = {n: slice_.boundaries[n].rank() for n in range(1, slice_.n_max + 1)}
+    return tuple(
+        slice_.dims[n] - rank.get(n, 0) - rank.get(n + 1, 0) for n in range(slice_.n_max)
+    )
 
 
 # -- conjugacy classes -----------------------------------------------------------
@@ -117,25 +148,28 @@ def test_chain_identities_exact(name, G, nclasses):
 
 def test_degenerate_sum_sign_is_forced():
     # flipping the sign of the degenerate sum breaks B^2 = 0 already over Z/2
-    def B_flipped(G, n):
-        o = G.order
-        out = SparseRationalMatrix(o ** (n + 2), o ** (n + 1))
-        for t in itertools.product(range(o), repeat=n + 1):
-            col = 0
-            for g in t:
-                col = col * o + g
-            for i in range(n + 1):
-                rot = t[i:] + t[:i]
-                sign = (-1) ** (n * i)
-                for tup, s in (((0,) + rot, sign), ((rot[0], 0) + rot[1:], -sign)):
-                    idx = 0
-                    for g in tup:
-                        idx = idx * o + g
-                    out.add_at(idx, col, s)
-        return out
-
-    assert not B_flipped(Z2, 1).matmul(B_flipped(Z2, 0)).is_zero()
+    assert not _B_flipped(Z2, 1).matmul(_B_flipped(Z2, 0)).is_zero()
     assert connes_B(Z2, 1).matmul(connes_B(Z2, 0)).is_zero()
+
+
+@pytest.mark.parametrize("name,G,nclasses", GROUPS)
+def test_chain_identities_all_zero(name, G, nclasses):
+    got = chain_identities(hochschild_slice(G, 3))
+    assert got == {
+        "b1b2": "0", "b2b3": "0", "B1B0": "0", "B2B1": "0", "bB+Bb@1": "0", "bB+Bb@2": "0"
+    }
+
+
+def test_chain_identities_flag_flipped_B(monkeypatch):
+    monkeypatch.setattr(ggtkit.homology, "connes_B", _B_flipped)
+    got = chain_identities(hochschild_slice(Z2, 3))
+    assert got["B1B0"] == "NONZERO"
+    assert got["b1b2"] == got["b2b3"] == "0"
+
+
+def test_chain_identities_need_a_hochschild_slice():
+    with pytest.raises(DomainError):
+        chain_identities(cyclic_quotient(Z2, 2))
 
 
 def test_z2_rank_b1_gives_hh0():
@@ -202,13 +236,14 @@ def test_z2_degree1_blocks():
     assert sorted(len(v) for v in blocks.values()) == [2, 2]
 
 
-@pytest.mark.parametrize("name,G,nclasses", GROUPS)
+@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
 def test_split_blocks_sum_to_totals(name, G, nclasses):
-    sl = burghelea_split(G, 3)
-    hh = homology_dims(sl)
+    # block-sum totals, split and unsplit, against whole-matrix ranks
+    unsplit = hochschild_slice(G, 3)
+    assert homology_dims(unsplit).total == _full_rank_dims(unsplit) == (nclasses, 0, 0)
+    hh = homology_dims(burghelea_split(G, 3))
+    assert hh.total == (nclasses, 0, 0)
     assert hh.per_class is not None and len(hh.per_class) == nclasses
-    for degree in range(3):
-        assert sum(v[degree] for v in hh.per_class.values()) == hh.total[degree]
     assert all(v == (1, 0, 0) for v in hh.per_class.values())
 
 
@@ -231,11 +266,38 @@ def test_partition_violation_detected():
 
 
 def test_cyclic_split_blocks_sum():
-    for G, nclasses in ((Z3, 3), (S3, 3)):
-        cy = cyclic_quotient(G, 3, split=True)
-        hc = homology_dims(cy)
-        for degree in range(3):
-            assert sum(v[degree] for v in hc.per_class.values()) == hc.total[degree]
+    # block-sum totals, split and unsplit, against whole-matrix ranks
+    for _, G, nclasses in ALL_GROUPS:
+        unsplit = cyclic_quotient(G, 3)
+        ref = _full_rank_dims(unsplit)
+        assert ref == (nclasses, 0, nclasses)
+        assert homology_dims(unsplit).total == ref
+        hc = homology_dims(cyclic_quotient(G, 3, split=True))
+        assert hc.total == ref
+        assert all(v == (1, 0, 1) for v in hc.per_class.values())
+
+
+@pytest.mark.parametrize("G", [cyclic_group(4), S3], ids=["Z4", "S3"])
+def test_class_block_dims_match_sympy(G):
+    sympy = pytest.importorskip("sympy")
+
+    def sympy_rank(m):
+        dense = sympy.zeros(m.rows, m.cols)
+        for (i, j), v in m.entries.items():
+            dense[i, j] = sympy.Rational(v.numerator, v.denominator)
+        return dense.rank()
+
+    for sl in (burghelea_split(G, 3), cyclic_quotient(G, 3, split=True)):
+        blocks = [sl.class_blocks(n) for n in range(4)]
+        want = {}
+        for cid in blocks[0]:
+            rank = [0] * 5
+            for n in (1, 2, 3):
+                rank[n] = sympy_rank(
+                    sl.boundaries[n].restrict(blocks[n - 1][cid], blocks[n][cid])
+                )
+            want[cid] = tuple(len(blocks[n][cid]) - rank[n] - rank[n + 1] for n in range(3))
+        assert homology_dims(sl).per_class == want
 
 
 # -- the comparison maps -----------------------------------------------------------------

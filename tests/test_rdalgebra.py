@@ -241,6 +241,9 @@ def test_complex_coefficients_exact():
     assert vec.abs_coefficient((1,)) == pytest.approx(5.0)
     vec2 = SupportedVector(F2, [((1,), (Fraction(3), Fraction(0)))])
     assert vec2.abs_coefficient((1,)) == Fraction(3)
+    # float and complex inputs, scalars included, are converted exactly
+    vec3 = SupportedVector(F2, [((1,), 0.5 + 0.25j)]).scale(2j)
+    assert vec3.coeffs == {(1,): (Fraction(-1, 2), Fraction(1))}
 
 
 def test_vector_json_round_trip():
