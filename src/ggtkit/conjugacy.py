@@ -394,7 +394,8 @@ def _conjugacy_key(model: GroupModel, u: Element):
 
     Free groups: the least rotation of the cyclic core, which is complete
     (equal keys iff conjugate).  Two-step nilpotent: the base part, which
-    conjugation fixes.  Free abelian: the element.  Every other model puts
+    conjugation fixes.  Free abelian: the element.  Finite groups: the least
+    element of the conjugacy class, also complete.  Every other model puts
     all elements in one bucket.
     """
     if isinstance(model, FreeGroup):
@@ -404,6 +405,8 @@ def _conjugacy_key(model: GroupModel, u: Element):
         return u[0]
     if isinstance(model, FreeAbelian):
         return u
+    if isinstance(model, FiniteGroup):
+        return min(model.conjugate(h, u) for h in range(model.order))
     return None
 
 

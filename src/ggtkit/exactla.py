@@ -8,30 +8,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import DomainError
 
 
 @dataclass
 class SparseRationalMatrix:
-    """Sparse matrix over Q; zero entries are never stored."""
+    """Sparse matrix over Q; zero entries are never stored.
+
+    Integral entries are Python ints and stay ints under ``add_at`` and
+    ``matmul``; any other value is stored as an exact Fraction.
+    """
 
     rows: int
     cols: int
-    entries: dict = field(default_factory=dict)  # (i, j) -> Fraction
+    entries: dict = field(default_factory=dict)  # (i, j) -> int | Fraction
 
     def add_at(self, i: int, j: int, value) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DomainError(f"entry ({i},{j}) outside a {self.rows}x{self.cols} matrix")
-        new = self.entries.get((i, j), Fraction(0)) + Fraction(value)
+        if not isinstance(value, int):
+            value = Fraction(value)  # floats convert exactly
+        new = self.entries.get((i, j), 0) + value
         if new == 0:
             self.entries.pop((i, j), None)
         else:
             self.entries[(i, j)] = new
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
+    def get(self, i: int, j: int):
+        return self.entries.get((i, j), 0)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -46,7 +53,7 @@ class SparseRationalMatrix:
         for (i, j), v in self.entries.items():
             for k, w in by_row.get(j, ()):
                 key = (i, k)
-                acc[key] = acc.get(key, Fraction(0)) + v * w
+                acc[key] = acc.get(key, 0) + v * w
         out = SparseRationalMatrix(self.rows, other.cols)
         out.entries = {k: v for k, v in acc.items() if v != 0}
         return out
@@ -63,19 +70,64 @@ class SparseRationalMatrix:
                 out.entries[(ri, cj)] = v
         return out
 
-    def dense_int_rows(self) -> list[list[int]]:
-        """Rows scaled to integers (each row multiplied by its denominator lcm)."""
-        dense: list[list[Fraction]] = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        out = []
-        for row in dense:
-            scale = lcm(*(f.denominator for f in row)) if row else 1
-            out.append([int(f * scale) for f in row])
-        return out
-
     def rank(self) -> int:
-        return bareiss_rank(self.dense_int_rows())
+        """Rank by sparse fraction-free elimination with Markowitz-style
+        pivots (after Dumas-Saunders-Villard, JSC 2001).
+
+        Each row is a {col: int} dict, scaled once by the lcm of its
+        denominators.  A step takes the shortest remaining row and, in it,
+        the column held by the fewest remaining rows, then clears that
+        column with row <- (p/g) row - (f/g) pivot_row, g = gcd(p, f), and
+        divides each changed row by its content.  Exact over Z throughout.
+        """
+        rows: dict = {}
+        for (i, j), v in self.entries.items():
+            rows.setdefault(i, {})[j] = v
+        col_rows: dict = {}  # col -> ids of the remaining rows holding it
+        for i, row in rows.items():
+            scale = lcm(*(v.denominator for v in row.values()))
+            rows[i] = {j: int(v * scale) for j, v in row.items()}
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+        queue = [(len(row), i) for i, row in rows.items()]  # stale entries skipped
+        heapify(queue)
+        rank = 0
+        while queue:
+            size, pid = heappop(queue)
+            prow = rows.get(pid)
+            if prow is None or len(prow) != size:
+                continue
+            del rows[pid]
+            for j in prow:
+                col_rows[j].discard(pid)
+            c = min(prow, key=lambda j: len(col_rows[j]))
+            p = prow[c]
+            for i in list(col_rows[c]):
+                row = rows[i]
+                g = gcd(p, row[c])
+                a, b = p // g, row[c] // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
+                for j, w in prow.items():
+                    v = row.get(j, 0) - b * w
+                    if v:
+                        if j not in row:
+                            col_rows[j].add(i)
+                        row[j] = v
+                    elif j in row:
+                        del row[j]
+                        col_rows[j].discard(i)
+                if not row:
+                    del rows[i]
+                    continue
+                content = gcd(*row.values())
+                if content != 1:
+                    for j in row:
+                        row[j] //= content
+                heappush(queue, (len(row), i))
+            rank += 1
+        return rank
 
 
 def bareiss_rank(rows: list[list[int]]) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .cayley import ball
@@ -125,7 +124,7 @@ def hochschild_boundary(
         face = (model.multiply(t[n], t[0]),) + t[1:n]
         key = (_tuple_index(o, face), col)
         acc[key] = acc.get(key, 0) + (-1) ** n
-    out.entries = {k: Fraction(v) for k, v in acc.items() if v != 0}
+    out.entries = {k: v for k, v in acc.items() if v != 0}
     return out
 
 
@@ -156,7 +155,7 @@ def connes_B(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP) 
             acc[k1] = acc.get(k1, 0) + sign
             k2 = (_tuple_index(o, second), col)
             acc[k2] = acc.get(k2, 0) + sign
-    out.entries = {k: Fraction(v) for k, v in acc.items() if v != 0}
+    out.entries = {k: v for k, v in acc.items() if v != 0}
     return out
 
 
@@ -167,7 +166,7 @@ def tau_matrix(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP
     out = SparseRationalMatrix(o ** (n + 1), o ** (n + 1))
     for t in _tuples(o, n):
         rotated = (t[-1],) + t[:-1]
-        out.entries[(_tuple_index(o, rotated), _tuple_index(o, t))] = Fraction((-1) ** n)
+        out.entries[(_tuple_index(o, rotated), _tuple_index(o, t))] = (-1) ** n
     return out
 
 

@@ -21,6 +21,7 @@ from ggtkit.conjugacy import (
     profile_conjugacy_bound,
 )
 from ggtkit.groups import (
+    FiniteGroup,
     FreeAbelian,
     FreeGroup,
     FreeProduct,
@@ -28,6 +29,7 @@ from ggtkit.groups import (
     cyclic_group,
     exact_length,
     heisenberg_group,
+    symmetric_group_3,
 )
 from ggtkit.rdalgebra import IDENTITY, Affine, Const
 
@@ -448,6 +450,10 @@ def _conjugacy_decider(model, base):
     shares no code with the profiler's fast path."""
     if isinstance(model, FreeAbelian):
         return lambda u, v: u == v
+    if isinstance(model, FiniteGroup):
+        return lambda u, v: any(
+            model.multiply(model.multiply(model.inverse(h), u), h) == v for h in range(model.order)
+        )
     if isinstance(model, FreeGroup):
         # a minimal free conjugator has length <= |u| + |v| <= 2 radius
         complete = _oracle_pairs(model, base, ball(model, 2 * base.radius))
@@ -477,6 +483,7 @@ PROFILE_CASES = [
     pytest.param(HEIS, 3, 0, id="Heisenberg-r3"),
     pytest.param(HEIS, 3, -5, id="Heisenberg-r3-search1"),
     pytest.param(_m3_nilpotent(), 2, 0, id="nilpotent-m3-r2"),
+    pytest.param(symmetric_group_3(), 2, 0, id="S3-r2"),
 ]
 
 
@@ -512,6 +519,15 @@ def test_profile_matches_brute_force_oracle(model, radius, slack):
         assert model.conjugate(rec.witness, rec.u) == rec.v
     brute = profile_conjugacy_bound(model, radius, "brute", slack=slack, search_ball=search)
     assert summary(brute) == expect
+
+
+@pytest.mark.parametrize("G", [symmetric_group_3(), cyclic_group(4)], ids=["S3", "Z4"])
+def test_conjugacy_key_is_complete_on_finite_groups(G):
+    conjugate = _conjugacy_decider(G, None)
+    for u in range(G.order):
+        for v in range(G.order):
+            same_key = _conjugacy_key(G, u) == _conjugacy_key(G, v)
+            assert same_key == conjugate(u, v)
 
 
 def test_conjugacy_key_is_complete_on_free_ball():

@@ -1,9 +1,12 @@
-"""Exact linear algebra: SNF, Bareiss rank, integer systems."""
+"""Exact linear algebra: SNF, sparse and Bareiss rank, integer systems."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+
+import pytest
 
 from ggtkit.exactla import (
     SparseRationalMatrix,
@@ -67,6 +70,25 @@ def test_snf_random_properties():
         assert sum(1 for x in d if x) == rank_by_gauss(A)
 
 
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(13)
+    for trial in range(120):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(nc)] for _ in range(nr)]
+        if trial % 5 == 0:
+            A = [[0] * nc for _ in range(nr)]  # zero matrix
+        elif trial % 5 == 1 and nr > 1:
+            k = rng.randint(-3, 3)  # rank-deficient: a multiple of another row
+            A[-1] = [k * v for v in A[0]]
+        _, S, _ = smith_normal_form(A)
+        D = sympy_snf(sympy.Matrix(A), domain=sympy.ZZ)
+        n = min(nr, nc)
+        assert [abs(S[i][i]) for i in range(n)] == [abs(int(D[i, i])) for i in range(n)], A
+
+
 def test_solver_round_trip_and_kernel():
     rng = random.Random(11)
     for _ in range(200):
@@ -122,3 +144,72 @@ def test_sparse_matmul_and_restrict():
     assert prod.entries == {(0, 1): Fraction(3), (1, 0): Fraction(2)}
     sub = a.restrict([1], [2, 0])
     assert sub.entries == {(0, 0): Fraction(2)}
+
+
+def _sparse(A):
+    m = SparseRationalMatrix(len(A), len(A[0]) if A else 0)
+    for i, row in enumerate(A):
+        for j, v in enumerate(row):
+            if v:
+                m.add_at(i, j, v)
+    return m
+
+
+def _scaled_rows(A):
+    """Each row times the lcm of its denominators, for the integer oracle."""
+    out = []
+    for row in A:
+        scale = lcm(*(Fraction(v).denominator for v in row))
+        out.append([int(Fraction(v) * scale) for v in row])
+    return out
+
+
+def _random_sparse_rows(rng, nr, nc, density, entry):
+    A = [[entry() if rng.random() < density else 0 for _ in range(nc)] for _ in range(nr)]
+    for _ in range(rng.randint(0, 3)):  # duplicate and dependent rows
+        if nr < 2:
+            break
+        i, k = rng.randrange(nr), rng.randrange(nr)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        A[i] = [a * x + b * y for x, y in zip(A[k], A[rng.randrange(nr)])]
+    if nr and rng.random() < 0.3:
+        A[rng.randrange(nr)] = [0] * nc  # zero row
+    if nc and rng.random() < 0.3:
+        j = rng.randrange(nc)  # zero column
+        for row in A:
+            row[j] = 0
+    return A
+
+
+def test_sparse_rank_against_dense_oracles():
+    rng = random.Random(31)
+    kinds = [
+        lambda: rng.randint(-5, 5),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        lambda: rng.choice([1, -1]) * rng.randint(1, 10**30),  # needs the content division
+    ]
+    for trial in range(300):
+        top = 40 if trial % 10 == 0 else 12
+        nr, nc = rng.randint(1, top), rng.randint(1, top)
+        A = _random_sparse_rows(rng, nr, nc, rng.choice([0.1, 0.3, 0.6]), kinds[trial % 3])
+        want = rank_by_gauss(A)
+        assert bareiss_rank(_scaled_rows(A)) == want
+        assert _sparse(A).rank() == want, A
+
+
+def test_sparse_rank_of_empty_shapes():
+    for nr, nc in [(0, 0), (0, 5), (5, 0), (3, 4)]:
+        assert SparseRationalMatrix(nr, nc).rank() == 0
+
+
+def test_add_at_keeps_ints_and_makes_floats_exact():
+    m = SparseRationalMatrix(2, 2)
+    m.add_at(0, 0, 3)
+    m.add_at(0, 0, -1)
+    assert type(m.get(0, 0)) is int and m.get(0, 0) == 2
+    m.add_at(1, 1, 0.5)
+    assert type(m.get(1, 1)) is Fraction and m.get(1, 1) == Fraction(1, 2)
+    m.add_at(1, 1, -0.5)
+    assert m.entries == {(0, 0): 2}
+    prod = m.matmul(m)
+    assert prod.entries == {(0, 0): 4} and type(prod.get(0, 0)) is int

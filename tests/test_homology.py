@@ -10,7 +10,7 @@ import pytest
 
 import ggtkit.homology
 from ggtkit.errors import DomainError, PartitionViolation, ResourceCapError
-from ggtkit.exactla import SparseRationalMatrix
+from ggtkit.exactla import SparseRationalMatrix, bareiss_rank
 from ggtkit.groups import FreeAbelian, FreeGroup, cyclic_group, symmetric_group_3
 from ggtkit.homology import (
     burghelea_split,
@@ -60,9 +60,18 @@ def _B_flipped(G, n, basis_cap=None):
     return out
 
 
+def _dense_rank(m):
+    """Dense Bareiss rank of an integral sparse matrix: the oracle for the
+    sparse elimination in ``SparseRationalMatrix.rank``."""
+    dense = [[0] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        dense[i][j] = int(v)
+    return bareiss_rank(dense)
+
+
 def _full_rank_dims(slice_):
-    """Reference dims from ranks of the whole boundary matrices."""
-    rank = {n: slice_.boundaries[n].rank() for n in range(1, slice_.n_max + 1)}
+    """Reference dims from dense ranks of the whole boundary matrices."""
+    rank = {n: _dense_rank(slice_.boundaries[n]) for n in range(1, slice_.n_max + 1)}
     return tuple(
         slice_.dims[n] - rank.get(n, 0) - rank.get(n + 1, 0) for n in range(slice_.n_max)
     )
@@ -152,7 +161,7 @@ def test_degenerate_sum_sign_is_forced():
     assert connes_B(Z2, 1).matmul(connes_B(Z2, 0)).is_zero()
 
 
-@pytest.mark.parametrize("name,G,nclasses", GROUPS)
+@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
 def test_chain_identities_all_zero(name, G, nclasses):
     got = chain_identities(hochschild_slice(G, 3))
     assert got == {
@@ -277,6 +286,26 @@ def test_cyclic_split_blocks_sum():
         assert all(v == (1, 0, 1) for v in hc.per_class.values())
 
 
+def _class_block_dims(sl, rank):
+    """Per-class dims of a split slice with ``rank`` applied to each block."""
+    top = sl.n_max
+    blocks = [sl.class_blocks(n) for n in range(top + 1)]
+    want = {}
+    for cid in blocks[0]:
+        ranks = [0] * (top + 2)
+        for n in range(1, top + 1):
+            block = sl.boundaries[n].restrict(blocks[n - 1].get(cid, []), blocks[n].get(cid, []))
+            ranks[n] = rank(block)
+        want[cid] = tuple(len(blocks[n].get(cid, [])) - ranks[n] - ranks[n + 1] for n in range(top))
+    return want
+
+
+@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
+def test_class_block_dims_match_dense_bareiss(name, G, nclasses):
+    for sl in (burghelea_split(G, 3), cyclic_quotient(G, 3, split=True)):
+        assert homology_dims(sl).per_class == _class_block_dims(sl, _dense_rank)
+
+
 @pytest.mark.parametrize("G", [cyclic_group(4), S3], ids=["Z4", "S3"])
 def test_class_block_dims_match_sympy(G):
     sympy = pytest.importorskip("sympy")
@@ -288,16 +317,22 @@ def test_class_block_dims_match_sympy(G):
         return dense.rank()
 
     for sl in (burghelea_split(G, 3), cyclic_quotient(G, 3, split=True)):
-        blocks = [sl.class_blocks(n) for n in range(4)]
-        want = {}
-        for cid in blocks[0]:
-            rank = [0] * 5
-            for n in (1, 2, 3):
-                rank[n] = sympy_rank(
-                    sl.boundaries[n].restrict(blocks[n - 1][cid], blocks[n][cid])
-                )
-            want[cid] = tuple(len(blocks[n][cid]) - rank[n] - rank[n + 1] for n in range(3))
-        assert homology_dims(sl).per_class == want
+        assert homology_dims(sl).per_class == _class_block_dims(sl, sympy_rank)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+def test_s3_degree_four(split):
+    # the measured range at n = 4, within the default basis cap
+    hs = hochschild_slice(S3, 4, split=split)
+    hh = homology_dims(hs)
+    assert hh.total == (3, 0, 0, 0)
+    hc = homology_dims(cyclic_quotient(S3, 4, split=split))
+    assert hc.total == (3, 0, 3, 0)
+    if split:
+        assert all(v == (1, 0, 0, 0) for v in hh.per_class.values())
+        assert all(v == (1, 0, 1, 0) for v in hc.per_class.values())
+    got = chain_identities(hs)
+    assert len(got) == 9 and set(got.values()) == {"0"}
 
 
 # -- the comparison maps -----------------------------------------------------------------
