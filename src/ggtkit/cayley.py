@@ -16,81 +16,21 @@ import numpy as np
 
 from .config import DEFAULT_BALL_CAP, DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
 from .errors import DomainError, OracleInconsistency, ResourceCapError
-from .groups import Element, FreeGroup, GroupModel, cyclic_reduce
+from .groups import Ball, Element, FreeAbelian, FreeGroup, GroupModel, TwoStepNilpotent, cyclic_reduce
 
 SCALE = 2  # stored weight = SCALE * true length
+REP_VERIFY_LIMIT = 500  # coned_off checks all coset-representative pairs up to this many cosets
 
 
 # ---------------------------------------------------------------------------
 # balls
 
 
-@dataclass
-class Ball:
-    """All elements of word length <= radius, in BFS order, with the
-    geodesic parent tree that witnesses the lengths."""
-
-    model: GroupModel
-    radius: int
-    elements: list
-    index: dict
-    parents: list[int]  # parent index per element; -1 for the identity
-    parent_gen: list[int]  # generator index applied to the parent; -1 for identity
-    lengths: list[int]
-
-    def __len__(self):
-        return len(self.elements)
-
-    def element_index(self, a: Element) -> int:
-        idx = self.index.get(a)
-        if idx is None:
-            raise DomainError("element is not in the ball")
-        return idx
-
-    def verify_parent(self, i: int) -> bool:
-        if i == 0:
-            return self.parents[0] == -1 and self.lengths[0] == 0
-        gens = self.model.generator_elements()
-        parent = self.elements[self.parents[i]]
-        return (
-            self.model.multiply(parent, gens[self.parent_gen[i]]) == self.elements[i]
-            and self.lengths[i] == self.lengths[self.parents[i]] + 1
-        )
-
-
 def ball(model: GroupModel, radius: int, *, cap: int = DEFAULT_BALL_CAP) -> Ball:
     """BFS ball of the given radius over the model's standard generators."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    gens = model.generator_elements()
-    ident = model.identity()
-    elements = [ident]
-    index = {ident: 0}
-    parents = [-1]
-    parent_gen = [-1]
-    lengths = [0]
-    frontier = [0]
-    for dist in range(1, radius + 1):
-        nxt = []
-        for ui in frontier:
-            u = elements[ui]
-            for gi, s in enumerate(gens):
-                w = model.multiply(u, s)
-                if w not in index:
-                    if len(elements) >= cap:
-                        raise ResourceCapError(
-                            f"ball size cap {cap} exceeded at radius {dist}"
-                        )
-                    index[w] = len(elements)
-                    elements.append(w)
-                    parents.append(ui)
-                    parent_gen.append(gi)
-                    lengths.append(dist)
-                    nxt.append(index[w])
-        frontier = nxt
-        if not frontier:
-            break
-    return Ball(model, radius, elements, index, parents, parent_gen, lengths)
+    return Ball(model).grow(radius, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -102,45 +42,58 @@ class MetricGraph:
 
     Adjacency is held once, as CSR arrays: the neighbours of vertex u are
     ``_nbr[_indptr[u]:_indptr[u + 1]]``, in increasing order, with weights
-    ``_wt`` alongside.
+    ``_wt`` alongside.  ``edges`` may list an edge more than once, in either
+    direction, but always with the same weight.
     """
 
     def __init__(self, n: int, edges, labels: Optional[list[str]] = None,
                  ball_radius: Optional[int] = None):
         self.n = n
-        seen = {}
-        for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise DomainError(f"bad edge ({u},{v})")
-            if w < 1:
+        u, v, w = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        _, first, group = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+        bad = (lo < 0) | (hi >= n) | (u == v)
+        failing = bad | (w < 1) | (w != w[first][group])
+        if failing.any():  # report the first failing edge, in input order
+            i = int(failing.argmax())
+            if bad[i]:
+                raise DomainError(f"bad edge ({u[i]},{v[i]})")
+            if w[i] < 1:
                 raise DomainError("edge weights must be >= 1")
-            key = (min(u, v), max(u, v))
-            if key in seen and seen[key] != w:
-                raise DomainError(f"conflicting weights for edge {key}")
-            seen[key] = w
-        self.edges = sorted((u, v, w) for (u, v), w in seen.items())
+            raise DomainError(f"conflicting weights for edge {(int(lo[i]), int(hi[i]))}")
+        lo, hi, w = lo[first], hi[first], w[first]
         self.labels = labels if labels is not None else [str(i) for i in range(n)]
         self.ball_radius = ball_radius
-        e = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
-        tail = np.concatenate([e[:, 0], e[:, 1]])
-        head = np.concatenate([e[:, 1], e[:, 0]])
+        tail = np.concatenate([lo, hi])
+        head = np.concatenate([hi, lo])
         order = np.lexsort((head, tail))
         self._nbr = head[order]
-        self._wt = np.concatenate([e[:, 2], e[:, 2]])[order]
+        self._wt = np.concatenate([w, w])[order]
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(tail, minlength=n), out=self._indptr[1:])
-        self._dist_cache: dict[int, list[int]] = {}
-        if n > 0 and min(self.distances_from(0)) < 0:
+        self._dist_cache: dict[int, np.ndarray] = {}
+        if n > 0 and self.distances_from(0).min() < 0:
             raise DomainError("metric graph must be connected")
+
+    def _edge_array(self) -> np.ndarray:
+        """(u, v, w) rows with u < v, sorted, read off the CSR arrays."""
+        tail = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        up = self._nbr > tail
+        return np.column_stack([tail[up], self._nbr[up], self._wt[up]])
+
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        return list(map(tuple, self._edge_array().tolist()))
 
     def edge_weight(self, u: int, v: int) -> Optional[int]:
         lo, hi = self._indptr[u], self._indptr[u + 1]
         k = lo + np.searchsorted(self._nbr[lo:hi], v)
         return int(self._wt[k]) if k < hi and self._nbr[k] == v else None
 
-    def distances_from(self, source: int) -> list[int]:
-        """Scaled shortest-path distances from one vertex (cached); -1 marks
-        an unreachable vertex.
+    def distances_from(self, source: int) -> np.ndarray:
+        """Scaled shortest-path distances from one vertex, as a read-only
+        int32 array (int64 only for distances past 2^31 - 1), cached; -1
+        marks an unreachable vertex.
 
         Dial's bucket queue: weights are positive integers, so every vertex
         left in bucket d when it is popped has final distance d, and the
@@ -178,12 +131,13 @@ class MetricGraph:
             for level in np.unique(nd).tolist():
                 buckets.setdefault(level, []).append(v[nd == level])
         dist[dist == unreached] = -1
-        row = dist.tolist()
+        row = dist.astype(np.int32) if dist.max(initial=0) < 2**31 else dist
+        row.flags.writeable = False
         self._dist_cache[source] = row
         return row
 
     def distance_scaled(self, u: int, v: int) -> int:
-        d = self.distances_from(u)[v]
+        d = int(self.distances_from(u)[v])
         if d < 0:
             raise DomainError("vertices are disconnected")  # defensive; balls are connected
         return d
@@ -193,19 +147,13 @@ class MetricGraph:
 
     def distance_matrix_scaled(self, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
         verts = list(range(self.n)) if vertices is None else list(vertices)
-        rows = []
-        for u in verts:
-            du = self.distances_from(u)
-            rows.append([du[v] for v in verts])
-        return np.array(rows, dtype=np.int64)
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [(u, v, w) for u, v, w in self.edges]
+        rows = [self.distances_from(u)[verts] for u in verts]
+        return np.array(rows, dtype=np.int64).reshape(len(verts), len(verts))
 
     def summary(self) -> dict:
         return {
             "vertices": self.n,
-            "edges": len(self.edges),
+            "edges": len(self._nbr) // 2,
             "scaled": True,
             "ball_radius": self.ball_radius,
         }
@@ -213,17 +161,15 @@ class MetricGraph:
 
 def cayley_graph(b: Ball) -> MetricGraph:
     """Cayley graph restricted to a ball: edge (u, u*s) of weight 2 per
-    generator s whenever both endpoints lie in the ball."""
-    model = b.model
-    gens = model.generator_elements()
-    edges = set()
-    for ui, u in enumerate(b.elements):
-        for s in gens:
-            vi = b.index.get(model.multiply(u, s))
-            if vi is not None and vi != ui:
-                edges.add((min(ui, vi), max(ui, vi), SCALE))
-    labels = [model.element_str(e) for e in b.elements]
-    return MetricGraph(len(b.elements), sorted(edges), labels, ball_radius=b.radius)
+    generator s whenever both endpoints lie in the ball, read off the ball's
+    neighbour table (generators are closed under inverses, so u < v suffices)."""
+    nbr = b.neighbour_table()
+    u = np.repeat(np.arange(len(b)), nbr.shape[1])
+    v = nbr.ravel()
+    up = v > u
+    edges = np.column_stack([u[up], v[up], np.full(int(up.sum()), SCALE)])
+    labels = [b.model.element_str(e) for e in b.elements]
+    return MetricGraph(len(b), edges, labels, ball_radius=b.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +205,8 @@ class CyclicSubgroup(SubgroupOracle):
             return False
         if isinstance(model, FreeGroup):
             return self._free_power_check(model, elem)
+        if isinstance(model, (FreeAbelian, TwoStepNilpotent)):
+            return self._torsion_free_power_check(model, elem)
         power = g
         inv = model.inverse(g)
         neg = inv
@@ -286,6 +234,17 @@ class CyclicSubgroup(SubgroupOracle):
         k = len(middle) // len(core)
         return middle == core * k or middle == model.inverse(core) * k
 
+    def _torsion_free_power_check(self, model, elem):
+        """Solve elem = g^k for k on the first nonzero coordinate of g, then
+        check g^k exactly.  In a two-step nilpotent group that coordinate
+        lies in the base part, which is linear in k, unless g is central."""
+        g, x, y = self.generator, self.generator, elem
+        if isinstance(model, TwoStepNilpotent):
+            x, y = g[0] + g[1], elem[0] + elem[1]
+        t = next(t for t, v in enumerate(x) if v)
+        k, rem = divmod(y[t], x[t])
+        return rem == 0 and _power(model, g, k) == elem
+
     def coset_key(self, model, elem):
         """For a free group: the least element of elem<h> by (length, letters).
 
@@ -308,6 +267,18 @@ class CyclicSubgroup(SubgroupOracle):
             x = x[:-k]
         return min((x, model.multiply(x, core), model.multiply(x, inv)),
                    key=lambda w: (len(w), w))
+
+
+def _power(model: GroupModel, g: Element, k: int) -> Element:
+    """g^k by repeated squaring."""
+    if k < 0:
+        g, k = model.inverse(g), -k
+    out = model.identity()
+    while k:
+        if k & 1:
+            out = model.multiply(out, g)
+        g, k = model.multiply(g, g), k >> 1
+    return out
 
 
 class FactorSubgroup(SubgroupOracle):
@@ -395,7 +366,7 @@ def _check_factor_consistency(b: Ball, oracles) -> list[list[int]]:
     return members_per_factor
 
 
-def coned_off(b: Ball, factors, *, rep_verify_limit: int = 500) -> ConedOffGraph:
+def coned_off(b: Ball, factors) -> ConedOffGraph:
     """Build the coned-off graph of a ball relative to subgroup oracles."""
     model = b.model
     oracles = list(factors)
@@ -407,19 +378,25 @@ def coned_off(b: Ball, factors, *, rep_verify_limit: int = 500) -> ConedOffGraph
     coset_of = []
     coset_members = []
     for oracle in oracles:
-        ids = [-1] * len(b.elements)
-        members: list[list[int]] = []
-        if oracle.coset_key(model, model.identity()) is not None:
+        keyed = oracle.coset_key(model, model.identity()) is not None
+        if keyed:
             key_to_id: dict = {}
+            ids = [key_to_id.setdefault(oracle.coset_key(model, e), len(key_to_id)) for e in b.elements]
+        else:
+            # generic scan: compare against one representative per known coset
+            ids, reps = [], []
             for i, e in enumerate(b.elements):
-                key = oracle.coset_key(model, e)
-                cid = key_to_id.get(key)
-                if cid is None:
-                    cid = len(members)
-                    key_to_id[key] = cid
-                    members.append([])
-                ids[i] = cid
-                members[cid].append(i)
+                for cid, r in enumerate(reps):
+                    if oracle.contains(model, model.multiply(model.inverse(b.elements[r]), e)):
+                        break
+                else:
+                    cid = len(reps)
+                    reps.append(i)
+                ids.append(cid)
+        members: list[list[int]] = [[] for _ in range(max(ids) + 1)]
+        for i, cid in enumerate(ids):
+            members[cid].append(i)
+        if keyed:
             # verify the fast path against the membership oracle: consecutive
             # members of each coset must differ by a subgroup element, and a
             # bounded number of representative pairs must not
@@ -430,7 +407,7 @@ def coned_off(b: Ball, factors, *, rep_verify_limit: int = 500) -> ConedOffGraph
                         raise OracleInconsistency(
                             f"{oracle.label}: coset key groups non-equivalent elements"
                         )
-            if len(members) <= rep_verify_limit:
+            if len(members) <= REP_VERIFY_LIMIT:
                 reps = [group[0] for group in members]
                 for x in range(len(reps)):
                     for y in range(x + 1, len(reps)):
@@ -441,46 +418,27 @@ def coned_off(b: Ball, factors, *, rep_verify_limit: int = 500) -> ConedOffGraph
                             raise OracleInconsistency(
                                 f"{oracle.label}: coset key splits one coset in two"
                             )
-        else:
-            # generic scan: compare against one representative per known coset
-            reps: list[int] = []
-            for i, e in enumerate(b.elements):
-                for cid, r in enumerate(reps):
-                    diff = model.multiply(model.inverse(b.elements[r]), e)
-                    if oracle.contains(model, diff):
-                        ids[i] = cid
-                        members[cid].append(i)
-                        break
-                else:
-                    ids[i] = len(reps)
-                    reps.append(i)
-                    members.append([i])
         coset_of.append(ids)
         coset_members.append(members)
 
-    cones = []
-    cone_edges = []
-    labels = list(base.labels)
-    for fi, oracle in enumerate(oracles):
-        for cid, group in enumerate(coset_members[fi]):
-            vertex = base.n + len(cones)
-            cones.append((fi, cid))
-            rep = group[0]
-            labels.append(f"v({oracle.label}:{base.labels[rep]})")
-            for i in group:
-                cone_edges.append((i, vertex, 1))
+    # cone vertex of (factor fi, coset cid) is base.n + offset[fi] + cid
+    cones = [(fi, cid) for fi, members in enumerate(coset_members) for cid in range(len(members))]
+    labels = base.labels + [
+        f"v({oracles[fi].label}:{base.labels[coset_members[fi][cid][0]]})" for fi, cid in cones
+    ]
+    offset = base.n + np.cumsum([0] + [len(m) for m in coset_members])
+    vertices = np.arange(base.n)
+    cone_edges = [
+        np.column_stack([vertices, start + np.asarray(ids), np.ones(base.n, dtype=np.int64)])
+        for start, ids in zip(offset, coset_of)
+    ]
     graph = MetricGraph(
         base.n + len(cones),
-        list(base.edges) + cone_edges,
+        np.concatenate([base._edge_array(), *cone_edges]),
         labels,
         ball_radius=b.radius,
     )
     return ConedOffGraph(b, base, graph, oracles, cones, coset_of, coset_members)
-
-
-def distance(graph, u: int, v: int) -> Fraction:
-    """Exact shortest-path distance (true, unscaled units) on either kind of graph."""
-    return graph.distance(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +557,7 @@ def is_quasi_geodesic(path: GraphPath, k, graph) -> bool:
         di = g.distances_from(path.vertices[i])
         for j in range(i + 1, n):
             span = pos[j] - pos[i]  # scaled
-            d = di[path.vertices[j]]  # scaled
+            d = int(di[path.vertices[j]])  # scaled
             if span > k * d + 2 * k or d > k * span + 2 * k:
                 return False
     return True

@@ -169,7 +169,7 @@ def _cmd_graph(args, cfg):
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["vertex_a", "vertex_b", "weight"])
-            writer.writerows(graph.csv_rows())
+            writer.writerows(graph.edges)
     summary = graph.summary()
     summary["delta_estimate"] = str(delta) if delta is not None else None
     return _report("graph", {"group": model.to_dict(), "radius": args.radius}, summary)
@@ -211,7 +211,7 @@ def _cmd_coned(args, cfg):
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["vertex_a", "vertex_b", "weight"])
-            writer.writerows(coned.graph.csv_rows())
+            writer.writerows(coned.graph.edges)
     return _report(
         "coned",
         {"group": model.to_dict(), "radius": args.radius, "cones": args.cone},
@@ -358,7 +358,9 @@ def _cmd_homology(args, cfg):
     else:
         slice_ = hochschild_slice(model, n_max, basis_cap=cfg.caps.basis_size)
     hh = homology_dims(slice_)
-    cy = cyclic_quotient(model, n_max, split=args.split, basis_cap=cfg.caps.basis_size)
+    cy = cyclic_quotient(
+        model, n_max, split=args.split, basis_cap=cfg.caps.basis_size, hochschild=slice_
+    )
     hc = homology_dims(cy)
     identities = chain_identities(slice_, basis_cap=cfg.caps.basis_size)
     results = {

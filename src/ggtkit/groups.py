@@ -20,11 +20,15 @@ from __future__ import annotations
 
 import itertools
 import string
+import weakref
+from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
+import numpy as np
+
 from .config import DEFAULT_RADIUS_CAP
-from .errors import ConfigError, DomainError, LengthCapError, ModelMismatch
+from .errors import ConfigError, DomainError, LengthCapError, ModelMismatch, ResourceCapError
 
 Element = Any  # model-specific payload, always hashable
 
@@ -127,46 +131,93 @@ class GroupModel:
     def commutes(self, a: Element, b: Element) -> bool:
         return self.multiply(a, b) == self.multiply(b, a)
 
-    def _bfs_grow(self, radius: int) -> dict:
-        """Grow the cached length BFS out to the given radius (resumable)."""
-        state = getattr(self, "_bfs_state", None)
-        if state is None:
-            state = [0, {self.identity(): 0}, [self.identity()]]
-            self._bfs_state = state
-        done, lengths, frontier = state
-        if done >= radius or not frontier:
-            return lengths
-        gens = self.generator_elements()
-        for dist in range(done + 1, radius + 1):
-            nxt = []
-            for u in frontier:
-                for s in gens:
-                    w = self.multiply(u, s)
-                    if w not in lengths:
-                        lengths[w] = dist
-                        nxt.append(w)
-            frontier = nxt
-            if not frontier:
-                break
-        state[0] = radius
-        state[2] = frontier
-        return lengths
+    def _ball_word_length(self, a: Element, radius_cap: int):
+        """Length read off a memo ball grown one level at a time, so short
+        elements never force a deep BFS."""
+        b = getattr(self, "_length_ball", None)
+        if b is None:  # a weak back-reference, so model and memo form no cycle
+            b = self._length_ball = Ball(weakref.proxy(self))
+        while a not in b.index and b.radius < radius_cap:
+            b.grow(b.radius + 1)
+        i = b.index.get(a)
+        return LengthLowerBound(radius_cap + 1) if i is None else b.lengths[i]
 
-    def _bfs_word_length(self, a: Element, radius_cap: int):
-        # grow one level at a time so short elements never force a deep BFS
-        state = getattr(self, "_bfs_state", None)
-        if state is not None:
-            got = state[1].get(a)
-            if got is not None:
-                return got
-            start = state[0]
-        else:
-            start = 0
-        for radius in range(start, radius_cap + 1):
-            got = self._bfs_grow(radius).get(a)
-            if got is not None:
-                return got
-        return LengthLowerBound(radius_cap + 1)
+
+# ---------------------------------------------------------------------------
+# balls
+
+
+class Ball:
+    """All elements of word length <= radius, in BFS order, with the
+    geodesic parent tree (``parents``, ``parent_gen``; -1 at the identity)
+    that witnesses the lengths.  ``Ball(model)`` is {e}; ``grow`` extends it.
+
+    ``nbr[i, s]`` is the index of ``elements[i]`` times the s-th generator,
+    or -1 outside the ball: one int32 row per element the BFS has expanded,
+    which is every element but the last sphere unless a finite group is
+    exhausted.
+    """
+
+    def __init__(self, model: GroupModel):
+        e = model.identity()
+        self.model, self.radius = model, 0
+        self.elements, self.index, self.lengths = [e], {e: 0}, [0]
+        self.parents, self.parent_gen = [-1], [-1]
+        self.nbr = np.empty((0, len(model.generator_elements())), dtype=np.int32)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def element_index(self, a: Element) -> int:
+        idx = self.index.get(a)
+        if idx is None:
+            raise DomainError("element is not in the ball")
+        return idx
+
+    def verify_parent(self, i: int) -> bool:
+        p, s = self.parents[i], self.parent_gen[i]
+        if i == 0:
+            return p == -1 and self.lengths[0] == 0
+        step = self.model.multiply(self.elements[p], self.model.generator_elements()[s])
+        return step == self.elements[i] and self.lengths[i] == self.lengths[p] + 1
+
+    def grow(self, radius: int, cap: Optional[int] = None) -> "Ball":
+        """Extend the BFS out to the given radius, one sphere at a time;
+        past ``cap`` elements it raises ResourceCapError."""
+        while self.radius < radius and len(self.nbr) < len(self.elements):
+            self.nbr = np.concatenate([self.nbr, self._expand(cap, grow=True)])
+            self.radius += 1
+        self.radius = max(self.radius, radius)  # an exhausted finite group stays whole
+        return self
+
+    def neighbour_table(self) -> np.ndarray:
+        """``nbr`` with a row for every element: the last sphere, which the
+        BFS has not expanded, is multiplied out here, without growing."""
+        return np.concatenate([self.nbr, self._expand(None, grow=False)])
+
+    def _expand(self, cap: Optional[int], grow: bool) -> np.ndarray:
+        """Neighbour rows of the unexpanded elements.  With ``grow`` a
+        product outside the ball joins it as part of the next sphere;
+        without, it is recorded as -1."""
+        model, elements, index = self.model, self.elements, self.index
+        gens = model.generator_elements()
+        dist = self.radius + 1
+        start, stop = len(self.nbr), len(elements)
+        rows = array("i")
+        for ui, u in enumerate(elements[start:stop], start):
+            for gi, s in enumerate(gens):
+                w = model.multiply(u, s)
+                vi = index.get(w, -1)
+                if vi < 0 and grow:
+                    if cap is not None and len(elements) >= cap:
+                        raise ResourceCapError(f"ball size cap {cap} exceeded at radius {dist}")
+                    vi = index[w] = len(elements)
+                    elements.append(w)
+                    self.parents.append(ui)
+                    self.parent_gen.append(gi)
+                    self.lengths.append(dist)
+                rows.append(vi)
+        return np.array(rows, dtype=np.int32).reshape(stop - start, len(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +498,7 @@ class TwoStepNilpotent(GroupModel):
         lower = sum(abs(v) for v in a[0])
         if lower > radius_cap:
             return LengthLowerBound(radius_cap + 1)
-        return self._bfs_word_length(a, radius_cap)
+        return self._ball_word_length(a, radius_cap)
 
     def torsion_order(self, a):
         return 1 if a == self.identity() else None
@@ -540,22 +591,7 @@ class FiniteGroup(GroupModel):
                 raise ConfigError("generator indices must be nonzero elements")
         self.gens = gens
         self.label = label
-        self._check_generates()
-
-    def _check_generates(self):
-        seen = {0}
-        frontier = [0]
-        step = [g for g in self.gens] + [self.inv_table[g] for g in self.gens]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for s in step:
-                    w = self.table[u][s]
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        if len(seen) != self.order:
+        if len(Ball(self).grow(order)) != order:
             raise ConfigError("declared generators do not generate the group")
 
     def __eq__(self, other):
@@ -583,12 +619,9 @@ class FiniteGroup(GroupModel):
     def generator_elements(self):
         return list(self.gens) + [self.inv_table[g] for g in self.gens]
 
-    def elements(self):
-        return range(self.order)
-
     def word_length(self, a, radius_cap=DEFAULT_RADIUS_CAP):
         # the full length table is finite; compute it once
-        return self._bfs_word_length(a, max(radius_cap, self.order))
+        return self._ball_word_length(a, max(radius_cap, self.order))
 
     def torsion_order(self, a):
         k, power = 1, a

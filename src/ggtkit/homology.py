@@ -253,14 +253,20 @@ def cyclic_quotient(
     *,
     split: bool = False,
     basis_cap: int = DEFAULT_BASIS_CAP,
+    hochschild: Optional[ComplexSlice] = None,
 ) -> ComplexSlice:
     """Quotient complex of coinvariants C_n / im(1 - tau_n) with induced
     boundaries, computed by orbit analysis with signs.
 
     An orbit whose cycle closes with sign -1 dies in the quotient; the rest
     contribute one basis vector each, carried by their minimal rotation.
+    The induced boundaries come from ``hochschild``, built when not given.
     """
     _check_basis_cap(model, n_max, basis_cap)
+    if hochschild is None:
+        hochschild = hochschild_slice(model, n_max, basis_cap=basis_cap)
+    if hochschild.kind != "hochschild" or hochschild.model != model or hochschild.n_max < n_max:
+        raise DomainError(f"the cyclic quotient needs a Hochschild slice of {model!r} to degree {n_max}")
     o = model.order
     table = conj_classes(model) if split else None
 
@@ -309,7 +315,7 @@ def cyclic_quotient(
 
     boundaries = {}
     for n in range(1, n_max + 1):
-        b = hochschild_boundary(model, n, basis_cap=basis_cap)
+        b = hochschild.boundaries[n]
         seen_lo, rep_pos_lo = orbit_info_per_degree[n - 1]
         reps_hi = reps_per_degree[n]
         induced = SparseRationalMatrix(dims[n - 1], dims[n])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,14 @@ from ggtkit.cayley import (
     penetration_report,
 )
 from ggtkit.errors import DomainError, OracleInconsistency, ResourceCapError
-from ggtkit.groups import FreeAbelian, FreeProduct, cyclic_group
+from ggtkit.groups import (
+    FreeAbelian,
+    FreeGroup,
+    FreeProduct,
+    cyclic_group,
+    heisenberg_group,
+    symmetric_group_3,
+)
 
 # -- balls --------------------------------------------------------------------
 
@@ -124,7 +132,7 @@ def _assert_rows_match_networkx(graph, sources):
     g.add_weighted_edges_from(graph.edges)
     for s in sources:
         ref = nx.single_source_dijkstra_path_length(g, s)
-        assert graph.distances_from(s) == [ref[v] for v in range(graph.n)]
+        assert graph.distances_from(s).tolist() == [ref[v] for v in range(graph.n)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,7 +431,204 @@ def test_backtracking_detection(f2):
 
 def test_graph_csv_and_summary(f2):
     g = cayley_graph(ball(f2, 1))
-    rows = g.csv_rows()
+    rows = g.edges
     assert all(len(r) == 3 and r[2] == 2 for r in rows)
     s = g.summary()
     assert s["vertices"] == 5 and s["edges"] == 4 and s["scaled"] is True
+
+
+# -- neighbour table and graph construction ----------------------------------------
+#
+# The two builders below are the edge-list constructions the neighbour table
+# replaced: every element times every generator, and one Python tuple per
+# cone edge.  They are kept here as oracles.
+
+
+def _oracle_cayley_edges(b):
+    model = b.model
+    edges = set()
+    for ui, u in enumerate(b.elements):
+        for s in model.generator_elements():
+            vi = b.index.get(model.multiply(u, s))
+            if vi is not None and vi != ui:
+                edges.add((min(ui, vi), max(ui, vi), 2))
+    return sorted(edges)
+
+
+def _oracle_coned_edges(coned):
+    edges = set(_oracle_cayley_edges(coned.ball))
+    vertex = coned.cone_start
+    for members in coned.coset_members:
+        for group in members:
+            edges.update((i, vertex, 1) for i in group)
+            vertex += 1
+    return sorted(edges)
+
+
+_TABLE_MODELS = {
+    "F2": (FreeGroup(2), 5),
+    "Z^2": (FreeAbelian(2), 4),
+    "Heisenberg": (heisenberg_group(), 3),
+    "S3-r2": (symmetric_group_3(), 2),
+    "S3-r5": (symmetric_group_3(), 5),
+    "Z6-r2": (cyclic_group(6), 2),
+    "Z6-r4": (cyclic_group(6), 4),
+    "Z^2*Z": (FreeProduct([FreeAbelian(2), FreeAbelian(1)]), 3),
+    "Z2*Z3": (FreeProduct([cyclic_group(2), cyclic_group(3)]), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_MODELS))
+def test_neighbour_table_matches_products(name):
+    model, radius = _TABLE_MODELS[name]
+    gens = model.generator_elements()
+    for r in range(radius + 1):
+        b = ball(model, r)
+        assert b.nbr.dtype == np.int32 and b.nbr.shape[1] == len(gens)
+        # the BFS expands every element but the last sphere, unless it has
+        # exhausted a finite group
+        expanded = sum(1 for length in b.lengths if length < r)
+        assert len(b.nbr) in (expanded, len(b))
+        full = b.neighbour_table()
+        assert full.shape == (len(b), len(gens))
+        assert np.array_equal(full[: len(b.nbr)], b.nbr)
+        for i, u in enumerate(b.elements):
+            want = [b.index.get(model.multiply(u, s), -1) for s in gens]
+            assert full[i].tolist() == want
+        assert _oracle_cayley_edges(b) == cayley_graph(b).edges
+
+
+def test_cayley_graph_multiplies_only_the_last_sphere(f2, monkeypatch):
+    b = ball(f2, 6)
+    sphere = sum(1 for length in b.lengths if length == 6)
+    assert sphere == 972
+    calls = []
+    multiply = FreeGroup.multiply
+
+    def counting(self, x, y):
+        calls.append(1)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(FreeGroup, "multiply", counting)
+    g = cayley_graph(b)
+    assert len(calls) <= sphere * len(f2.generator_elements())
+    monkeypatch.undo()
+    assert g.edges == _oracle_cayley_edges(b)
+
+
+@pytest.mark.parametrize("h", [(1,), (1, 2), (2, 1, -2)])
+def test_coned_f2_edges_match_oracle(f2_ball5, h):
+    coned = coned_off(f2_ball5, [CyclicSubgroup(h)])
+    assert coned.graph.edges == _oracle_coned_edges(coned)
+    assert coned.base.edges == _oracle_cayley_edges(f2_ball5)
+
+
+@pytest.mark.parametrize(
+    "model,radius",
+    [(FreeProduct([FreeAbelian(2), FreeAbelian(1)]), 3), (FreeProduct([cyclic_group(2), cyclic_group(3)]), 4)],
+    ids=["Z^2*Z", "Z2*Z3"],
+)
+def test_factor_coned_edges_match_oracle(model, radius):
+    b = ball(model, radius)
+    for factors in ([FactorSubgroup(0)], [FactorSubgroup(1)], [FactorSubgroup(0), FactorSubgroup(1)]):
+        coned = coned_off(b, factors)
+        assert coned.graph.edges == _oracle_coned_edges(coned)
+
+
+def test_metric_graph_reports_first_bad_edge():
+    cases = [
+        ([(0, 1, 2), (1, 1, 2)], "bad edge (1,1)"),
+        ([(0, 1, 2), (1, 3, 2)], "bad edge (1,3)"),
+        ([(0, 1, 2), (-1, 2, 2)], "bad edge (-1,2)"),
+        ([(0, 1, 0)], "edge weights must be >= 1"),
+        ([(0, 1, 2), (2, 1, 2), (1, 0, 1)], "conflicting weights for edge (0, 1)"),
+        ([(0, 1, 2), (1, 0, 1), (0, 5, 2)], "conflicting weights for edge (0, 1)"),
+        ([(0, 5, 2), (0, 1, 2), (1, 0, 1)], "bad edge (0,5)"),
+        ([(0, 1, 2), (1, 2, -1), (0, 1, 1)], "edge weights must be >= 1"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(DomainError) as err:
+            MetricGraph(3, edges)
+        assert str(err.value) == message
+
+
+def test_duplicate_edges_collapse_and_rows_are_int32():
+    g = MetricGraph(3, np.array([(1, 0, 2), (0, 1, 2), (2, 1, 1), (1, 2, 1)]))
+    assert g.edges == [(0, 1, 2), (1, 2, 1)]
+    assert all(type(x) is int for edge in g.edges for x in edge)
+    row = g.distances_from(0)
+    assert row.dtype == np.int32 and not row.flags.writeable
+    assert row.tolist() == [0, 2, 3]
+    assert type(g.distance_scaled(0, 2)) is int and g.distance(0, 2) == Fraction(3, 2)
+
+
+# -- cyclic cones in torsion-free groups -------------------------------------------
+
+
+def _step_power(model, g, k):
+    """g^k by |k| multiplications."""
+    x = model.identity()
+    step = g if k > 0 else model.inverse(g)
+    for _ in range(abs(k)):
+        x = model.multiply(x, step)
+    return x
+
+
+def _powers(model, g, bound):
+    """{g^k : |k| <= bound}, by repeated multiplication."""
+    out = {model.identity()}
+    up = down = model.identity()
+    inv = model.inverse(g)
+    for _ in range(bound):
+        up, down = model.multiply(up, g), model.multiply(down, inv)
+        out.update((up, down))
+    return out
+
+
+def _coordinates(model, x):
+    return x if isinstance(model, FreeAbelian) else x[0] + x[1]
+
+
+_TORSION_FREE_CONES = {
+    "Z^2-(1,0)": (FreeAbelian(2), 4, (1, 0)),
+    "Heisenberg-a": (heisenberg_group(), 3, ((1, 0), (0,))),
+    "Heisenberg-c": (heisenberg_group(), 3, ((0, 0), (1,))),
+}
+
+
+@pytest.mark.parametrize("name", list(_TORSION_FREE_CONES))
+def test_torsion_free_cyclic_cones_match_integer_solve(name):
+    model, radius, g = _TORSION_FREE_CONES[name]
+    b = ball(model, radius)
+    coned = coned_off(b, [CyclicSubgroup(g)])
+    diffs = {
+        (i, j): model.multiply(model.inverse(x), y)
+        for i, x in enumerate(b.elements)
+        for j, y in enumerate(b.elements)
+    }
+    # g has a coordinate equal to 1, so a member g^k of the difference set
+    # has |k| at most the largest coordinate seen there
+    bound = max(abs(c) for d in diffs.values() for c in _coordinates(model, d))
+    members = _powers(model, g, bound)
+    ids = coned.coset_of[0]
+    assert all((ids[i] == ids[j]) == (d in members) for (i, j), d in diffs.items())
+    assert coned.graph.edges == _oracle_coned_edges(coned)
+    _assert_rows_match_networkx(coned.graph, range(coned.graph.n))
+
+
+@pytest.mark.parametrize(
+    "model,g,off",
+    [
+        (FreeAbelian(2), (2, -3), (1, 0)),
+        (heisenberg_group(), ((1, 1), (0,)), ((0, 0), (1,))),
+        (heisenberg_group(), ((0, 0), (2,)), ((0, 0), (1,))),
+    ],
+    ids=["Z^2", "Heisenberg", "Heisenberg-central"],
+)
+def test_cyclic_membership_is_exact_past_the_power_cap(model, g, off):
+    h = CyclicSubgroup(g)
+    for k in (-5000, -1, 1, 7, 5000):
+        gk = _step_power(model, g, k)
+        assert h.contains(model, gk)
+        assert not h.contains(model, model.multiply(gk, off))
+    assert not h.contains(model, off)

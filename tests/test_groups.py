@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -250,3 +252,26 @@ def test_heisenberg_center_commutes_with_ball3(heis, heis_ball3):
     center = ((0, 0), (3,))
     for g in heis_ball3.elements:
         assert heis.multiply(center, g) == heis.multiply(g, center)
+
+
+@pytest.mark.parametrize("make,radius", [(heisenberg_group, 4), (symmetric_group_3, 3)], ids=["Heisenberg", "S3"])
+def test_word_length_equals_ball_lengths(make, radius):
+    b = ball(make(), radius)
+    # fresh models: one memo grows level by level, the other jumps to the top
+    upward, downward = make(), make()
+    assert [upward.word_length(e) for e in b.elements] == b.lengths
+    assert [downward.word_length(e) for e in reversed(b.elements)] == b.lengths[::-1]
+
+
+def test_memo_ball_is_freed_with_its_model():
+    # a model and its word-length memo must form no reference cycle, or
+    # every discarded model would wait for the cyclic collector
+    model = heisenberg_group()
+    assert model.word_length(((2, 1), (3,))) > 0
+    ref = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()

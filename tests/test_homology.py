@@ -224,6 +224,21 @@ def test_cyclic_coinvariants_two_ways(G, top):
         assert cy.dims[n] == dim - one_minus.rank()
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+def test_cyclic_quotient_reuses_hochschild_boundaries(split, monkeypatch):
+    built = cyclic_quotient(S3, 3, split=split)
+    hh = hochschild_slice(S3, 3, split=split)
+    wrong_slices = (hochschild_slice(S3, 2), hochschild_slice(Z3, 3), built)
+    monkeypatch.setattr(ggtkit.homology, "hochschild_boundary", None)  # must not be called
+    reused = cyclic_quotient(S3, 3, split=split, hochschild=hh)
+    assert reused.dims == built.dims
+    assert all(reused.boundaries[n].entries == built.boundaries[n].entries for n in (1, 2, 3))
+    assert reused.class_of_basis == built.class_of_basis
+    for wrong in wrong_slices:
+        with pytest.raises(DomainError):
+            cyclic_quotient(S3, 3, hochschild=wrong)
+
+
 @pytest.mark.parametrize("name,G,nclasses", GROUPS)
 def test_boundary_descends_to_quotient(name, G, nclasses):
     cy = cyclic_quotient(G, 3)
