@@ -16,7 +16,9 @@ import numpy as np
 
 from .config import DEFAULT_BALL_CAP, DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
 from .errors import DomainError, OracleInconsistency, ResourceCapError
-from .groups import Ball, Element, FreeAbelian, FreeGroup, GroupModel, TwoStepNilpotent, cyclic_reduce
+from .groups import (
+    Ball, Element, FreeAbelian, FreeGroup, FreeProduct, GroupModel, TwoStepNilpotent, cyclic_reduce
+)
 
 SCALE = 2  # stored weight = SCALE * true length
 REP_VERIFY_LIMIT = 500  # coned_off checks all coset-representative pairs up to this many cosets
@@ -192,10 +194,9 @@ class SubgroupOracle:
 class CyclicSubgroup(SubgroupOracle):
     """The cyclic subgroup generated by one element."""
 
-    def __init__(self, generator: Element, label: str = "H", power_cap: int = 4096):
+    def __init__(self, generator: Element, label: str = "H"):
         self.generator = generator
         self.label = label
-        self.power_cap = power_cap
 
     def contains(self, model, elem):
         g = self.generator
@@ -207,19 +208,14 @@ class CyclicSubgroup(SubgroupOracle):
             return self._free_power_check(model, elem)
         if isinstance(model, (FreeAbelian, TwoStepNilpotent)):
             return self._torsion_free_power_check(model, elem)
-        power = g
-        inv = model.inverse(g)
-        neg = inv
-        for _ in range(self.power_cap):
-            if power == elem or neg == elem:
+        if isinstance(model, FreeProduct):
+            return self._free_product_power_check(model, elem)
+        power = g  # a finite group: the powers of g cycle back to the identity
+        while power != model.identity():
+            if power == elem:
                 return True
-            if power == model.identity():
-                return False  # finite cyclic group exhausted
             power = model.multiply(power, g)
-            neg = model.multiply(neg, inv)
-        raise DomainError(
-            f"cyclic membership undecided within power cap {self.power_cap}"
-        )
+        return False
 
     def _free_power_check(self, model, elem):
         pre, core = cyclic_reduce(self.generator)
@@ -244,6 +240,26 @@ class CyclicSubgroup(SubgroupOracle):
         t = next(t for t, v in enumerate(x) if v)
         k, rem = divmod(y[t], x[t])
         return rem == 0 and _power(model, g, k) == elem
+
+    def _free_product_power_check(self, model, elem):
+        """Write h = p c p^-1 with c cyclically reduced.  A single syllable
+        c = (i, s) leaves the question to factor i: elem is in <h> exactly
+        when p^-1 elem p is e or (i, x) with x in <s>.  Otherwise c^k has
+        |k| |c| syllables, and |elem| >= |c^k| - 2|p| bounds the |k| to try."""
+        pre, core = model.cyclic_syllable_reduce(self.generator)
+        if len(core) == 1:
+            (i, s), = core
+            inner = model.multiply(model.multiply(model.inverse(pre), elem), pre)
+            return len(inner) == 1 and inner[0][0] == i and CyclicSubgroup(s).contains(
+                model.factors[i], inner[0][1]
+            )
+        g, inv = self.generator, model.inverse(self.generator)
+        power, neg = g, inv
+        for _ in range((len(elem) + 2 * len(pre)) // len(core)):
+            if elem in (power, neg):
+                return True
+            power, neg = model.multiply(power, g), model.multiply(neg, inv)
+        return False
 
     def coset_key(self, model, elem):
         """For a free group: the least element of elem<h> by (length, letters).

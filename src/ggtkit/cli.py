@@ -37,7 +37,6 @@ from .conjugacy import (
 from .errors import ConfigError, DomainError, GgtError, ResourceCapError
 from .groups import FreeGroup, FreeProduct, TwoStepNilpotent, model_from_dict
 from .homology import (
-    burghelea_split,
     chain_identities,
     cyclic_quotient,
     hochschild_slice,
@@ -82,7 +81,7 @@ def _jsonable(value):
     return value
 
 
-def _report(subcommand: str, inputs: dict, results: dict, constants=None, warnings=(), timing=None) -> dict:
+def _report(subcommand: str, inputs: dict, results: dict, constants=None, warnings=()) -> dict:
     report = {
         "schema": SCHEMA_VERSION,
         "toolkit_version": __version__,
@@ -93,8 +92,6 @@ def _report(subcommand: str, inputs: dict, results: dict, constants=None, warnin
     }
     if constants is not None:
         report["constants"] = _jsonable(constants)
-    if timing is not None:
-        report["wall_time_s"] = timing
     return report
 
 
@@ -287,7 +284,6 @@ def _cmd_profile(args, cfg):
         args.radius,
         args.solver,
         slack=args.slack,
-        fit_cap=cfg.fit_cap,
         ball_cap=cfg.caps.ball_size,
     )
     if args.csv:
@@ -353,22 +349,18 @@ def _cmd_homology(args, cfg):
     n_max = args.nmax
     if n_max is None:
         n_max = 3 if model.order <= 6 else 2
-    if args.split:
-        slice_ = burghelea_split(model, n_max, basis_cap=cfg.caps.basis_size)
-    else:
-        slice_ = hochschild_slice(model, n_max, basis_cap=cfg.caps.basis_size)
+    slice_ = hochschild_slice(model, n_max, basis_cap=cfg.caps.basis_size)
     hh = homology_dims(slice_)
-    cy = cyclic_quotient(
-        model, n_max, split=args.split, basis_cap=cfg.caps.basis_size, hochschild=slice_
-    )
-    hc = homology_dims(cy)
-    identities = chain_identities(slice_, basis_cap=cfg.caps.basis_size)
+    hc = homology_dims(cyclic_quotient(model, n_max, basis_cap=cfg.caps.basis_size))
     results = {
         "n_max": n_max,
         "hochschild": hh.as_dict(),
         "cyclic": hc.as_dict(),
-        "identities": identities,
+        "identities": chain_identities(slice_),
     }
+    if not args.split:
+        for kind in ("hochschild", "cyclic"):
+            del results[kind]["per_class"]
     return _report(
         "homology",
         {"group": model.to_dict(), "nmax": n_max, "split": bool(args.split)},
@@ -460,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", parents=[common], help="group-algebra homology")
     p.add_argument("--nmax", type=int)
-    p.add_argument("--split", action="store_true", help="partition by conjugacy class")
+    p.add_argument("--split", action="store_true", help="print the dimensions per conjugacy class")
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("profile", parents=[common], help="conjugacy-bound profiler")

@@ -1,4 +1,4 @@
-"""Run-wide configuration: resource caps, seed, fit cap."""
+"""Run-wide configuration: resource caps and seed."""
 
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ class RunConfig:
 
     caps: Caps = field(default_factory=Caps)
     seed: int = 0
-    fit_cap: Fraction = DEFAULT_FIT_CAP
 
     def validate(self) -> None:
         self.caps.validate()

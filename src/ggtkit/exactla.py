@@ -58,18 +58,6 @@ class SparseRationalMatrix:
         out.entries = {k: v for k, v in acc.items() if v != 0}
         return out
 
-    def restrict(self, row_idx: list[int], col_idx: list[int]) -> "SparseRationalMatrix":
-        """Submatrix on the given (ordered) row and column index lists."""
-        rpos = {r: i for i, r in enumerate(row_idx)}
-        cpos = {c: j for j, c in enumerate(col_idx)}
-        out = SparseRationalMatrix(len(row_idx), len(col_idx))
-        for (i, j), v in self.entries.items():
-            ri = rpos.get(i)
-            cj = cpos.get(j)
-            if ri is not None and cj is not None:
-                out.entries[(ri, cj)] = v
-        return out
-
     def rank(self) -> int:
         """Rank by sparse fraction-free elimination with Markowitz-style
         pivots (after Dumas-Saunders-Villard, JSC 2001).

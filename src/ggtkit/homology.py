@@ -72,24 +72,6 @@ def conj_classes(model: FiniteGroup) -> ConjClassTable:
 # tuple bases
 
 
-def _tuple_index(order: int, t: tuple) -> int:
-    idx = 0
-    for g in t:
-        idx = idx * order + g
-    return idx
-
-
-def _tuples(order: int, n: int):
-    return itertools.product(range(order), repeat=n + 1)
-
-
-def _check_basis_cap(model: FiniteGroup, n: int, basis_cap: int) -> int:
-    dim = model.order ** (n + 1)
-    if dim > basis_cap:
-        raise ResourceCapError(f"basis of degree {n} has {dim} tuples, over cap {basis_cap}")
-    return dim
-
-
 def _product(model: FiniteGroup, t: tuple) -> int:
     p = 0
     for g in t:
@@ -97,38 +79,149 @@ def _product(model: FiniteGroup, t: tuple) -> int:
     return p
 
 
-# ---------------------------------------------------------------------------
-# chain maps
+@dataclass(frozen=True)
+class TupleBasis:
+    """The basis of one degree, split by conjugacy class.
 
-
-def hochschild_boundary(
-    model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP
-) -> SparseRationalMatrix:
-    """Matrix of b_n : C_n -> C_(n-1) on the tuple bases.
-
-    b(g_0,..,g_n) merges adjacent entries with alternating signs and closes
-    up with (-1)^n (g_n g_0, g_1,..,g_(n-1)).
+    ``blocks[c]`` lists the basis tuples of class c in tuple-index order, and
+    ``where`` sends a tuple to (class, position, sign): the basis vector it
+    equals, up to that sign.  A Hochschild tuple is its own basis vector.  A
+    cyclic tuple equals the least rotation of its orbit up to sign, and the
+    tuples of dead orbits are absent.
     """
-    if n < 1:
-        raise DomainError("the boundary map needs degree >= 1")
-    _check_basis_cap(model, n, basis_cap)
-    o = model.order
-    out = SparseRationalMatrix(o**n, o ** (n + 1))
+
+    blocks: tuple
+    where: dict
+
+
+def _hochschild_bases(model: FiniteGroup, n_max: int, class_of: tuple, basis_cap: int) -> list:
+    """Tuple bases of degrees 0..n_max, split by ``class_of`` of the tuple
+    product.  All of one class when ``class_of`` is all zeros."""
+    if n_max < 0:
+        raise DomainError("degree must be >= 0")
+    o, dim = model.order, model.order ** (n_max + 1)
+    if dim > basis_cap:
+        raise ResourceCapError(f"basis of degree {n_max} has {dim} tuples, over cap {basis_cap}")
+    tuples, products = [()], [0]
+    bases = []
+    for _ in range(n_max + 1):
+        tuples = [t + (g,) for t in tuples for g in range(o)]
+        products = [model.multiply(p, g) for p in products for g in range(o)]
+        blocks = tuple([] for _ in range(max(class_of) + 1))
+        where = {}
+        for t, p in zip(tuples, products):
+            c = class_of[p]
+            where[t] = (c, len(blocks[c]), 1)
+            blocks[c].append(t)
+        bases.append(TupleBasis(blocks, where))
+    return bases
+
+
+def _whole_bases(model: FiniteGroup, n: int, basis_cap: int) -> list:
+    return _hochschild_bases(model, n, (0,) * model.order, basis_cap)
+
+
+def _cyclic_bases(hochschild: list) -> list:
+    """Bases of the coinvariants C_n / im(1 - tau_n), by orbit analysis.
+
+    tau t = (-1)^n rot(t), so in the quotient rot^k(t) = (-1)^(nk) t.  An
+    orbit whose cycle closes with sign -1 dies; each other orbit gives one
+    basis vector, carried by its least rotation, which is the orbit member
+    met first in tuple-index order.
+    """
+    bases = []
+    for n, hh in enumerate(hochschild):
+        blocks = tuple([] for _ in hh.blocks)
+        where: dict = {}
+        seen: set = set()
+        for c, tuples in enumerate(hh.blocks):
+            for t in tuples:
+                if t in seen:
+                    continue
+                orbit, cur, sign = [], t, 1
+                while True:
+                    if hh.where[cur][0] != c:
+                        raise PartitionViolation(f"rotating {t} left class {c}")
+                    orbit.append((cur, sign))
+                    cur = (cur[-1],) + cur[:-1]
+                    sign *= (-1) ** n
+                    if cur == t:
+                        break
+                seen.update(u for u, _ in orbit)
+                if sign == 1:
+                    for u, s in orbit:
+                        where[u] = (c, len(blocks[c]), s)
+                    blocks[c].append(t)
+        bases.append(TupleBasis(blocks, where))
+    return bases
+
+
+# ---------------------------------------------------------------------------
+# chain maps: signed faces of a tuple, assembled one class block at a time
+
+
+def _b_faces(model: FiniteGroup, t: tuple):
+    n = len(t) - 1
+    for i in range(n):
+        yield t[:i] + (model.multiply(t[i], t[i + 1]),) + t[i + 2:], (-1) ** i
+    yield (model.multiply(t[n], t[0]),) + t[1:n], (-1) ** n
+
+
+def _B_faces(model: FiniteGroup, t: tuple):
+    n = len(t) - 1
+    for i in range(n + 1):
+        rotated = t[i:] + t[:i]
+        sign = (-1) ** (n * i)
+        yield (0,) + rotated, sign
+        yield (rotated[0], 0) + rotated[1:], sign
+
+
+def _tau_faces(model: FiniteGroup, t: tuple):
+    yield (t[-1],) + t[:-1], (-1) ** (len(t) - 1)
+
+
+def _assemble(model: FiniteGroup, faces, source: list, target: TupleBasis, c: int) -> SparseRationalMatrix:
+    """Matrix from the class-c tuples ``source`` to class c of ``target``.
+
+    ``faces(model, t)`` yields the signed tuples that make up the image of
+    t; each lands on the basis vector ``target.where`` names for it.  A face
+    in another class raises PartitionViolation.
+    """
     acc: dict = {}
-    for t in _tuples(o, n):
-        col = _tuple_index(o, t)
-        for i in range(n):
-            face = t[:i] + (model.multiply(t[i], t[i + 1]),) + t[i + 2:]
-            key = (_tuple_index(o, face), col)
-            acc[key] = acc.get(key, 0) + (-1) ** i
-        face = (model.multiply(t[n], t[0]),) + t[1:n]
-        key = (_tuple_index(o, face), col)
-        acc[key] = acc.get(key, 0) + (-1) ** n
+    for j, t in enumerate(source):
+        for face, sign in faces(model, t):
+            hit = target.where.get(face)
+            if hit is None:
+                continue  # a dead cyclic orbit
+            cls, i, s = hit
+            if cls != c:
+                raise PartitionViolation(f"{t} in class {c} has the face {face} in class {cls}")
+            acc[i, j] = acc.get((i, j), 0) + sign * s
+    out = SparseRationalMatrix(len(target.blocks[c]), len(source))
     out.entries = {k: v for k, v in acc.items() if v != 0}
     return out
 
 
-def connes_B(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> SparseRationalMatrix:
+def hochschild_boundary(
+    model: FiniteGroup, n: int, bases: Optional[list] = None, c: int = 0, *, basis_cap: int = DEFAULT_BASIS_CAP
+) -> SparseRationalMatrix:
+    """Matrix of b_n : C_n -> C_(n-1).
+
+    b(g_0,..,g_n) merges adjacent entries with alternating signs and closes
+    up with (-1)^n (g_n g_0, g_1,..,g_(n-1)).  Given ``bases`` (degree ->
+    TupleBasis), the block of class c from bases[n] to bases[n-1]; without,
+    the whole matrix on the tuple bases.
+    """
+    if n < 1:
+        raise DomainError("the boundary map needs degree >= 1")
+    if bases is None:
+        bases = _whole_bases(model, n, basis_cap)
+    return _assemble(model, _b_faces, bases[n].blocks[c], bases[n - 1], c)
+
+
+def connes_B(
+    model: FiniteGroup, n: int, bases: Optional[list] = None, c: int = 0, *, basis_cap: int = DEFAULT_BASIS_CAP
+) -> SparseRationalMatrix:
     """Matrix of the degree +1 operator B_n = (1 - tau) s N : C_n -> C_(n+1),
     which expands on tuples to
 
@@ -136,38 +229,23 @@ def connes_B(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP) 
                       + sum_i (-1)^(n i) (g_i, 1, g_(i+1),..,g_n, g_0,..,g_(i-1))
 
     The sign of the degenerate sum is forced: with a minus there, B^2 = 0
-    fails already over Z/2 (exact check in the test suite).
+    fails already over Z/2 (exact check in the test suite).  ``bases`` and
+    c select a class block as in ``hochschild_boundary``.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
-    _check_basis_cap(model, n + 1, basis_cap)
-    o = model.order
-    out = SparseRationalMatrix(o ** (n + 2), o ** (n + 1))
-    acc: dict = {}
-    for t in _tuples(o, n):
-        col = _tuple_index(o, t)
-        for i in range(n + 1):
-            rotated = t[i:] + t[:i]
-            sign = (-1) ** (n * i)
-            first = (0,) + rotated
-            second = (rotated[0], 0) + rotated[1:]
-            k1 = (_tuple_index(o, first), col)
-            acc[k1] = acc.get(k1, 0) + sign
-            k2 = (_tuple_index(o, second), col)
-            acc[k2] = acc.get(k2, 0) + sign
-    out.entries = {k: v for k, v in acc.items() if v != 0}
-    return out
+    if bases is None:
+        bases = _whole_bases(model, n + 1, basis_cap)
+    return _assemble(model, _B_faces, bases[n].blocks[c], bases[n + 1], c)
 
 
-def tau_matrix(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> SparseRationalMatrix:
+def tau_matrix(
+    model: FiniteGroup, n: int, bases: Optional[list] = None, c: int = 0, *, basis_cap: int = DEFAULT_BASIS_CAP
+) -> SparseRationalMatrix:
     """The signed cyclic rotation (-1)^n (g_n, g_0,..,g_(n-1)) on C_n."""
-    _check_basis_cap(model, n, basis_cap)
-    o = model.order
-    out = SparseRationalMatrix(o ** (n + 1), o ** (n + 1))
-    for t in _tuples(o, n):
-        rotated = (t[-1],) + t[:-1]
-        out.entries[(_tuple_index(o, rotated), _tuple_index(o, t))] = (-1) ** n
-    return out
+    if bases is None:
+        bases = _whole_bases(model, n, basis_cap)
+    return _assemble(model, _tau_faces, bases[n].blocks[c], bases[n], c)
 
 
 # ---------------------------------------------------------------------------
@@ -176,182 +254,47 @@ def tau_matrix(model: FiniteGroup, n: int, *, basis_cap: int = DEFAULT_BASIS_CAP
 
 @dataclass
 class ComplexSlice:
-    """Degrees 0..n_max of a chain complex with optional class partition.
+    """Degrees 0..n_max of a chain complex, split by conjugacy class.
 
-    For the cyclic kind, ``cyclic_reps`` lists the surviving orbit
-    representatives (tuple indices) per degree and ``projections`` the
-    quotient maps from the Hochschild basis.
+    ``bases[n]`` is the basis of degree n, and ``boundaries[n][c]`` the
+    class-c block of b_n, from ``bases[n].blocks[c]`` to
+    ``bases[n-1].blocks[c]``.
     """
 
     model: FiniteGroup
     kind: str  # "hochschild" | "cyclic"
-    n_max: int
-    dims: list
-    boundaries: dict  # n -> SparseRationalMatrix, 1 <= n <= n_max
-    class_table: Optional[ConjClassTable] = None
-    class_of_basis: Optional[list] = None  # per degree: class id per basis position
-    cyclic_reps: Optional[list] = None
-    projections: Optional[dict] = None
+    class_table: ConjClassTable
+    bases: list
+    boundaries: dict  # n -> list of class blocks, 1 <= n <= n_max
 
-    def class_blocks(self, n: int) -> dict:
-        """Class id -> basis positions of degree n."""
-        if self.class_of_basis is None:
-            raise DomainError("slice was built without a class partition")
-        blocks: dict = {}
-        for pos, cid in enumerate(self.class_of_basis[n]):
-            blocks.setdefault(cid, []).append(pos)
-        return blocks
+    @property
+    def n_max(self) -> int:
+        return len(self.bases) - 1
 
 
-def _verify_block_structure(slice_: ComplexSlice) -> None:
-    for n in range(1, slice_.n_max + 1):
-        rows = slice_.class_of_basis[n - 1]
-        cols = slice_.class_of_basis[n]
-        for (i, j) in slice_.boundaries[n].entries:
-            if rows[i] != cols[j]:
-                raise PartitionViolation(
-                    f"boundary in degree {n} maps class {cols[j]} into class {rows[i]}"
-                )
+def _split_slice(model: FiniteGroup, kind: str, table: ConjClassTable, bases: list) -> ComplexSlice:
+    boundaries = {
+        n: [hochschild_boundary(model, n, bases, c) for c in range(len(table))]
+        for n in range(1, len(bases))
+    }
+    return ComplexSlice(model, kind, table, bases, boundaries)
 
 
-def hochschild_slice(
-    model: FiniteGroup,
-    n_max: int,
-    *,
-    split: bool = False,
-    basis_cap: int = DEFAULT_BASIS_CAP,
-) -> ComplexSlice:
-    """Hochschild complex in degrees <= n_max, optionally partitioned by
-    the conjugacy class of the tuple product."""
-    _check_basis_cap(model, n_max, basis_cap)
-    o = model.order
-    dims = [o ** (n + 1) for n in range(n_max + 1)]
-    boundaries = {n: hochschild_boundary(model, n, basis_cap=basis_cap) for n in range(1, n_max + 1)}
-    slice_ = ComplexSlice(model, "hochschild", n_max, dims, boundaries)
-    if split:
-        table = conj_classes(model)
-        class_of_basis = []
-        for n in range(n_max + 1):
-            class_of_basis.append(
-                [table.class_of[_product(model, t)] for t in _tuples(o, n)]
-            )
-        slice_.class_table = table
-        slice_.class_of_basis = class_of_basis
-        _verify_block_structure(slice_)
-    return slice_
+def hochschild_slice(model: FiniteGroup, n_max: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> ComplexSlice:
+    """Hochschild complex in degrees <= n_max, split by the conjugacy class
+    of the tuple product."""
+    table = conj_classes(model)
+    bases = _hochschild_bases(model, n_max, table.class_of, basis_cap)
+    return _split_slice(model, "hochschild", table, bases)
 
 
-def burghelea_split(model: FiniteGroup, n_max: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> ComplexSlice:
-    """Hochschild slice partitioned by conjugacy class of the tuple product;
-    block structure of every boundary is verified, violations are fatal."""
-    return hochschild_slice(model, n_max, split=True, basis_cap=basis_cap)
-
-
-def cyclic_quotient(
-    model: FiniteGroup,
-    n_max: int,
-    *,
-    split: bool = False,
-    basis_cap: int = DEFAULT_BASIS_CAP,
-    hochschild: Optional[ComplexSlice] = None,
-) -> ComplexSlice:
-    """Quotient complex of coinvariants C_n / im(1 - tau_n) with induced
-    boundaries, computed by orbit analysis with signs.
-
-    An orbit whose cycle closes with sign -1 dies in the quotient; the rest
-    contribute one basis vector each, carried by their minimal rotation.
-    The induced boundaries come from ``hochschild``, built when not given.
-    """
-    _check_basis_cap(model, n_max, basis_cap)
-    if hochschild is None:
-        hochschild = hochschild_slice(model, n_max, basis_cap=basis_cap)
-    if hochschild.kind != "hochschild" or hochschild.model != model or hochschild.n_max < n_max:
-        raise DomainError(f"the cyclic quotient needs a Hochschild slice of {model!r} to degree {n_max}")
-    o = model.order
-    table = conj_classes(model) if split else None
-
-    reps_per_degree = []
-    proj_per_degree = {}
-    orbit_info_per_degree = []
-    dims = []
-    class_of_basis = [] if split else None
-    for n in range(n_max + 1):
-        sign_step = (-1) ** n
-        seen: dict = {}
-        for t in _tuples(o, n):
-            if t in seen:
-                continue
-            orbit = []
-            cur, sign = t, 1
-            while True:
-                orbit.append((cur, sign))
-                cur = (cur[-1],) + cur[:-1]
-                sign *= sign_step
-                if cur == t:
-                    break
-            alive = sign == 1  # closing sign -1 forces the orbit to vanish
-            rep = min(c for c, _ in orbit)
-            rep_sign = next(s for c, s in orbit if c == rep)
-            for c, s in orbit:
-                # relative sign from rep to c: s * rep_sign (signs are +-1)
-                seen[c] = (rep, s * rep_sign, alive)
-        alive_reps = sorted({info[0] for info in seen.values() if info[2]})
-        rep_pos = {r: i for i, r in enumerate(alive_reps)}
-        proj = SparseRationalMatrix(len(alive_reps), o ** (n + 1))
-        for t in _tuples(o, n):
-            rep, rel_sign, alive = seen[t]
-            if alive:
-                proj.add_at(rep_pos[rep], _tuple_index(o, t), rel_sign)
-        reps_per_degree.append(alive_reps)
-        proj_per_degree[n] = proj
-        orbit_info_per_degree.append((seen, rep_pos))
-        dims.append(len(alive_reps))
-        if split:
-            class_of_basis.append([table.class_of[_product(model, r)] for r in alive_reps])
-            for t in _tuples(o, n):
-                rep = seen[t][0]
-                if table.class_of[_product(model, t)] != table.class_of[_product(model, rep)]:
-                    raise PartitionViolation("rotation changed the conjugacy class of a product")
-
-    boundaries = {}
-    for n in range(1, n_max + 1):
-        b = hochschild.boundaries[n]
-        seen_lo, rep_pos_lo = orbit_info_per_degree[n - 1]
-        reps_hi = reps_per_degree[n]
-        induced = SparseRationalMatrix(dims[n - 1], dims[n])
-        by_col: dict = {}
-        for (i, j), v in b.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        for col_pos, rep in enumerate(reps_hi):
-            for i, v in by_col.get(_tuple_index(o, rep), ()):
-                t_lo = _index_tuple(o, n - 1, i)
-                rep_lo, rel_sign, alive = seen_lo[t_lo]
-                if alive:
-                    induced.add_at(rep_pos_lo[rep_lo], col_pos, v * rel_sign)
-        boundaries[n] = induced
-
-    slice_ = ComplexSlice(
-        model,
-        "cyclic",
-        n_max,
-        dims,
-        boundaries,
-        class_table=table,
-        class_of_basis=class_of_basis,
-        cyclic_reps=reps_per_degree,
-        projections=proj_per_degree,
-    )
-    if split:
-        _verify_block_structure(slice_)
-    return slice_
-
-
-def _index_tuple(order: int, n: int, idx: int) -> tuple:
-    out = []
-    for _ in range(n + 1):
-        idx, g = divmod(idx, order)
-        out.append(g)
-    return tuple(reversed(out))
+def cyclic_quotient(model: FiniteGroup, n_max: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> ComplexSlice:
+    """Quotient complex of coinvariants C_n / im(1 - tau_n), split by
+    conjugacy class.  Its boundary blocks are the b-faces of the orbit
+    representatives, read in the quotient basis."""
+    table = conj_classes(model)
+    bases = _cyclic_bases(_hochschild_bases(model, n_max, table.class_of, basis_cap))
+    return _split_slice(model, "cyclic", table, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -362,71 +305,64 @@ def _index_tuple(order: int, n: int, idx: int) -> tuple:
 class HomologyDims:
     kind: str
     total: tuple  # dims of H_0..H_(n_max-1)
-    per_class: Optional[dict]  # class id -> same-length tuple
+    per_class: dict  # class id -> same-length tuple
 
     def as_dict(self) -> dict:
-        out = {"kind": self.kind, "total": list(self.total)}
-        if self.per_class is not None:
-            out["per_class"] = {str(k): list(v) for k, v in sorted(self.per_class.items())}
-        return out
+        return {
+            "kind": self.kind,
+            "total": list(self.total),
+            "per_class": {str(k): list(v) for k, v in sorted(self.per_class.items())},
+        }
 
 
 def homology_dims(slice_: ComplexSlice) -> HomologyDims:
-    """dim H_n = dim C_n - rank b_n - rank b_(n+1) on each diagonal block.
+    """dim H_n = dim C_n - rank b_n - rank b_(n+1) on each class block.
 
-    The boundaries of a split slice are block-diagonal over conjugacy
-    classes (verified when the slice was built), so only the class blocks
-    are ranked and the totals are the sums of the block dimensions.  An
-    unsplit slice is a single block of all positions.  Degrees
-    0..n_max-1 (the top degree needs the next boundary).
+    The boundaries are block-diagonal over conjugacy classes (each block
+    was built from faces checked to stay in their class), so the totals are
+    the sums of the class dimensions.  Degrees 0..n_max-1 (the top degree
+    needs the next boundary).
     """
     top = slice_.n_max
-    if slice_.class_of_basis is None:
-        blocks = [{0: list(range(slice_.dims[n]))} for n in range(top + 1)]
-    else:
-        blocks = [slice_.class_blocks(n) for n in range(top + 1)]
-    per_block = {}
-    for cid in sorted({cid for degree in blocks for cid in degree}):
-        ranks = [0] * (top + 2)
-        for n in range(1, top + 1):
-            ranks[n] = slice_.boundaries[n].restrict(
-                blocks[n - 1].get(cid, []), blocks[n].get(cid, [])
-            ).rank()
-        per_block[cid] = tuple(
-            len(blocks[n].get(cid, [])) - ranks[n] - ranks[n + 1] for n in range(top)
+    per_class = {}
+    for c in range(len(slice_.class_table)):
+        ranks = [0] + [slice_.boundaries[n][c].rank() for n in range(1, top + 1)] + [0]
+        per_class[c] = tuple(
+            len(slice_.bases[n].blocks[c]) - ranks[n] - ranks[n + 1] for n in range(top)
         )
-    total = tuple(sum(dims[n] for dims in per_block.values()) for n in range(top))
-    per_class = per_block if slice_.class_of_basis is not None else None
+    total = tuple(sum(dims[n] for dims in per_class.values()) for n in range(top))
     return HomologyDims(slice_.kind, total, per_class)
 
 
-def chain_identities(slice_: ComplexSlice, *, basis_cap: int = DEFAULT_BASIS_CAP) -> dict:
-    """Exact checks of b^2 = 0, B^2 = 0 and bB + Bb = 0 on a Hochschild slice.
+def chain_identities(slice_: ComplexSlice) -> dict:
+    """Exact checks of b^2 = 0, B^2 = 0 and bB + Bb = 0 on a Hochschild
+    slice, class block by class block.
 
-    Reads b_1..b_(n_max) from the slice and builds each B_0..B_(n_max-1)
-    once.  Keys are ``b(n-1)b(n)``, ``B(n+1)B(n)`` (n <= 2) and ``bB+Bb@n``;
-    values are "0" or "NONZERO".
+    Reads the blocks of b_1..b_(n_max) from the slice and builds the blocks
+    of B_0..B_(n_max-1).  Keys are ``b(n-1)b(n)``, ``B(n+1)B(n)`` (n <= 2)
+    and ``bB+Bb@n``; a value is "0" when the product vanishes on every
+    class, else "NONZERO".
     """
     if slice_.kind != "hochschild":
         raise DomainError("chain identities need a Hochschild slice")
     top = slice_.n_max
-    b = slice_.boundaries
-    B = {n: connes_B(slice_.model, n, basis_cap=basis_cap) for n in range(top)}
-
-    def verdict(m: SparseRationalMatrix) -> str:
-        return "0" if m.is_zero() else "NONZERO"
-
-    identities = {}
-    for n in range(2, top + 1):
-        identities[f"b{n - 1}b{n}"] = verdict(b[n - 1].matmul(b[n]))
-    for n in range(min(3, top - 1)):
-        identities[f"B{n + 1}B{n}"] = verdict(B[n + 1].matmul(B[n]))
-    for n in range(1, top):
-        anti = b[n + 1].matmul(B[n])
-        for (i, j), v in B[n - 1].matmul(b[n]).entries.items():
-            anti.add_at(i, j, v)
-        identities[f"bB+Bb@{n}"] = verdict(anti)
-    return identities
+    zero: dict = {}
+    for c in range(len(slice_.class_table)):
+        b = {n: blocks[c] for n, blocks in slice_.boundaries.items()}
+        B = {n: connes_B(slice_.model, n, slice_.bases, c) for n in range(top)}
+        products = {}
+        for n in range(2, top + 1):
+            products[f"b{n - 1}b{n}"] = b[n - 1].matmul(b[n])
+        for n in range(min(3, top - 1)):
+            products[f"B{n + 1}B{n}"] = B[n + 1].matmul(B[n])
+        for n in range(1, top):
+            anti = b[n + 1].matmul(B[n])
+            for (i, j), v in B[n - 1].matmul(b[n]).entries.items():
+                anti.add_at(i, j, v)
+            products[f"bB+Bb@{n}"] = anti
+        for key, m in products.items():
+            zero[key] = zero.get(key, True) and m.is_zero()
+    return {key: "0" if z else "NONZERO" for key, z in zero.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +405,9 @@ def decomposition_maps(model: FiniteGroup, class_id: int, n: int) -> Decompositi
         return (s2, bar[1:])
 
     tuples = [
-        t for t in _tuples(o, n) if table.class_of[_product(model, t)] == class_id
+        t
+        for t in itertools.product(range(o), repeat=n + 1)
+        if table.class_of[_product(model, t)] == class_id
     ]
     orbit_basis = set()
     for s in sorted(members):

@@ -19,11 +19,11 @@ from ggtkit.cli import run as cli_run
 from ggtkit.conjugacy import free_group_conjugacy, nilpotent_conjugator, profile_conjugacy_bound
 from ggtkit.groups import FreeAbelian, cyclic_group, symmetric_group_3
 from ggtkit.homology import (
-    burghelea_split,
     conj_classes,
     connes_B,
     cyclic_quotient,
     hochschild_boundary,
+    hochschild_slice,
     homology_dims,
     decomposition_maps,
     weight_check,
@@ -162,11 +162,9 @@ def test_criterion_4_bound_formulas():
 )
 def test_criterion_5_homology_dimensions(name, G, nclasses):
     with Budget(300, f"5 homology dimensions ({name})"):
-        split = burghelea_split(G, 3)
-        hh = homology_dims(split)
+        hh = homology_dims(hochschild_slice(G, 3))
         assert hh.total == (nclasses, 0, 0)
-        cy = cyclic_quotient(G, 3, split=True)
-        hc = homology_dims(cy)
+        hc = homology_dims(cyclic_quotient(G, 3))
         assert hc.total == (nclasses, 0, nclasses)
         # exact matrix identities
         for n in (2, 3):

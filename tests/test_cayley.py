@@ -632,3 +632,28 @@ def test_cyclic_membership_is_exact_past_the_power_cap(model, g, off):
         assert h.contains(model, gk)
         assert not h.contains(model, model.multiply(gk, off))
     assert not h.contains(model, off)
+
+
+_Z2_Z1 = FreeProduct([FreeAbelian(2), FreeAbelian(1)])
+_Z2_Z3 = FreeProduct([cyclic_group(2), cyclic_group(3)])
+_FREE_PRODUCT_CONES = {
+    "Z^2*Z-factor": (_Z2_Z1, 2, "0:1,0"),
+    "Z^2*Z-conjugated": (_Z2_Z1, 2, "1:1*0:1,0*1:-1"),
+    "Z2*Z3-conjugated": (_Z2_Z3, 4, "1:g*0:g*1:g2"),
+    "Z2*Z3-product": (_Z2_Z3, 4, "0:g*1:g"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FREE_PRODUCT_CONES))
+def test_free_product_cyclic_cones_match_brute_force_powers(name):
+    model, radius, text = _FREE_PRODUCT_CONES[name]
+    g = model.parse_element(text)
+    b = ball(model, radius)
+    coned = coned_off(b, [CyclicSubgroup(g)])
+    # every syllable has length >= 1, so |g^k| >= |k| and the powers in the
+    # difference set of a radius-r ball have |k| <= 2r
+    members = _powers(model, g, 2 * radius)
+    ids = coned.coset_of[0]
+    for i, x in enumerate(b.elements):
+        for j, y in enumerate(b.elements):
+            assert (ids[i] == ids[j]) == (model.multiply(model.inverse(x), y) in members)

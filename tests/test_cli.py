@@ -120,6 +120,21 @@ def test_reports_byte_identical_across_runs(capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "group,radius,cone",
+    [
+        ('{"type":"free_product","factors":[{"type":"free_abelian","rank":2},'
+         '{"type":"free_abelian","rank":1}]}', "2", "cyclic:0:1,0"),
+        ('{"type":"free_product","factors":["Z2","Z3"]}', "3", "cyclic:0:g*1:g"),
+    ],
+    ids=["factor", "product"],
+)
+def test_free_product_cyclic_cones_exit_0(capsys, group, radius, cone):
+    code, out, _ = run_cli(capsys, ["coned", "--group", group, "--radius", radius, "--cone", cone])
+    assert code == 0
+    assert json.loads(out)["results"]["cosets_per_factor"]
+
+
 def test_delta_exhaustive_report_has_no_bound_label(capsys):
     code, out, _ = run_cli(
         capsys, ["delta", "--group", '{"type":"free","rank":2}', "--radius", "2"]

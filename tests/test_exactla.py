@@ -142,8 +142,6 @@ def test_sparse_matmul_and_restrict():
     b = SparseRationalMatrix(3, 2, {(0, 1): Fraction(3), (2, 0): Fraction(1)})
     prod = a.matmul(b)
     assert prod.entries == {(0, 1): Fraction(3), (1, 0): Fraction(2)}
-    sub = a.restrict([1], [2, 0])
-    assert sub.entries == {(0, 0): Fraction(2)}
 
 
 def _sparse(A):

@@ -4,16 +4,20 @@ the decomposition comparison maps, and simplicial weight subadditivity."""
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 import ggtkit.homology
+from ggtkit.cli import run
 from ggtkit.errors import DomainError, PartitionViolation, ResourceCapError
 from ggtkit.exactla import SparseRationalMatrix, bareiss_rank
-from ggtkit.groups import FreeAbelian, FreeGroup, cyclic_group, symmetric_group_3
+from ggtkit.groups import FiniteGroup, FreeAbelian, FreeGroup, cyclic_group, symmetric_group_3
 from ggtkit.homology import (
-    burghelea_split,
+    ConjClassTable,
+    _b_faces,
+    _B_faces,
     chain_identities,
     conj_classes,
     connes_B,
@@ -26,12 +30,43 @@ from ggtkit.homology import (
     weight_check,
 )
 
+
+def _dihedral_group_8() -> FiniteGroup:
+    """D4 as r^i s^j -> index i + 4j, with s r s = r^-1."""
+
+    def mul(x, y):
+        b, a = divmod(x, 4)
+        d, c = divmod(y, 4)
+        return (a + (-1) ** b * c) % 4 + 4 * ((b + d) % 2)
+
+    return FiniteGroup([[mul(x, y) for y in range(8)] for x in range(8)], label="D4")
+
+
+def _quaternion_group() -> FiniteGroup:
+    """Q8 as the units +-1, +-i, +-j, +-k -> index unit + 4 (sign is -)."""
+    units = {  # unit * unit -> (sign, unit) for 1, i, j, k
+        (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+        (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+        (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+    }
+
+    def mul(x, y):
+        (sx, ux), (sy, uy) = divmod(x, 4), divmod(y, 4)
+        sign, unit = (1, ux or uy) if not (ux and uy) else units[ux, uy]
+        return unit + 4 * ((sx + sy + (sign < 0)) % 2)
+
+    return FiniteGroup([[mul(x, y) for y in range(8)] for x in range(8)], label="Q8")
+
+
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 S3 = symmetric_group_3()
+D4 = _dihedral_group_8()
+Q8 = _quaternion_group()
 GROUPS = [("Z2", Z2, 2), ("Z3", Z3, 3), ("S3", S3, 3)]
 # GROUPS first, so the shared cases keep their test ids
 ALL_GROUPS = GROUPS + [(f"Z{o}", cyclic_group(o), o) for o in (4, 5, 6)]
+ORDER_EIGHT = [("D4", D4, 5), ("Q8", Q8, 5)]
 
 
 def _sum_matrices(a, b):
@@ -41,23 +76,10 @@ def _sum_matrices(a, b):
     return out
 
 
-def _B_flipped(G, n, basis_cap=None):
-    """connes_B with the sign of the degenerate sum flipped."""
-    o = G.order
-    out = SparseRationalMatrix(o ** (n + 2), o ** (n + 1))
-    for t in itertools.product(range(o), repeat=n + 1):
-        col = 0
-        for g in t:
-            col = col * o + g
-        for i in range(n + 1):
-            rot = t[i:] + t[:i]
-            sign = (-1) ** (n * i)
-            for tup, s in (((0,) + rot, sign), ((rot[0], 0) + rot[1:], -sign)):
-                idx = 0
-                for g in tup:
-                    idx = idx * o + g
-                out.add_at(idx, col, s)
-    return out
+def _B_faces_flipped(model, t):
+    """The faces of connes_B with the sign of the degenerate sum flipped."""
+    for k, (face, sign) in enumerate(_B_faces(model, t)):
+        yield face, -sign if k % 2 else sign
 
 
 def _dense_rank(m):
@@ -69,12 +91,86 @@ def _dense_rank(m):
     return bareiss_rank(dense)
 
 
-def _full_rank_dims(slice_):
+def _full_rank_dims(dims, boundaries):
     """Reference dims from dense ranks of the whole boundary matrices."""
-    rank = {n: _dense_rank(slice_.boundaries[n]) for n in range(1, slice_.n_max + 1)}
-    return tuple(
-        slice_.dims[n] - rank.get(n, 0) - rank.get(n + 1, 0) for n in range(slice_.n_max)
-    )
+    top = len(dims) - 1
+    rank = {n: _dense_rank(boundaries[n]) for n in range(1, top + 1)}
+    return tuple(dims[n] - rank.get(n, 0) - rank.get(n + 1, 0) for n in range(top))
+
+
+def _restrict(m, rows, cols):
+    """Submatrix of m on the given ordered row and column index lists."""
+    rpos = {r: i for i, r in enumerate(rows)}
+    cpos = {c: j for j, c in enumerate(cols)}
+    out = SparseRationalMatrix(len(rows), len(cols))
+    for (i, j), v in m.entries.items():
+        if i in rpos and j in cpos:
+            out.entries[(rpos[i], cpos[j])] = v
+    return out
+
+
+def _tuple_index(order, t):
+    idx = 0
+    for g in t:
+        idx = idx * order + g
+    return idx
+
+
+def _class_of_tuple(G, table, t):
+    p = 0
+    for g in t:
+        p = G.multiply(p, g)
+    return table.class_of[p]
+
+
+def _oracle_cyclic_quotient(G, n_max):
+    """The cyclic quotient on the whole tuple bases, by orbit analysis:
+    the surviving orbit representatives per degree (tuple indices in
+    increasing order), the projections from the Hochschild basis, and the
+    induced boundaries read off the whole b_n column by column."""
+    o = G.order
+    reps_per_degree, projections, orbit_info = [], {}, []
+    for n in range(n_max + 1):
+        seen = {}
+        for t in itertools.product(range(o), repeat=n + 1):
+            if t in seen:
+                continue
+            orbit, cur, sign = [], t, 1
+            while True:
+                orbit.append((cur, sign))
+                cur = (cur[-1],) + cur[:-1]
+                sign *= (-1) ** n
+                if cur == t:
+                    break
+            rep = min(c for c, _ in orbit)
+            rep_sign = next(s for c, s in orbit if c == rep)
+            for c, s in orbit:
+                seen[c] = (rep, s * rep_sign, sign == 1)
+        reps = sorted({info[0] for info in seen.values() if info[2]})
+        rep_pos = {r: i for i, r in enumerate(reps)}
+        proj = SparseRationalMatrix(len(reps), o ** (n + 1))
+        for t, (rep, rel_sign, alive) in seen.items():
+            if alive:
+                proj.add_at(rep_pos[rep], _tuple_index(o, t), rel_sign)
+        reps_per_degree.append(reps)
+        projections[n] = proj
+        orbit_info.append((seen, rep_pos))
+    boundaries = {}
+    for n in range(1, n_max + 1):
+        tuples_lo = list(itertools.product(range(o), repeat=n))
+        seen_lo, rep_pos_lo = orbit_info[n - 1]
+        by_col = {}
+        for (i, j), v in hochschild_boundary(G, n).entries.items():
+            by_col.setdefault(j, []).append((i, v))
+        induced = SparseRationalMatrix(len(rep_pos_lo), len(reps_per_degree[n]))
+        for col, rep in enumerate(reps_per_degree[n]):
+            for i, v in by_col.get(_tuple_index(o, rep), ()):
+                rep_lo, rel_sign, alive = seen_lo[tuples_lo[i]]
+                if alive:
+                    induced.add_at(rep_pos_lo[rep_lo], col, v * rel_sign)
+        boundaries[n] = induced
+    dims = [len(r) for r in reps_per_degree]
+    return dims, reps_per_degree, projections, boundaries
 
 
 # -- conjugacy classes -----------------------------------------------------------
@@ -155,13 +251,14 @@ def test_chain_identities_exact(name, G, nclasses):
         assert anti.is_zero()
 
 
-def test_degenerate_sum_sign_is_forced():
+def test_degenerate_sum_sign_is_forced(monkeypatch):
     # flipping the sign of the degenerate sum breaks B^2 = 0 already over Z/2
-    assert not _B_flipped(Z2, 1).matmul(_B_flipped(Z2, 0)).is_zero()
     assert connes_B(Z2, 1).matmul(connes_B(Z2, 0)).is_zero()
+    monkeypatch.setattr(ggtkit.homology, "_B_faces", _B_faces_flipped)
+    assert not connes_B(Z2, 1).matmul(connes_B(Z2, 0)).is_zero()
 
 
-@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
+@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS + ORDER_EIGHT)
 def test_chain_identities_all_zero(name, G, nclasses):
     got = chain_identities(hochschild_slice(G, 3))
     assert got == {
@@ -170,7 +267,7 @@ def test_chain_identities_all_zero(name, G, nclasses):
 
 
 def test_chain_identities_flag_flipped_B(monkeypatch):
-    monkeypatch.setattr(ggtkit.homology, "connes_B", _B_flipped)
+    monkeypatch.setattr(ggtkit.homology, "_B_faces", _B_faces_flipped)
     got = chain_identities(hochschild_slice(Z2, 3))
     assert got["B1B0"] == "NONZERO"
     assert got["b1b2"] == got["b2b3"] == "0"
@@ -204,7 +301,7 @@ def test_hochschild_dims(name, G, nclasses):
 @pytest.mark.parametrize("name,G,nclasses", GROUPS)
 def test_cyclic_dims(name, G, nclasses):
     cy = cyclic_quotient(G, 3)
-    assert cy.dims[0] == G.order  # degree-0 rotation is trivial
+    assert sum(map(len, cy.bases[0].blocks)) == G.order  # degree-0 rotation is trivial
     hc = homology_dims(cy)
     assert hc.total == (nclasses, 0, nclasses)
 
@@ -221,30 +318,15 @@ def test_cyclic_coinvariants_two_ways(G, top):
             one_minus.add_at(i, i, 1)
         for (i, j), v in tau.entries.items():
             one_minus.add_at(i, j, -v)
-        assert cy.dims[n] == dim - one_minus.rank()
-
-
-@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
-def test_cyclic_quotient_reuses_hochschild_boundaries(split, monkeypatch):
-    built = cyclic_quotient(S3, 3, split=split)
-    hh = hochschild_slice(S3, 3, split=split)
-    wrong_slices = (hochschild_slice(S3, 2), hochschild_slice(Z3, 3), built)
-    monkeypatch.setattr(ggtkit.homology, "hochschild_boundary", None)  # must not be called
-    reused = cyclic_quotient(S3, 3, split=split, hochschild=hh)
-    assert reused.dims == built.dims
-    assert all(reused.boundaries[n].entries == built.boundaries[n].entries for n in (1, 2, 3))
-    assert reused.class_of_basis == built.class_of_basis
-    for wrong in wrong_slices:
-        with pytest.raises(DomainError):
-            cyclic_quotient(S3, 3, hochschild=wrong)
+        assert sum(map(len, cy.bases[n].blocks)) == dim - one_minus.rank()
 
 
 @pytest.mark.parametrize("name,G,nclasses", GROUPS)
 def test_boundary_descends_to_quotient(name, G, nclasses):
-    cy = cyclic_quotient(G, 3)
+    _, _, projections, boundaries = _oracle_cyclic_quotient(G, 3)
     for n in (1, 2, 3):
-        lhs = cy.projections[n - 1].matmul(hochschild_boundary(G, n))
-        rhs = cy.boundaries[n].matmul(cy.projections[n])
+        lhs = projections[n - 1].matmul(hochschild_boundary(G, n))
+        rhs = boundaries[n].matmul(projections[n])
         diff = SparseRationalMatrix(lhs.rows, lhs.cols, dict(lhs.entries))
         for (i, j), v in rhs.entries.items():
             diff.add_at(i, j, -v)
@@ -255,69 +337,79 @@ def test_boundary_descends_to_quotient(name, G, nclasses):
 
 
 def test_z2_degree1_blocks():
-    sl = burghelea_split(Z2, 1)
-    blocks = sl.class_blocks(1)
-    assert sorted(len(v) for v in blocks.values()) == [2, 2]
+    sl = hochschild_slice(Z2, 1)
+    assert sorted(len(block) for block in sl.bases[1].blocks) == [2, 2]
+    assert [(m.rows, m.cols) for m in sl.boundaries[1]] == [(1, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
 def test_split_blocks_sum_to_totals(name, G, nclasses):
-    # block-sum totals, split and unsplit, against whole-matrix ranks
-    unsplit = hochschild_slice(G, 3)
-    assert homology_dims(unsplit).total == _full_rank_dims(unsplit) == (nclasses, 0, 0)
-    hh = homology_dims(burghelea_split(G, 3))
+    # block-sum totals against dense ranks of the whole matrices
+    whole = {n: hochschild_boundary(G, n) for n in (1, 2, 3)}
+    dims = [G.order ** (n + 1) for n in range(4)]
+    assert _full_rank_dims(dims, whole) == (nclasses, 0, 0)
+    hh = homology_dims(hochschild_slice(G, 3))
     assert hh.total == (nclasses, 0, 0)
-    assert hh.per_class is not None and len(hh.per_class) == nclasses
+    assert len(hh.per_class) == nclasses
     assert all(v == (1, 0, 0) for v in hh.per_class.values())
 
 
 def test_block_preservation_verified_for_s3():
-    sl = burghelea_split(S3, 3)
-    rows = sl.class_of_basis[1]
-    cols = sl.class_of_basis[2]
-    for (i, j) in sl.boundaries[2].entries:
-        assert rows[i] == cols[j]
+    # the whole b_2 never joins tuples whose products lie in different classes
+    table = conj_classes(S3)
+    tuples = [list(itertools.product(range(6), repeat=n + 1)) for n in (1, 2)]
+    for (i, j) in hochschild_boundary(S3, 2).entries:
+        assert _class_of_tuple(S3, table, tuples[0][i]) == _class_of_tuple(S3, table, tuples[1][j])
 
 
-def test_partition_violation_detected():
-    sl = burghelea_split(Z2, 2)
-    # sabotage the partition: move one basis vector to the wrong class
-    sl.class_of_basis[1][0] ^= 1
-    from ggtkit.homology import _verify_block_structure
+def test_partition_violation_detected(monkeypatch):
+    # sabotage the class map: one transposition moves to the identity's class
+    table = conj_classes(S3)
+    moved = list(table.class_of)
+    moved[S3.names.index("(12)")] = table.class_of[0]
+    monkeypatch.setattr(
+        ggtkit.homology, "conj_classes", lambda G: ConjClassTable(G, table.classes, tuple(moved))
+    )
+    for build in (hochschild_slice, cyclic_quotient):
+        with pytest.raises(PartitionViolation):
+            build(S3, 2)
+    monkeypatch.undo()
 
-    with pytest.raises(PartitionViolation):
-        _verify_block_structure(sl)
+    # sabotage a face: the wrap-around face multiplies in the wrong order
+    def faces(model, t):
+        *merges, _ = _b_faces(model, t)
+        yield from merges
+        yield (model.multiply(t[0], t[-1]),) + t[1:-1], (-1) ** (len(t) - 1)
+
+    monkeypatch.setattr(ggtkit.homology, "_b_faces", faces)
+    for build in (hochschild_slice, cyclic_quotient):
+        with pytest.raises(PartitionViolation):
+            build(S3, 2)
 
 
 def test_cyclic_split_blocks_sum():
-    # block-sum totals, split and unsplit, against whole-matrix ranks
+    # block-sum totals against dense ranks of the oracle's whole matrices
     for _, G, nclasses in ALL_GROUPS:
-        unsplit = cyclic_quotient(G, 3)
-        ref = _full_rank_dims(unsplit)
-        assert ref == (nclasses, 0, nclasses)
-        assert homology_dims(unsplit).total == ref
-        hc = homology_dims(cyclic_quotient(G, 3, split=True))
-        assert hc.total == ref
+        dims, _, _, boundaries = _oracle_cyclic_quotient(G, 3)
+        assert _full_rank_dims(dims, boundaries) == (nclasses, 0, nclasses)
+        hc = homology_dims(cyclic_quotient(G, 3))
+        assert hc.total == (nclasses, 0, nclasses)
         assert all(v == (1, 0, 1) for v in hc.per_class.values())
 
 
 def _class_block_dims(sl, rank):
-    """Per-class dims of a split slice with ``rank`` applied to each block."""
+    """Per-class dims of a slice with ``rank`` applied to each block."""
     top = sl.n_max
-    blocks = [sl.class_blocks(n) for n in range(top + 1)]
     want = {}
-    for cid in blocks[0]:
-        ranks = [0] * (top + 2)
-        for n in range(1, top + 1):
-            block = sl.boundaries[n].restrict(blocks[n - 1].get(cid, []), blocks[n].get(cid, []))
-            ranks[n] = rank(block)
-        want[cid] = tuple(len(blocks[n].get(cid, [])) - ranks[n] - ranks[n + 1] for n in range(top))
+    for c in range(len(sl.class_table)):
+        ranks = [0] + [rank(sl.boundaries[n][c]) for n in range(1, top + 1)] + [0]
+        want[c] = tuple(len(sl.bases[n].blocks[c]) - ranks[n] - ranks[n + 1] for n in range(top))
     return want
 
 
 @pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
 def test_class_block_dims_match_dense_bareiss(name, G, nclasses):
-    for sl in (burghelea_split(G, 3), cyclic_quotient(G, 3, split=True)):
+    for sl in (hochschild_slice(G, 3), cyclic_quotient(G, 3)):
         assert homology_dims(sl).per_class == _class_block_dims(sl, _dense_rank)
 
 
@@ -331,23 +423,94 @@ def test_class_block_dims_match_sympy(G):
             dense[i, j] = sympy.Rational(v.numerator, v.denominator)
         return dense.rank()
 
-    for sl in (burghelea_split(G, 3), cyclic_quotient(G, 3, split=True)):
+    for sl in (hochschild_slice(G, 3), cyclic_quotient(G, 3)):
         assert homology_dims(sl).per_class == _class_block_dims(sl, sympy_rank)
 
 
+@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS + ORDER_EIGHT)
+def test_class_blocks_equal_the_restricted_whole_matrices(name, G, nclasses):
+    """Every class block of b_n, B_n (n <= 3) and of the cyclic b_n is its
+    class's restriction of the whole matrix: the one-class call for b and
+    B, the orbit-analysis oracle for the cyclic b."""
+    table = conj_classes(G)
+    o = G.order
+    cap = o ** 5
+    bases = ggtkit.homology._hochschild_bases(G, 4, table.class_of, cap)
+    by_class = []  # per degree: class -> tuple indices in increasing order
+    for n in range(5):
+        degree = [[] for _ in range(nclasses)]
+        for t in itertools.product(range(o), repeat=n + 1):
+            degree[_class_of_tuple(G, table, t)].append(_tuple_index(o, t))
+        by_class.append(degree)
+        assert [[_tuple_index(o, t) for t in block] for block in bases[n].blocks] == degree
+    for c in range(nclasses):
+        for n in (1, 2, 3):
+            want = _restrict(hochschild_boundary(G, n), by_class[n - 1][c], by_class[n][c])
+            got = hochschild_boundary(G, n, bases, c)
+            assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+        for n in (0, 1, 2, 3):
+            want = _restrict(connes_B(G, n, basis_cap=cap), by_class[n + 1][c], by_class[n][c])
+            got = connes_B(G, n, bases, c)
+            assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+
+    _, reps, _, whole = _oracle_cyclic_quotient(G, 3)
+    cy = cyclic_quotient(G, 3)
+    rep_blocks = []  # per degree: class -> positions of its representatives
+    for n, degree in enumerate(reps):
+        blocks = [[] for _ in range(nclasses)]
+        for pos, t in enumerate(degree):
+            blocks[_class_of_tuple(G, table, t)].append(pos)
+        rep_blocks.append(blocks)
+        assert [[degree[p] for p in block] for block in blocks] == list(cy.bases[n].blocks)
+    for n in (1, 2, 3):
+        for c in range(nclasses):
+            want = _restrict(whole[n], rep_blocks[n - 1][c], rep_blocks[n][c])
+            got = cy.boundaries[n][c]
+            assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+
+
+@pytest.mark.parametrize("name,G,nclasses", ORDER_EIGHT)
+def test_order_eight_groups_certified(name, G, nclasses):
+    assert all(
+        G.multiply(G.multiply(x, y), z) == G.multiply(x, G.multiply(y, z))
+        for x, y, z in itertools.product(range(8), repeat=3)
+    )
+    assert len(conj_classes(G)) == nclasses
+    hh = homology_dims(hochschild_slice(G, 3))
+    hc = homology_dims(cyclic_quotient(G, 3))
+    assert hh.total == (5, 0, 0) and hc.total == (5, 0, 5)
+    assert set(hh.per_class.values()) == {(1, 0, 0)}
+    assert set(hc.per_class.values()) == {(1, 0, 1)}
+
+
 @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
-def test_s3_degree_four(split):
+def test_s3_degree_four(split, capsys):
     # the measured range at n = 4, within the default basis cap
-    hs = hochschild_slice(S3, 4, split=split)
-    hh = homology_dims(hs)
-    assert hh.total == (3, 0, 0, 0)
-    hc = homology_dims(cyclic_quotient(S3, 4, split=split))
-    assert hc.total == (3, 0, 3, 0)
+    code = run(["homology", "--group", "S3", "--nmax", "4"] + (["--split"] if split else []))
+    assert code == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["hochschild"]["total"] == [3, 0, 0, 0]
+    assert results["cyclic"]["total"] == [3, 0, 3, 0]
     if split:
-        assert all(v == (1, 0, 0, 0) for v in hh.per_class.values())
-        assert all(v == (1, 0, 1, 0) for v in hc.per_class.values())
-    got = chain_identities(hs)
-    assert len(got) == 9 and set(got.values()) == {"0"}
+        assert set(map(tuple, results["hochschild"]["per_class"].values())) == {(1, 0, 0, 0)}
+        assert set(map(tuple, results["cyclic"]["per_class"].values())) == {(1, 0, 1, 0)}
+    else:
+        assert "per_class" not in results["hochschild"] and "per_class" not in results["cyclic"]
+    assert len(results["identities"]) == 9 and set(results["identities"].values()) == {"0"}
+
+
+@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
+def test_split_and_unsplit_reports_agree(name, G, nclasses, capsys):
+    for nmax in ("2", "3"):
+        reports = []
+        for extra in ([], ["--split"]):
+            assert run(["homology", "--group", name, "--nmax", nmax] + extra) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["inputs"]["split"]
+            for kind in ("hochschild", "cyclic"):
+                report["results"][kind].pop("per_class", None)
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 # -- the comparison maps -----------------------------------------------------------------
