@@ -9,6 +9,7 @@ every reported distance is a halved rational.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
 
@@ -73,6 +74,7 @@ class MetricGraph:
         self._wt = np.concatenate([w, w])[order]
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(tail, minlength=n), out=self._indptr[1:])
+        self._weights = np.unique(w).tolist()
         self._dist_cache: dict[int, np.ndarray] = {}
         if n > 0 and self.distances_from(0).min() < 0:
             raise DomainError("metric graph must be connected")
@@ -92,47 +94,44 @@ class MetricGraph:
         k = lo + np.searchsorted(self._nbr[lo:hi], v)
         return int(self._wt[k]) if k < hi and self._nbr[k] == v else None
 
+    def _arcs(self, vertices: np.ndarray) -> np.ndarray:
+        """Indices into ``_nbr`` of the arcs out of the given vertices, vertex
+        by vertex."""
+        start = self._indptr[vertices]
+        count = self._indptr[vertices + 1] - start
+        offset = np.cumsum(count) - count
+        return np.arange(int(count.sum())) + np.repeat(start - offset, count)
+
     def distances_from(self, source: int) -> np.ndarray:
         """Scaled shortest-path distances from one vertex, as a read-only
         int32 array (int64 only for distances past 2^31 - 1), cached; -1
         marks an unreachable vertex.
 
-        Dial's bucket queue: weights are positive integers, so every vertex
-        left in bucket d when it is popped has final distance d, and the
-        whole bucket is relaxed at once.
+        Level-synchronous BFS: weights are positive integers, so the
+        unreached vertices queued at the least pending level d have distance
+        d, and each arc of weight w out of them queues its head at d + w.
+        One mask collects a level's queue without duplicates.
         """
         got = self._dist_cache.get(source)
         if got is not None:
             return got
-        indptr, nbr, wt = self._indptr, self._nbr, self._wt
-        unreached = np.iinfo(np.int64).max
-        dist = np.full(self.n, unreached, dtype=np.int64)
-        dist[source] = 0
-        slot = np.empty(self.n, dtype=np.int64)
-        buckets = {0: [np.array([source])]}
-        while buckets:
-            d = min(buckets)
-            frontier = np.concatenate(buckets.pop(d))
-            frontier = frontier[dist[frontier] == d]  # drop entries improved since
-            start = indptr[frontier]
-            count = indptr[frontier + 1] - start
-            offset = np.cumsum(count) - count
-            arcs = np.arange(int(count.sum())) + np.repeat(start - offset, count)
-            v = nbr[arcs]
-            nd = d + wt[arcs]
-            better = nd < dist[v]
-            v, nd = v[better], nd[better]
-            np.minimum.at(dist, v, nd)
-            settled = nd == dist[v]
-            v, nd = v[settled], nd[settled]
-            # one entry per vertex: the one whose index its slot kept
-            idx = np.arange(len(v))
-            slot[v] = idx
-            first = slot[v] == idx
-            v, nd = v[first], nd[first]
-            for level in np.unique(nd).tolist():
-                buckets.setdefault(level, []).append(v[nd == level])
-        dist[dist == unreached] = -1
+        nbr, wt = self._nbr, self._wt
+        dist = np.full(self.n, -1, dtype=np.int64)
+        mark = np.zeros(self.n, dtype=bool)
+        levels = {0: [np.array([source])]}
+        while levels:
+            d = min(levels)
+            mark[np.concatenate(levels.pop(d))] = True
+            mark &= dist < 0
+            frontier = np.flatnonzero(mark)
+            mark[frontier] = False
+            dist[frontier] = d
+            arcs = self._arcs(frontier)
+            arcs = arcs[dist[nbr[arcs]] < 0]
+            for w in self._weights:
+                head = nbr[arcs[wt[arcs] == w]]
+                if len(head):
+                    levels.setdefault(d + w, []).append(head)
         row = dist.astype(np.int32) if dist.max(initial=0) < 2**31 else dist
         row.flags.writeable = False
         self._dist_cache[source] = row
@@ -151,6 +150,50 @@ class MetricGraph:
         verts = list(range(self.n)) if vertices is None else list(vertices)
         rows = [self.distances_from(u)[verts] for u in verts]
         return np.array(rows, dtype=np.int64).reshape(len(verts), len(verts))
+
+    @cached_property
+    def blocks(self) -> list[list[int]]:
+        """Vertex lists of the biconnected components; a cut vertex lies in
+        every block it joins, and a lone vertex is in none.
+
+        Iterative Tarjan, a depth-first search over the CSR arrays: when the
+        search returns from v to its parent u with low(v) >= disc(u), u and
+        the vertices stacked since v form a block.
+        """
+        indptr, nbr = self._indptr.tolist(), self._nbr.tolist()
+        disc = [-1] * self.n
+        low = [0] * self.n
+        blocks: list[list[int]] = []
+        if self.n == 0:
+            return blocks
+        disc[0] = 0
+        found = 1
+        stack = [0]  # discovered vertices not yet in a block
+        path = [[0, indptr[0]]]  # the search path, each vertex with its next arc
+        while path:
+            top = path[-1]
+            v, arc = top
+            if arc < indptr[v + 1]:
+                top[1] += 1
+                w = nbr[arc]
+                if disc[w] < 0:
+                    disc[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    path.append([w, indptr[w]])
+                else:
+                    low[v] = min(low[v], disc[w])
+                continue
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = [u]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    blocks.append(block)
+        return blocks
 
     def summary(self) -> dict:
         return {
@@ -494,6 +537,12 @@ def _four_point_max_defect(D: np.ndarray) -> int:
     return best
 
 
+def exhaustive_fits(graph: MetricGraph, cap: int = DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP) -> bool:
+    """True when every biconnected block of the graph has at most ``cap``
+    vertices, so that the exhaustive four-point sweep is allowed."""
+    return max(map(len, graph.blocks), default=0) <= cap
+
+
 def estimate_delta_4point(
     graph,
     *,
@@ -504,25 +553,41 @@ def estimate_delta_4point(
 ) -> Fraction:
     """Four-point hyperbolicity defect of a finite graph.
 
-    Exhaustive over all quadruples when the graph has at most
-    ``exhaustive_cap`` vertices (or when forced); otherwise exhaustive over a
-    seeded random vertex sample, which yields a certified lower bound.
+    Exhaustive when every biconnected block has at most ``exhaustive_cap``
+    vertices (or when forced): the defect of metrics glued at cut vertices
+    is the largest defect of the pieces (Cohen-Coudert-Lancin 2015), and a
+    shortest path between two vertices of a block stays in it, so each
+    block of at least 4 vertices is swept over its own distance matrix.
+    Otherwise exhaustive over a seeded random vertex sample of the whole
+    graph, which yields a certified lower bound.
     """
     g = graph.graph if isinstance(graph, ConedOffGraph) else graph
+    fits = exhaustive_fits(g, exhaustive_cap)
     if exhaustive is None:
-        exhaustive = g.n <= exhaustive_cap
-    if exhaustive and g.n > exhaustive_cap:
+        exhaustive = fits
+    if exhaustive and not fits:
         raise ResourceCapError(
-            f"exhaustive quadruple scan capped at {exhaustive_cap} vertices"
+            f"exhaustive quadruple scan capped at {exhaustive_cap} vertices per block"
         )
-    if exhaustive:
-        verts = None
-    else:
+    if not exhaustive:
         rng = np.random.default_rng(seed)
         chosen = rng.choice(g.n, size=min(g.n, sample_vertices), replace=False)
         verts = sorted(int(v) for v in chosen)
-    D = g.distance_matrix_scaled(verts)
-    defect = _four_point_max_defect(D)
+        return Fraction(_four_point_max_defect(g.distance_matrix_scaled(verts)), 2 * SCALE)
+    defect = 0
+    pos = np.full(g.n, -1)
+    for block in g.blocks:
+        if len(block) < 4:  # a quadruple with a repeated point has defect 0
+            continue
+        verts = np.sort(block)
+        pos[verts] = np.arange(len(verts))
+        arcs = g._arcs(verts)
+        u = np.repeat(np.arange(len(verts)), g._indptr[verts + 1] - g._indptr[verts])
+        v = pos[g._nbr[arcs]]
+        up = v > u
+        piece = MetricGraph(len(verts), np.column_stack([u[up], v[up], g._wt[arcs][up]]))
+        defect = max(defect, _four_point_max_defect(piece.distance_matrix_scaled()))
+        pos[verts] = -1
     return Fraction(defect, 2 * SCALE)
 
 

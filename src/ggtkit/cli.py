@@ -26,8 +26,9 @@ from .cayley import (
     cayley_graph,
     coned_off,
     estimate_delta_4point,
+    exhaustive_fits,
 )
-from .config import DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP, RunConfig, Caps
+from .config import RunConfig, Caps
 from .conjugacy import (
     brute_force_conjugator,
     free_group_conjugacy,
@@ -176,7 +177,7 @@ def _cmd_delta(args, cfg):
     model = _load_group(args.group)
     b = ball(model, args.radius, cap=cfg.caps.ball_size)
     graph = cayley_graph(b)
-    exhaustive = args.exhaustive or graph.n <= DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
+    exhaustive = args.exhaustive or exhaustive_fits(graph)
     delta = estimate_delta_4point(
         graph, exhaustive=exhaustive, sample_vertices=args.sample_vertices, seed=cfg.seed
     )
@@ -351,7 +352,7 @@ def _cmd_homology(args, cfg):
         n_max = 3 if model.order <= 6 else 2
     slice_ = hochschild_slice(model, n_max, basis_cap=cfg.caps.basis_size)
     hh = homology_dims(slice_)
-    hc = homology_dims(cyclic_quotient(model, n_max, basis_cap=cfg.caps.basis_size))
+    hc = homology_dims(cyclic_quotient(slice_))
     results = {
         "n_max": n_max,
         "hochschild": hh.as_dict(),

@@ -15,6 +15,9 @@ DEFAULT_DELTA_MIN = Fraction(1, 4)
 # degree d is accepted only when every record satisfies
 # min_length <= A * (1 + input_length)**d with A <= this cap.
 DEFAULT_FIT_CAP = Fraction(1)
+# Largest biconnected block, in vertices, that the exhaustive four-point
+# sweep takes.  Delta is swept block by block, and a block of n vertices
+# costs on the order of n^4 quadruples.
 DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP = 200
 
 

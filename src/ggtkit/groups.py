@@ -248,7 +248,11 @@ class FreeGroup(GroupModel):
         return ()
 
     def multiply(self, a, b):
-        return reduce_word(a + b)
+        # both words are reduced, so only letters at the junction cancel
+        k, m = 0, min(len(a), len(b))
+        while k < m and a[-1 - k] == -b[k]:
+            k += 1
+        return a[:len(a) - k] + b[k:]
 
     def inverse(self, a):
         return tuple(-x for x in reversed(a))

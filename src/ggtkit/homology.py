@@ -288,13 +288,15 @@ def hochschild_slice(model: FiniteGroup, n_max: int, *, basis_cap: int = DEFAULT
     return _split_slice(model, "hochschild", table, bases)
 
 
-def cyclic_quotient(model: FiniteGroup, n_max: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> ComplexSlice:
-    """Quotient complex of coinvariants C_n / im(1 - tau_n), split by
-    conjugacy class.  Its boundary blocks are the b-faces of the orbit
+def cyclic_quotient(hochschild: ComplexSlice) -> ComplexSlice:
+    """Quotient complex of coinvariants C_n / im(1 - tau_n) of a Hochschild
+    slice, split by conjugacy class, on the slice's class table and tuple
+    bases.  Its boundary blocks are the b-faces of the orbit
     representatives, read in the quotient basis."""
-    table = conj_classes(model)
-    bases = _cyclic_bases(_hochschild_bases(model, n_max, table.class_of, basis_cap))
-    return _split_slice(model, "cyclic", table, bases)
+    if hochschild.kind != "hochschild":
+        raise DomainError("the cyclic quotient is taken of a Hochschild slice")
+    bases = _cyclic_bases(hochschild.bases)
+    return _split_slice(hochschild.model, "cyclic", hochschild.class_table, bases)
 
 
 # ---------------------------------------------------------------------------

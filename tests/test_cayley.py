@@ -20,6 +20,7 @@ from ggtkit.cayley import (
     cayley_graph,
     coned_off,
     estimate_delta_4point,
+    exhaustive_fits,
     has_backtracking,
     is_quasi_geodesic,
     path_from_vertices,
@@ -322,6 +323,83 @@ def test_reduced_sweep_matches_brute_force_on_random_metrics(g):
     assert _four_point_max_defect(D) == expected
     # large distances take the int64 path
     assert _four_point_max_defect(D * 10**9) == expected * 10**9
+
+
+@st.composite
+def glued_graphs(draw):
+    """Pieces from ``connected_graphs`` glued one at a time at a shared
+    vertex, so the result has cut vertices; weights in {1, 2, 3}."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        piece = draw(connected_graphs(max_n=6))
+        glue = draw(st.integers(0, n - 1)) if n else 0
+        fresh = max(n, 1)
+        index = [glue] + list(range(fresh, fresh + piece.n - 1))
+        edges += [(index[u], index[v], w) for u, v, w in piece.edges]
+        n = fresh + piece.n - 1
+    return MetricGraph(n, edges)
+
+
+def _block_oracle_graphs():
+    f2, z2 = FreeGroup(2), FreeAbelian(2)
+    return {
+        "F2 r=3": cayley_graph(ball(f2, 3)),
+        "Z2 r=4": cayley_graph(ball(z2, 4)),
+        "coned F2 r=3 <a>": coned_off(ball(f2, 3), [CyclicSubgroup((1,))]).graph,
+        "coned F2 r=3 <ab>": coned_off(ball(f2, 3), [CyclicSubgroup((1, 2))]).graph,
+    }
+
+
+def _assert_blocks_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from((u, v) for u, v, _ in g.edges)
+    want = sorted(sorted(c) for c in nx.biconnected_components(ref))
+    assert sorted(sorted(b) for b in g.blocks) == want
+
+
+def _assert_delta_by_blocks_is_whole_graph_delta(g):
+    want = _four_point_max_defect(g.distance_matrix_scaled())
+    assert estimate_delta_4point(g, exhaustive=True) == Fraction(want, 4)
+
+
+@pytest.mark.parametrize("name", list(_block_oracle_graphs()))
+def test_blocks_and_block_delta_match_oracles_on_cayley_and_coned_graphs(name):
+    g = _block_oracle_graphs()[name]
+    _assert_blocks_match_networkx(g)
+    _assert_delta_by_blocks_is_whole_graph_delta(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(glued_graphs())
+def test_blocks_and_block_delta_match_oracles_on_glued_graphs(g):
+    _assert_blocks_match_networkx(g)
+    _assert_delta_by_blocks_is_whole_graph_delta(g)
+    _assert_rows_match_networkx(g, range(g.n))
+
+
+def test_block_cap_decides_the_exhaustive_sweep(f2, z2):
+    tree = cayley_graph(ball(f2, 5))  # 485 vertices, every block one edge
+    assert exhaustive_fits(tree, 2)
+    assert estimate_delta_4point(tree, exhaustive=True, exhaustive_cap=2) == 0
+    grid = cayley_graph(ball(z2, 3))  # 25 vertices, largest block 21
+    assert exhaustive_fits(grid, 21) and not exhaustive_fits(grid, 20)
+    with pytest.raises(ResourceCapError):
+        estimate_delta_4point(grid, exhaustive=True, exhaustive_cap=20)
+
+
+def test_rows_past_int32_take_the_int64_path():
+    nx = pytest.importorskip("networkx")
+    edges = [(0, 1, 2**31 - 1), (1, 2, 5), (0, 3, 1), (3, 2, 2**31 + 7)]
+    g = MetricGraph(4, edges)
+    ref = nx.Graph()
+    ref.add_weighted_edges_from(edges)
+    for s in range(4):
+        row = g.distances_from(s)
+        assert row.dtype == np.int64 and not row.flags.writeable
+        want = nx.single_source_dijkstra_path_length(ref, s)
+        assert row.tolist() == [want[v] for v in range(4)]
 
 
 def test_delta_sampled_mode_deterministic(f2):

@@ -147,17 +147,29 @@ def test_delta_exhaustive_report_has_no_bound_label(capsys):
 
 
 def test_delta_sampled_report_is_labelled_a_lower_bound(capsys):
-    # 485 vertices, above DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
+    # 221 vertices; the largest biconnected block has 217, above
+    # DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
     code, out, _ = run_cli(
         capsys,
-        ["delta", "--group", '{"type":"free","rank":2}', "--radius", "5",
+        ["delta", "--group", '{"type":"free_abelian","rank":2}', "--radius", "10",
          "--sample-vertices", "24"],
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["inputs"]["mode"] == "sampled"
-    assert payload["results"]["vertices"] == 485
+    assert payload["results"]["vertices"] == 221
     assert payload["results"]["lower_bound"] is True
+
+
+def test_delta_is_exhaustive_when_every_block_fits_the_cap(capsys):
+    # F2 r=5: 485 vertices, but a tree, so every block is one edge
+    code, out, _ = run_cli(
+        capsys, ["delta", "--group", '{"type":"free","rank":2}', "--radius", "5"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["mode"] == "exhaustive"
+    assert payload["results"] == {"delta": "0", "vertices": 485}
 
 
 def test_timing_only_with_flag(capsys):

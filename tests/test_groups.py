@@ -57,6 +57,21 @@ def test_free_multiply_matches_concat_reduce(u, v):
     assert f2.multiply(reduce_word(u), reduce_word(v)) == reduce_word(tuple(u) + tuple(v))
 
 
+rank3_words = st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=10).map(reduce_word)
+
+
+@given(rank3_words, rank3_words, rank3_words)
+@settings(max_examples=300)
+def test_free_multiply_cancels_at_the_junction_rank_3(x, p, y):
+    # a = x p and b = p^-1 y cancel at least p at the junction; the empty
+    # word and full cancellation a * a^-1 are drawn explicitly as well
+    F3 = FreeGroup(3)
+    a = reduce_word(x + p)
+    b = reduce_word(F3.inverse(p) + y)
+    for u, v in ((a, b), (b, a), (a, F3.inverse(a)), (a, ()), ((), b), ((), ())):
+        assert F3.multiply(u, v) == reduce_word(u + v)
+
+
 @given(words)
 def test_free_inverse_identity(w):
     f2 = FreeGroup(2)

@@ -11,13 +11,16 @@ import pytest
 
 import ggtkit.homology
 from ggtkit.cli import run
+from ggtkit.config import DEFAULT_BASIS_CAP
 from ggtkit.errors import DomainError, PartitionViolation, ResourceCapError
 from ggtkit.exactla import SparseRationalMatrix, bareiss_rank
 from ggtkit.groups import FiniteGroup, FreeAbelian, FreeGroup, cyclic_group, symmetric_group_3
 from ggtkit.homology import (
+    ComplexSlice,
     ConjClassTable,
     _b_faces,
     _B_faces,
+    _hochschild_bases,
     chain_identities,
     conj_classes,
     connes_B,
@@ -274,8 +277,11 @@ def test_chain_identities_flag_flipped_B(monkeypatch):
 
 
 def test_chain_identities_need_a_hochschild_slice():
+    cyclic = cyclic_quotient(hochschild_slice(Z2, 2))
     with pytest.raises(DomainError):
-        chain_identities(cyclic_quotient(Z2, 2))
+        chain_identities(cyclic)
+    with pytest.raises(DomainError):
+        cyclic_quotient(cyclic)
 
 
 def test_z2_rank_b1_gives_hh0():
@@ -300,7 +306,7 @@ def test_hochschild_dims(name, G, nclasses):
 
 @pytest.mark.parametrize("name,G,nclasses", GROUPS)
 def test_cyclic_dims(name, G, nclasses):
-    cy = cyclic_quotient(G, 3)
+    cy = cyclic_quotient(hochschild_slice(G, 3))
     assert sum(map(len, cy.bases[0].blocks)) == G.order  # degree-0 rotation is trivial
     hc = homology_dims(cy)
     assert hc.total == (nclasses, 0, nclasses)
@@ -310,7 +316,7 @@ def test_cyclic_dims(name, G, nclasses):
 def test_cyclic_coinvariants_two_ways(G, top):
     # orbit analysis vs rank(1 - tau)
     for n in range(top + 1):
-        cy = cyclic_quotient(G, n)
+        cy = cyclic_quotient(hochschild_slice(G, n))
         tau = tau_matrix(G, n)
         dim = G.order ** (n + 1)
         one_minus = SparseRationalMatrix(dim, dim)
@@ -367,13 +373,15 @@ def test_partition_violation_detected(monkeypatch):
     table = conj_classes(S3)
     moved = list(table.class_of)
     moved[S3.names.index("(12)")] = table.class_of[0]
-    monkeypatch.setattr(
-        ggtkit.homology, "conj_classes", lambda G: ConjClassTable(G, table.classes, tuple(moved))
-    )
-    for build in (hochschild_slice, cyclic_quotient):
-        with pytest.raises(PartitionViolation):
-            build(S3, 2)
+    sabotaged = ConjClassTable(S3, table.classes, tuple(moved))
+    monkeypatch.setattr(ggtkit.homology, "conj_classes", lambda G: sabotaged)
+    with pytest.raises(PartitionViolation):
+        hochschild_slice(S3, 2)
     monkeypatch.undo()
+    # the cyclic quotient checks the bases it is handed, too
+    bases = _hochschild_bases(S3, 2, sabotaged.class_of, DEFAULT_BASIS_CAP)
+    with pytest.raises(PartitionViolation):
+        cyclic_quotient(ComplexSlice(S3, "hochschild", sabotaged, bases, {}))
 
     # sabotage a face: the wrap-around face multiplies in the wrong order
     def faces(model, t):
@@ -381,10 +389,27 @@ def test_partition_violation_detected(monkeypatch):
         yield from merges
         yield (model.multiply(t[0], t[-1]),) + t[1:-1], (-1) ** (len(t) - 1)
 
+    hh = hochschild_slice(S3, 2)
     monkeypatch.setattr(ggtkit.homology, "_b_faces", faces)
-    for build in (hochschild_slice, cyclic_quotient):
-        with pytest.raises(PartitionViolation):
-            build(S3, 2)
+    with pytest.raises(PartitionViolation):
+        hochschild_slice(S3, 2)
+    with pytest.raises(PartitionViolation):
+        cyclic_quotient(hh)
+
+
+def test_cli_homology_builds_the_tuple_bases_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _hochschild_bases(*args)
+
+    monkeypatch.setattr(ggtkit.homology, "_hochschild_bases", counted)
+    for group in ("S3", "Z6"):
+        calls.clear()
+        assert run(["homology", "--group", group, "--nmax", "3", "--split"]) == 0
+        assert calls == [3]
+    capsys.readouterr()
 
 
 def test_cyclic_split_blocks_sum():
@@ -392,7 +417,7 @@ def test_cyclic_split_blocks_sum():
     for _, G, nclasses in ALL_GROUPS:
         dims, _, _, boundaries = _oracle_cyclic_quotient(G, 3)
         assert _full_rank_dims(dims, boundaries) == (nclasses, 0, nclasses)
-        hc = homology_dims(cyclic_quotient(G, 3))
+        hc = homology_dims(cyclic_quotient(hochschild_slice(G, 3)))
         assert hc.total == (nclasses, 0, nclasses)
         assert all(v == (1, 0, 1) for v in hc.per_class.values())
 
@@ -409,7 +434,8 @@ def _class_block_dims(sl, rank):
 
 @pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
 def test_class_block_dims_match_dense_bareiss(name, G, nclasses):
-    for sl in (hochschild_slice(G, 3), cyclic_quotient(G, 3)):
+    hh = hochschild_slice(G, 3)
+    for sl in (hh, cyclic_quotient(hh)):
         assert homology_dims(sl).per_class == _class_block_dims(sl, _dense_rank)
 
 
@@ -423,7 +449,8 @@ def test_class_block_dims_match_sympy(G):
             dense[i, j] = sympy.Rational(v.numerator, v.denominator)
         return dense.rank()
 
-    for sl in (hochschild_slice(G, 3), cyclic_quotient(G, 3)):
+    hh = hochschild_slice(G, 3)
+    for sl in (hh, cyclic_quotient(hh)):
         assert homology_dims(sl).per_class == _class_block_dims(sl, sympy_rank)
 
 
@@ -454,7 +481,7 @@ def test_class_blocks_equal_the_restricted_whole_matrices(name, G, nclasses):
             assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
 
     _, reps, _, whole = _oracle_cyclic_quotient(G, 3)
-    cy = cyclic_quotient(G, 3)
+    cy = cyclic_quotient(hochschild_slice(G, 3))
     rep_blocks = []  # per degree: class -> positions of its representatives
     for n, degree in enumerate(reps):
         blocks = [[] for _ in range(nclasses)]
@@ -476,8 +503,9 @@ def test_order_eight_groups_certified(name, G, nclasses):
         for x, y, z in itertools.product(range(8), repeat=3)
     )
     assert len(conj_classes(G)) == nclasses
-    hh = homology_dims(hochschild_slice(G, 3))
-    hc = homology_dims(cyclic_quotient(G, 3))
+    hh_slice = hochschild_slice(G, 3)
+    hh = homology_dims(hh_slice)
+    hc = homology_dims(cyclic_quotient(hh_slice))
     assert hh.total == (5, 0, 0) and hc.total == (5, 0, 5)
     assert set(hh.per_class.values()) == {(1, 0, 0)}
     assert set(hc.per_class.values()) == {(1, 0, 1)}
