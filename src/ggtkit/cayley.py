@@ -538,9 +538,14 @@ def _four_point_max_defect(D: np.ndarray) -> int:
 
 
 def exhaustive_fits(graph: MetricGraph, cap: int = DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP) -> bool:
-    """True when every biconnected block of the graph has at most ``cap``
-    vertices, so that the exhaustive four-point sweep is allowed."""
-    return max(map(len, graph.blocks), default=0) <= cap
+    """True when the blocks that the exhaustive four-point sweep visits
+    (those of at least 4 vertices), glued in a chain at one vertex each,
+    have at most ``cap`` vertices.
+
+    A graph of at most ``cap`` vertices always fits, since its blocks glue
+    back to it, and the sweep costs no more than on one block of ``cap``
+    vertices: at most ``cap`` distance rows and ``cap``^4 quadruples."""
+    return 1 + sum(len(b) - 1 for b in graph.blocks if len(b) >= 4) <= cap
 
 
 def estimate_delta_4point(
@@ -553,8 +558,8 @@ def estimate_delta_4point(
 ) -> Fraction:
     """Four-point hyperbolicity defect of a finite graph.
 
-    Exhaustive when every biconnected block has at most ``exhaustive_cap``
-    vertices (or when forced): the defect of metrics glued at cut vertices
+    Exhaustive when the graph's blocks fit ``exhaustive_cap`` (see
+    ``exhaustive_fits``) or when forced: the defect of metrics glued at cut vertices
     is the largest defect of the pieces (Cohen-Coudert-Lancin 2015), and a
     shortest path between two vertices of a block stays in it, so each
     block of at least 4 vertices is swept over its own distance matrix.
@@ -562,13 +567,13 @@ def estimate_delta_4point(
     graph, which yields a certified lower bound.
     """
     g = graph.graph if isinstance(graph, ConedOffGraph) else graph
-    fits = exhaustive_fits(g, exhaustive_cap)
-    if exhaustive is None:
+    if exhaustive is not False:
+        fits = exhaustive_fits(g, exhaustive_cap)
+        if exhaustive and not fits:
+            raise ResourceCapError(
+                f"exhaustive quadruple scan capped at {exhaustive_cap} vertices over its blocks"
+            )
         exhaustive = fits
-    if exhaustive and not fits:
-        raise ResourceCapError(
-            f"exhaustive quadruple scan capped at {exhaustive_cap} vertices per block"
-        )
     if not exhaustive:
         rng = np.random.default_rng(seed)
         chosen = rng.choice(g.n, size=min(g.n, sample_vertices), replace=False)

@@ -15,9 +15,11 @@ DEFAULT_DELTA_MIN = Fraction(1, 4)
 # degree d is accepted only when every record satisfies
 # min_length <= A * (1 + input_length)**d with A <= this cap.
 DEFAULT_FIT_CAP = Fraction(1)
-# Largest biconnected block, in vertices, that the exhaustive four-point
-# sweep takes.  Delta is swept block by block, and a block of n vertices
-# costs on the order of n^4 quadruples.
+# Vertex budget of the exhaustive four-point sweep.  Delta is swept block by
+# block over the biconnected blocks of at least 4 vertices, and a block of n
+# vertices costs n distance rows and on the order of n^4 quadruples; the
+# swept blocks, glued in a chain at one vertex each, may have at most this
+# many vertices, so every graph of at most this many vertices is swept.
 DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP = 200
 
 

@@ -387,6 +387,17 @@ def test_block_cap_decides_the_exhaustive_sweep(f2, z2):
     assert exhaustive_fits(grid, 21) and not exhaustive_fits(grid, 20)
     with pytest.raises(ResourceCapError):
         estimate_delta_4point(grid, exhaustive=True, exhaustive_cap=20)
+    # three 4-cycles in a chain, glued at 3 and 6, plus a triangle and a
+    # pendant edge that the sweep skips: 13 vertices, 10 of them swept
+    square = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    edges = [(u + k, v + k, 1) for k in (0, 3, 6) for u, v in square]
+    edges += [(9, 10, 1), (10, 11, 1), (11, 9, 1), (11, 12, 1)]
+    chain = MetricGraph(13, edges)
+    assert max(map(len, chain.blocks)) == 4
+    assert exhaustive_fits(chain, 10) and not exhaustive_fits(chain, 9)
+    assert estimate_delta_4point(chain, exhaustive_cap=10) == Fraction(1, 2)
+    with pytest.raises(ResourceCapError):
+        estimate_delta_4point(chain, exhaustive=True, exhaustive_cap=9)
 
 
 def test_rows_past_int32_take_the_int64_path():
@@ -407,6 +418,7 @@ def test_delta_sampled_mode_deterministic(f2):
     d1 = estimate_delta_4point(g, exhaustive=False, sample_vertices=24, seed=3)
     d2 = estimate_delta_4point(g, exhaustive=False, sample_vertices=24, seed=3)
     assert d1 == d2 == 0
+    assert "blocks" not in vars(g)  # the sampled mode never splits the graph
 
 
 # -- quasi-geodesics -----------------------------------------------------------
