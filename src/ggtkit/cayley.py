@@ -49,8 +49,7 @@ class MetricGraph:
     direction, but always with the same weight.
     """
 
-    def __init__(self, n: int, edges, labels: Optional[list[str]] = None,
-                 ball_radius: Optional[int] = None):
+    def __init__(self, n: int, edges, ball_radius: Optional[int] = None):
         self.n = n
         u, v, w = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -65,7 +64,6 @@ class MetricGraph:
                 raise DomainError("edge weights must be >= 1")
             raise DomainError(f"conflicting weights for edge {(int(lo[i]), int(hi[i]))}")
         lo, hi, w = lo[first], hi[first], w[first]
-        self.labels = labels if labels is not None else [str(i) for i in range(n)]
         self.ball_radius = ball_radius
         tail = np.concatenate([lo, hi])
         head = np.concatenate([hi, lo])
@@ -213,8 +211,7 @@ def cayley_graph(b: Ball) -> MetricGraph:
     v = nbr.ravel()
     up = v > u
     edges = np.column_stack([u[up], v[up], np.full(int(up.sum()), SCALE)])
-    labels = [b.model.element_str(e) for e in b.elements]
-    return MetricGraph(len(b), edges, labels, ball_radius=b.radius)
+    return MetricGraph(len(b), edges, ball_radius=b.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +479,6 @@ def coned_off(b: Ball, factors) -> ConedOffGraph:
 
     # cone vertex of (factor fi, coset cid) is base.n + offset[fi] + cid
     cones = [(fi, cid) for fi, members in enumerate(coset_members) for cid in range(len(members))]
-    labels = base.labels + [
-        f"v({oracles[fi].label}:{base.labels[coset_members[fi][cid][0]]})" for fi, cid in cones
-    ]
     offset = base.n + np.cumsum([0] + [len(m) for m in coset_members])
     vertices = np.arange(base.n)
     cone_edges = [
@@ -494,7 +488,6 @@ def coned_off(b: Ball, factors) -> ConedOffGraph:
     graph = MetricGraph(
         base.n + len(cones),
         np.concatenate([base._edge_array(), *cone_edges]),
-        labels,
         ball_radius=b.radius,
     )
     return ConedOffGraph(b, base, graph, oracles, cones, coset_of, coset_members)

@@ -28,14 +28,14 @@ from .cayley import (
     estimate_delta_4point,
     exhaustive_fits,
 )
-from .config import RunConfig, Caps
+from .config import DEFAULT_BALL_CAP, DEFAULT_BASIS_CAP
 from .conjugacy import (
     brute_force_conjugator,
     free_group_conjugacy,
     nilpotent_conjugator,
     profile_conjugacy_bound,
 )
-from .errors import ConfigError, DomainError, GgtError, ResourceCapError
+from .errors import ConfigError, GgtError, ResourceCapError
 from .groups import FreeGroup, FreeProduct, TwoStepNilpotent, model_from_dict
 from .homology import (
     chain_identities,
@@ -48,11 +48,10 @@ from .homology import hochschild_boundary  # noqa: F401
 from .rdalgebra import SupportedVector, check_product_estimate, parse_bounding_function
 
 SCHEMA_VERSION = 1
+SOLVERS = ["auto", "brute", "free", "nilpotent"]
 
 
 def _load_group(spec: str):
-    if spec is None:
-        raise ConfigError("missing required --group")
     text = spec.strip()
     if text.startswith("{"):
         try:
@@ -125,25 +124,13 @@ def _constants_from_args(args) -> PresentationConstants:
     return PresentationConstants(**kwargs)
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        caps=Caps(
-            ball_size=getattr(args, "cap_ball", None) or Caps().ball_size,
-            basis_size=getattr(args, "cap_basis", None) or Caps().basis_size,
-        ),
-        seed=getattr(args, "seed", 0),
-    )
-    cfg.validate()
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_ball(args, cfg):
+def _cmd_ball(args):
     model = _load_group(args.group)
-    b = ball(model, args.radius, cap=cfg.caps.ball_size)
+    b = ball(model, args.radius, cap=args.cap_ball)
     by_length = [0] * (args.radius + 1)
     for length in b.lengths:
         by_length[length] += 1
@@ -158,11 +145,11 @@ def _cmd_ball(args, cfg):
     )
 
 
-def _cmd_graph(args, cfg):
+def _cmd_graph(args):
     model = _load_group(args.group)
-    b = ball(model, args.radius, cap=cfg.caps.ball_size)
+    b = ball(model, args.radius, cap=args.cap_ball)
     graph = cayley_graph(b)
-    delta = estimate_delta_4point(graph, seed=cfg.seed) if not args.no_delta else None
+    delta = estimate_delta_4point(graph, seed=args.seed) if not args.no_delta else None
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -173,13 +160,13 @@ def _cmd_graph(args, cfg):
     return _report("graph", {"group": model.to_dict(), "radius": args.radius}, summary)
 
 
-def _cmd_delta(args, cfg):
+def _cmd_delta(args):
     model = _load_group(args.group)
-    b = ball(model, args.radius, cap=cfg.caps.ball_size)
+    b = ball(model, args.radius, cap=args.cap_ball)
     graph = cayley_graph(b)
     exhaustive = args.exhaustive or exhaustive_fits(graph)
     delta = estimate_delta_4point(
-        graph, exhaustive=exhaustive, sample_vertices=args.sample_vertices, seed=cfg.seed
+        graph, exhaustive=exhaustive, sample_vertices=args.sample_vertices, seed=args.seed
     )
     results = {"delta": str(delta), "vertices": graph.n}
     if not exhaustive:
@@ -195,9 +182,9 @@ def _cmd_delta(args, cfg):
     )
 
 
-def _cmd_coned(args, cfg):
+def _cmd_coned(args):
     model = _load_group(args.group)
-    b = ball(model, args.radius, cap=cfg.caps.ball_size)
+    b = ball(model, args.radius, cap=args.cap_ball)
     oracles = [_parse_cone(model, spec) for spec in args.cone]
     coned = coned_off(b, oracles)
     results = coned.summary()
@@ -217,7 +204,7 @@ def _cmd_coned(args, cfg):
     )
 
 
-def _cmd_bounds(args, cfg):
+def _cmd_bounds(args):
     consts = _constants_from_args(args)
     if args.bounds_action == "eval":
         chain = bcp_epsilon(Fraction(args.k), consts)
@@ -228,20 +215,18 @@ def _cmd_bounds(args, cfg):
             constants=consts.as_dict(),
             warnings=[chain.note],
         )
-    if args.bounds_action == "theorem":
-        c_of_k = parse_bounding_function(args.c)
-        qs = [parse_bounding_function(q) for q in args.q]
-        rep = theorem_bound(Fraction(args.lu), Fraction(args.lv), consts, c_of_k, qs)
-        return _report(
-            "bounds",
-            {"action": "theorem", "lu": args.lu, "lv": args.lv, "c": args.c, "q": args.q},
-            rep.as_dict(),
-            constants=consts.as_dict(),
-        )
-    raise ConfigError(f"unknown bounds action {args.bounds_action!r}")
+    c_of_k = parse_bounding_function(args.c)
+    qs = [parse_bounding_function(q) for q in args.q]
+    rep = theorem_bound(Fraction(args.lu), Fraction(args.lv), consts, c_of_k, qs)
+    return _report(
+        "bounds",
+        {"action": "theorem", "lu": args.lu, "lv": args.lv, "c": args.c, "q": args.q},
+        rep.as_dict(),
+        constants=consts.as_dict(),
+    )
 
 
-def _cmd_conj_solve(args, cfg):
+def _cmd_conj_solve(args):
     model = _load_group(args.group)
     u = model.parse_element(args.u)
     v = model.parse_element(args.v)
@@ -261,10 +246,8 @@ def _cmd_conj_solve(args, cfg):
         if not isinstance(model, TwoStepNilpotent):
             raise ConfigError("--solver nilpotent needs a two-step nilpotent group")
         result = nilpotent_conjugator(model, u, v)
-    elif solver == "brute":
-        result = brute_force_conjugator(model, u, v, args.radius, ball_cap=cfg.caps.ball_size)
     else:
-        raise ConfigError(f"unknown solver {solver!r}")
+        result = brute_force_conjugator(model, u, v, args.radius, ball_cap=args.cap_ball)
     return _report(
         "conj",
         {
@@ -278,14 +261,14 @@ def _cmd_conj_solve(args, cfg):
     )
 
 
-def _cmd_profile(args, cfg):
+def _cmd_profile(args):
     model = _load_group(args.group)
     result = profile_conjugacy_bound(
         model,
         args.radius,
         args.solver,
         slack=args.slack,
-        ball_cap=cfg.caps.ball_size,
+        ball_cap=args.cap_ball,
     )
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -309,13 +292,13 @@ def _cmd_profile(args, cfg):
     )
 
 
-def _cmd_rd(args, cfg):
+def _cmd_rd(args):
     import random as _random
 
     model = _load_group(args.group)
     f = parse_bounding_function(args.f)
-    b = ball(model, args.radius, cap=cfg.caps.ball_size)
-    rng = _random.Random(cfg.seed)
+    b = ball(model, args.radius, cap=args.cap_ball)
+    rng = _random.Random(args.seed)
     failures = 0
     first_failure = None
     for trial in range(args.trials):
@@ -343,14 +326,14 @@ def _cmd_rd(args, cfg):
     )
 
 
-def _cmd_homology(args, cfg):
+def _cmd_homology(args):
     model = _load_group(args.group)
     if not hasattr(model, "order"):
         raise ConfigError("homology needs a finite group")
     n_max = args.nmax
     if n_max is None:
         n_max = 3 if model.order <= 6 else 2
-    slice_ = hochschild_slice(model, n_max, basis_cap=cfg.caps.basis_size)
+    slice_ = hochschild_slice(model, n_max, basis_cap=args.cap_basis)
     hh = homology_dims(slice_)
     hc = homology_dims(cyclic_quotient(slice_))
     results = {
@@ -373,6 +356,13 @@ def _cmd_homology(args, cfg):
 # parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ggtkit",
@@ -381,32 +371,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ggtkit {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", help="builtin name, inline JSON, or path to a .json file")
-    common.add_argument("--cap-ball", type=int, help="ball size cap")
-    common.add_argument("--cap-basis", type=int, help="tuple basis cap")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
-    common.add_argument("--timing", action="store_true", help="include wall time in the report")
+    # Each subcommand takes only the flags its handler reads.
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument("--timing", action="store_true", help="include wall time in the report")
+    grouped = argparse.ArgumentParser(add_help=False, parents=[timed])
+    grouped.add_argument(
+        "--group", required=True, help="builtin name, inline JSON, or path to a .json file"
+    )
+    balled = argparse.ArgumentParser(add_help=False, parents=[grouped])
+    balled.add_argument("--cap-ball", type=_positive_int, default=DEFAULT_BALL_CAP, help="ball size cap")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("ball", parents=[common], help="enumerate a Cayley ball")
+    p = sub.add_parser("ball", parents=[balled], help="enumerate a Cayley ball")
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=_cmd_ball)
 
-    p = sub.add_parser("graph", parents=[common], help="Cayley graph of a ball")
+    p = sub.add_parser("graph", parents=[balled, seeded], help="Cayley graph of a ball")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--csv", help="write the edge list to this CSV file")
     p.add_argument("--no-delta", action="store_true", help="skip the delta estimate")
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("delta", parents=[common], help="four-point hyperbolicity defect")
+    p = sub.add_parser("delta", parents=[balled, seeded], help="four-point hyperbolicity defect")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--sample-vertices", type=int, default=64)
+    p.add_argument("--sample-vertices", type=_positive_int, default=64)
     p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("coned", parents=[common], help="coned-off Cayley graph")
+    p = sub.add_parser("coned", parents=[balled], help="coned-off Cayley graph")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument(
         "--cone",
@@ -420,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound-formula evaluators")
     bounds_sub = p.add_subparsers(dest="bounds_action", required=True)
-    pe = bounds_sub.add_parser("eval", parents=[common], help="coset-penetration constant chain")
+    pe = bounds_sub.add_parser("eval", parents=[timed], help="coset-penetration constant chain")
     pe.add_argument("--k", required=True)
     for flag in ("--delta", "--L", "--M", "--C", "--Mball", "--Kaxis", "--Kh", "--dtrans"):
         pe.add_argument(flag)
     pe.set_defaults(func=_cmd_bounds)
-    pt = bounds_sub.add_parser("theorem", parents=[common], help="composite conjugator-length bound")
+    pt = bounds_sub.add_parser("theorem", parents=[timed], help="composite conjugator-length bound")
     pt.add_argument("--lu", required=True)
     pt.add_argument("--lv", required=True)
     pt.add_argument("--c", default="(1+x)", help="coset-penetration bound function")
@@ -436,29 +431,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conj", help="conjugacy solvers")
     conj_sub = p.add_subparsers(dest="conj_action", required=True)
-    ps = conj_sub.add_parser("solve", parents=[common])
+    ps = conj_sub.add_parser("solve", parents=[balled])
     ps.add_argument("--u", required=True)
     ps.add_argument("--v", required=True)
-    ps.add_argument("--solver", default="auto", choices=["auto", "brute", "nilpotent", "free"])
+    ps.add_argument("--solver", default="auto", choices=SOLVERS)
     ps.add_argument("--radius", type=int, default=6)
     ps.set_defaults(func=_cmd_conj_solve)
 
     p = sub.add_parser("rd", help="rapid-decay seminorm checks")
     rd_sub = p.add_subparsers(dest="rd_action", required=True)
-    pc = rd_sub.add_parser("check", parents=[common])
-    pc.add_argument("--trials", type=int, default=100)
+    pc = rd_sub.add_parser("check", parents=[balled, seeded])
+    pc.add_argument("--trials", type=_positive_int, default=100)
     pc.add_argument("--f", default="(1+x)^2")
     pc.add_argument("--radius", type=int, default=3)
     pc.set_defaults(func=_cmd_rd)
 
-    p = sub.add_parser("homology", parents=[common], help="group-algebra homology")
+    p = sub.add_parser("homology", parents=[grouped], help="group-algebra homology")
+    p.add_argument("--cap-basis", type=_positive_int, default=DEFAULT_BASIS_CAP, help="tuple basis cap")
     p.add_argument("--nmax", type=int)
     p.add_argument("--split", action="store_true", help="print the dimensions per conjugacy class")
     p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("profile", parents=[common], help="conjugacy-bound profiler")
+    p = sub.add_parser("profile", parents=[balled], help="conjugacy-bound profiler")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--solver", default="auto")
+    p.add_argument("--solver", default="auto", choices=SOLVERS)
     p.add_argument("--slack", type=int, default=2)
     p.add_argument("--csv", help="write profile records to this CSV file")
     p.set_defaults(func=_cmd_profile)
@@ -471,19 +467,18 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        cfg = _config_from_args(args)
-        report = args.func(args, cfg)
+        report = args.func(args)
     except ConfigError as exc:
         print(f"ggtkit: config error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"ggtkit: resource cap: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, GgtError) as exc:
+    except GgtError as exc:
         print(f"ggtkit: error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.monotonic() - started
-    if getattr(args, "timing", False):
+    if args.timing:
         report["wall_time_s"] = round(elapsed, 6)
     print(f"ggtkit: wall_time_s={elapsed:.6f}", file=sys.stderr)
     sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")

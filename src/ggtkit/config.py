@@ -1,11 +1,8 @@
-"""Run-wide configuration: resource caps and seed."""
+"""Default resource caps and constants."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .errors import ConfigError
 
 DEFAULT_BALL_CAP = 10**6
 DEFAULT_BASIS_CAP = 10**4
@@ -22,26 +19,3 @@ DEFAULT_FIT_CAP = Fraction(1)
 # many vertices, so every graph of at most this many vertices is swept.
 DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP = 200
 
-
-@dataclass
-class Caps:
-    """Hard resource limits; exceeding one raises ResourceCapError."""
-
-    ball_size: int = DEFAULT_BALL_CAP
-    basis_size: int = DEFAULT_BASIS_CAP
-
-    def validate(self) -> None:
-        for name in ("ball_size", "basis_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"cap {name!r} must be positive")
-
-
-@dataclass
-class RunConfig:
-    """Everything a reproducible run depends on besides the inputs themselves."""
-
-    caps: Caps = field(default_factory=Caps)
-    seed: int = 0
-
-    def validate(self) -> None:
-        self.caps.validate()

@@ -160,25 +160,12 @@ def bounded_conjugacy(
     return result
 
 
-@dataclass(frozen=True)
-class IntegerLinearSystem:
-    """A z = rhs over the integers; rows are central coordinates, columns
-    the unknown base exponents of the conjugator."""
-
-    A: tuple  # n_central rows x m columns
-    rhs: tuple
-
-    def __post_init__(self):
-        if any(len(row) != len(self.A[0]) for row in self.A):
-            raise DomainError("ragged system matrix")
-        if len(self.rhs) != len(self.A):
-            raise DomainError("system dimensions inconsistent")
-
-
 def nilpotent_central_system(
     model: TwoStepNilpotent, u: Element, v: Element
-) -> IntegerLinearSystem:
-    """The central equation a conjugator (z, *) of u into v must satisfy.
+) -> tuple[list[list[int]], list[int]]:
+    """The central equation A z = rhs a conjugator (z, *) of u into v must
+    satisfy, as ``(A, rhs)``: rows are central coordinates, columns the
+    unknown base exponents of the conjugator.
 
     With u = (x, c_u), v = (x, c_v) and this module's collection convention,
 
@@ -188,11 +175,11 @@ def nilpotent_central_system(
     """
     x, cu = u
     _, cv = v
-    A = tuple(
-        tuple(sum(x[j] * model.C[l][j][t] for j in range(model.m) if j != l) for l in range(model.m))
+    A = [
+        [sum(x[j] * model.C[l][j][t] for j in range(model.m) if j != l) for l in range(model.m)]
         for t in range(model.n)
-    )
-    return IntegerLinearSystem(A, tuple(cv[t] - cu[t] for t in range(model.n)))
+    ]
+    return A, [cv[t] - cu[t] for t in range(model.n)]
 
 
 def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> ConjugacyResult:
@@ -213,8 +200,7 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
         return ConjugacyResult(
             NOT_CONJUGATE, certificate="abelianization mismatch: conjugation fixes the base image"
         )
-    system = nilpotent_central_system(model, u, v)
-    z, kernel = solve_integer_system([list(r) for r in system.A], list(system.rhs))
+    z, kernel = solve_integer_system(*nilpotent_central_system(model, u, v))
     if z is None:
         return ConjugacyResult(
             NOT_CONJUGATE, certificate="central linear system unsolvable over Z"

@@ -113,12 +113,6 @@ class GroupModel:
     def parse_element(self, text: str) -> Element:
         raise NotImplementedError
 
-    def element_to_json(self, a: Element):
-        raise NotImplementedError
-
-    def element_from_json(self, data) -> Element:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -301,14 +295,6 @@ class FreeGroup(GroupModel):
         self.validate_element(word)
         return word
 
-    def element_to_json(self, a):
-        return list(a)
-
-    def element_from_json(self, data):
-        word = reduce_word(_as_int_tuple(data, "word"))
-        self.validate_element(word)
-        return word
-
     def to_dict(self):
         return {"type": "free", "rank": self.rank}
 
@@ -369,14 +355,6 @@ class FreeAbelian(GroupModel):
         if text in ("e", ""):
             return self.identity()
         vec = _as_int_tuple(text.split(","), "vector")
-        self.validate_element(vec)
-        return vec
-
-    def element_to_json(self, a):
-        return list(a)
-
-    def element_from_json(self, data):
-        vec = _as_int_tuple(data, "vector")
         self.validate_element(vec)
         return vec
 
@@ -521,14 +499,6 @@ class TwoStepNilpotent(GroupModel):
         self.validate_element(elem)
         return elem
 
-    def element_to_json(self, a):
-        return [list(a[0]), list(a[1])]
-
-    def element_from_json(self, data):
-        elem = (_as_int_tuple(data[0], "base part"), _as_int_tuple(data[1], "central part"))
-        self.validate_element(elem)
-        return elem
-
     def to_dict(self):
         return {
             "type": "two_step_nilpotent",
@@ -649,14 +619,6 @@ class FiniteGroup(GroupModel):
             idx = int(text)
         except ValueError as exc:
             raise ConfigError(f"unknown element {text!r}") from exc
-        self.validate_element(idx)
-        return idx
-
-    def element_to_json(self, a):
-        return a
-
-    def element_from_json(self, data):
-        idx = int(data)
         self.validate_element(idx)
         return idx
 
@@ -833,16 +795,6 @@ class FreeProduct(GroupModel):
             if payload != self.factors[idx].identity():
                 syllables.append((idx, payload))
         elem = self.multiply((), tuple(syllables))
-        self.validate_element(elem)
-        return elem
-
-    def element_to_json(self, a):
-        return [[idx, self.factors[idx].element_to_json(p)] for idx, p in a]
-
-    def element_from_json(self, data):
-        elem = self.multiply(
-            (), tuple((int(idx), self.factors[int(idx)].element_from_json(p)) for idx, p in data)
-        )
         self.validate_element(elem)
         return elem
 

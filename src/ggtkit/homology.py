@@ -14,7 +14,6 @@ from typing import Optional
 
 from .cayley import ball
 from .config import DEFAULT_BASIS_CAP
-from .conjugacy import centralizer_generators
 from .errors import DomainError, PartitionViolation, ResourceCapError
 from .exactla import SparseRationalMatrix
 from .groups import FiniteGroup, GroupModel, exact_length
@@ -27,9 +26,7 @@ from .groups import FiniteGroup, GroupModel, exact_length
 class ConjClass:
     representative: int
     members: tuple
-    elliptic: bool
     centralizer_order: int
-    centralizer_generators: tuple
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class ConjClassTable:
 
 
 def conj_classes(model: FiniteGroup) -> ConjClassTable:
-    """Exact conjugacy partition with centralizers, by exhaustive scan."""
+    """Exact conjugacy partition with centralizer orders, by exhaustive scan."""
     order = model.order
     class_of = [-1] * order
     classes = []
@@ -54,17 +51,8 @@ def conj_classes(model: FiniteGroup) -> ConjClassTable:
         cid = len(classes)
         for m in orbit:
             class_of[m] = cid
-        centralizer = [h for h in range(order) if model.commutes(h, g)]
-        gens = centralizer_generators(model, g, order)
-        classes.append(
-            ConjClass(
-                representative=g,
-                members=tuple(orbit),
-                elliptic=True,  # every element of a finite group has finite order
-                centralizer_order=len(centralizer),
-                centralizer_generators=tuple(gens),
-            )
-        )
+        centralizer_order = sum(1 for h in range(order) if model.commutes(h, g))
+        classes.append(ConjClass(g, tuple(orbit), centralizer_order))
     return ConjClassTable(model, tuple(classes), tuple(class_of))
 
 

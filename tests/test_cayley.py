@@ -258,7 +258,6 @@ def test_coned_off_by_coset_key_equals_generic_scan(f2_ball5, h):
     keyed = coned_off(f2_ball5, [CyclicSubgroup(h, "H")])
     scanned = coned_off(f2_ball5, [_ScanOnly(h, "H")])
     assert keyed.graph.edges == scanned.graph.edges
-    assert keyed.graph.labels == scanned.graph.labels
     assert keyed.cones == scanned.cones
     assert keyed.coset_of == scanned.coset_of
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +78,12 @@ def test_ball_cap_exits_3(capsys):
         ["ball", "--group", '{"type":"free","rank":2}', "--radius", "6", "--cap-ball", "40"],
     )
     assert code == 3
+
+
+def test_basis_cap_exits_3(capsys):
+    code, _, err = run_cli(capsys, ["homology", "--group", "S3", "--nmax", "3", "--cap-basis", "100"])
+    assert code == 3
+    assert "resource cap" in err
 
 
 def test_profile_csv_schema(capsys, tmp_path):
@@ -178,3 +186,120 @@ def test_timing_only_with_flag(capsys):
     assert "wall_time_s" in err
     _, out, _ = run_cli(capsys, ["bounds", "eval", "--k", "1", "--timing"])
     assert "wall_time_s" in json.loads(out)
+
+
+# -- per-subcommand flag sets --------------------------------------------------
+
+# A small run of each subcommand, and the flags shared between subcommands
+# that it reads besides --group.
+BASE_ARGV = {
+    "ball": ["ball", "--group", "Z2", "--radius", "1"],
+    "graph": ["graph", "--group", "Z3", "--radius", "1"],
+    "delta": ["delta", "--group", "Z3", "--radius", "1"],
+    "coned": ["coned", "--group", '{"type":"free","rank":2}', "--radius", "1", "--cone", "cyclic:a"],
+    "bounds eval": ["bounds", "eval", "--k", "1"],
+    "bounds theorem": ["bounds", "theorem", "--lu", "2", "--lv", "3"],
+    "conj solve": ["conj", "solve", "--group", "Z3", "--u", "1", "--v", "1"],
+    "rd check": ["rd", "check", "--group", "Z2", "--trials", "2"],
+    "homology": ["homology", "--group", "Z2", "--nmax", "1"],
+    "profile": ["profile", "--group", "Z2", "--radius", "1"],
+}
+KEPT_FLAGS = {
+    "ball": ["--timing", "--cap-ball"],
+    "graph": ["--timing", "--cap-ball", "--seed"],
+    "delta": ["--timing", "--cap-ball", "--seed"],
+    "coned": ["--timing", "--cap-ball"],
+    "bounds eval": ["--timing"],
+    "bounds theorem": ["--timing"],
+    "conj solve": ["--timing", "--cap-ball"],
+    "rd check": ["--timing", "--cap-ball", "--seed"],
+    "homology": ["--timing", "--cap-basis"],
+    "profile": ["--timing", "--cap-ball"],
+}
+FLAG_ARGS = {
+    "--group": ["--group", "Z2"],
+    "--cap-ball": ["--cap-ball", "1000"],
+    "--cap-basis": ["--cap-basis", "1000"],
+    "--seed": ["--seed", "3"],
+    "--timing": ["--timing"],
+}
+REMOVED = [
+    (cmd, flag)
+    for cmd, argv in BASE_ARGV.items()
+    for flag in FLAG_ARGS
+    if flag not in KEPT_FLAGS[cmd] and flag not in argv
+]
+KEPT = [(cmd, flag) for cmd, flags in KEPT_FLAGS.items() for flag in flags]
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize("cmd,flag", REMOVED, ids=[f"{c}-{f}" for c, f in REMOVED])
+def test_flag_a_subcommand_does_not_read_exits_2(capsys, cmd, flag):
+    assert _exit_code(BASE_ARGV[cmd] + FLAG_ARGS[flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,flag", KEPT, ids=[f"{c}-{f}" for c, f in KEPT])
+def test_kept_flag_runs(capsys, cmd, flag):
+    code, out, _ = run_cli(capsys, BASE_ARGV[cmd] + FLAG_ARGS[flag])
+    assert code == 0
+    assert json.loads(out)["schema"] == 1
+
+
+@pytest.mark.parametrize("cmd", [c for c, argv in BASE_ARGV.items() if "--group" in argv])
+def test_group_is_required(capsys, cmd):
+    argv = BASE_ARGV[cmd]
+    i = argv.index("--group")
+    assert _exit_code(argv[:i] + argv[i + 2:]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BASE_ARGV["ball"] + ["--cap-ball", "0"],
+        BASE_ARGV["ball"] + ["--cap-ball", "-5"],
+        BASE_ARGV["ball"] + ["--cap-ball", "ten"],
+        BASE_ARGV["homology"] + ["--cap-basis", "0"],
+        ["profile", "--group", "Z6", "--radius", "1", "--solver", "xyz"],
+        BASE_ARGV["delta"] + ["--sample-vertices", "-4"],
+        BASE_ARGV["rd check"] + ["--trials", "-1"],
+    ],
+    ids=[
+        "cap-ball-0", "cap-ball-negative", "cap-ball-text", "cap-basis-0", "profile-solver-xyz",
+        "sample-vertices-negative", "trials-negative",
+    ],
+)
+def test_bad_flag_value_exits_2(argv):
+    assert _exit_code(argv) == 2
+
+
+def test_profile_solver_for_another_model_exits_1(capsys):
+    code, _, err = run_cli(capsys, ["profile", "--group", "Z6", "--radius", "1", "--solver", "free"])
+    assert code == 1
+    assert "does not apply" in err
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("ggtkit ")]
+
+
+README_LINES = _readme_cli_lines()
+
+
+def test_readme_cli_block_found():
+    assert len(README_LINES) == 11
+
+
+@pytest.mark.parametrize("line", README_LINES, ids=[" ".join(line.split()[1:3]) for line in README_LINES])
+def test_readme_cli_line_exits_0(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, shlex.split(line)[1:])
+    assert code == 0, err
+    json.loads(out)

@@ -140,11 +140,11 @@ def test_nilpotent_central_elements_never_conjugate():
 def test_nilpotent_central_system_shape():
     from ggtkit.conjugacy import nilpotent_central_system
 
-    sys_ = nilpotent_central_system(HEIS, ((1, 0), (0,)), ((1, 0), (5,)))
-    assert sys_.A == ((0, 1),) and sys_.rhs == (5,)
+    A, rhs = nilpotent_central_system(HEIS, ((1, 0), (0,)), ((1, 0), (5,)))
+    assert A == [[0, 1]] and rhs == [5]
     # central pair: zero system with nonzero right-hand side
-    sys0 = nilpotent_central_system(HEIS, ((0, 0), (1,)), ((0, 0), (2,)))
-    assert sys0.A == ((0, 0),) and sys0.rhs == (1,)
+    A0, rhs0 = nilpotent_central_system(HEIS, ((0, 0), (1,)), ((0, 0), (2,)))
+    assert A0 == [[0, 0]] and rhs0 == [1]
 
 
 def test_brute_force_witness_minimality_independent():

@@ -196,7 +196,6 @@ def test_s3_class_equation():
     assert orders == [2, 3, 6]
     for c in table.classes:
         assert len(c.members) * c.centralizer_order == 6
-        assert c.elliptic
 
 
 # -- boundary and degree +1 operators ----------------------------------------------
