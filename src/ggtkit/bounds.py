@@ -93,10 +93,9 @@ def n_tilde(k: Number, delta: Number) -> float:
     return (t1 + t2 + 1) * (k**2 + 1) + (2 * k**3 + 3 * k) / 2
 
 
-def n_tilde_floored(k: Number, delta: Number, delta_min: Fraction = DEFAULT_DELTA_MIN) -> float:
-    """n_tilde with delta floored at a positive minimum (default 1/4)."""
-    d = Fraction(delta)
-    return n_tilde(k, max(d, Fraction(delta_min)))
+def n_tilde_floored(k: Number, delta: Number) -> float:
+    """n_tilde with delta floored at DEFAULT_DELTA_MIN (1/4)."""
+    return n_tilde(k, max(Fraction(delta), DEFAULT_DELTA_MIN))
 
 
 def neighborhood_n(k: Number, R: Number, delta: Number) -> float:

@@ -30,25 +30,26 @@ from .cayley import (
 )
 from .config import DEFAULT_BALL_CAP, DEFAULT_BASIS_CAP
 from .conjugacy import (
+    EXACT_SOLVERS,
     brute_force_conjugator,
-    free_group_conjugacy,
-    nilpotent_conjugator,
+    choose_solver,
     profile_conjugacy_bound,
 )
 from .errors import ConfigError, GgtError, ResourceCapError
-from .groups import FreeGroup, FreeProduct, TwoStepNilpotent, model_from_dict
+from .groups import FreeProduct, model_from_dict
 from .homology import (
     chain_identities,
     cyclic_quotient,
     hochschild_slice,
     homology_dims,
+    require_finite,
 )
 # Not used here: perfbench's tracer test wraps and restores this alias.
 from .homology import hochschild_boundary  # noqa: F401
 from .rdalgebra import SupportedVector, check_product_estimate, parse_bounding_function
 
 SCHEMA_VERSION = 1
-SOLVERS = ["auto", "brute", "free", "nilpotent"]
+SOLVERS = ["auto", "brute", *EXACT_SOLVERS]
 
 
 def _load_group(spec: str):
@@ -145,18 +146,31 @@ def _cmd_ball(args):
     )
 
 
+def _put_delta(results: dict, key: str, graph, seed: int, exhaustive=False, sample_vertices=64) -> bool:
+    """Store delta of ``graph`` under ``key``: swept when asked or when its
+    blocks fit the cap, otherwise over a vertex sample and labelled a lower
+    bound.  True when swept."""
+    exhaustive = exhaustive or exhaustive_fits(graph)
+    delta = estimate_delta_4point(graph, exhaustive=exhaustive, sample_vertices=sample_vertices, seed=seed)
+    results[key] = str(delta)
+    if not exhaustive:
+        results["lower_bound"] = True  # a vertex sample only bounds delta from below
+    return exhaustive
+
+
 def _cmd_graph(args):
     model = _load_group(args.group)
     b = ball(model, args.radius, cap=args.cap_ball)
     graph = cayley_graph(b)
-    delta = estimate_delta_4point(graph, seed=args.seed) if not args.no_delta else None
+    summary = graph.summary()
+    summary["delta_estimate"] = None
+    if not args.no_delta:
+        _put_delta(summary, "delta_estimate", graph, args.seed)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["vertex_a", "vertex_b", "weight"])
             writer.writerows(graph.edges)
-    summary = graph.summary()
-    summary["delta_estimate"] = str(delta) if delta is not None else None
     return _report("graph", {"group": model.to_dict(), "radius": args.radius}, summary)
 
 
@@ -164,13 +178,8 @@ def _cmd_delta(args):
     model = _load_group(args.group)
     b = ball(model, args.radius, cap=args.cap_ball)
     graph = cayley_graph(b)
-    exhaustive = args.exhaustive or exhaustive_fits(graph)
-    delta = estimate_delta_4point(
-        graph, exhaustive=exhaustive, sample_vertices=args.sample_vertices, seed=args.seed
-    )
-    results = {"delta": str(delta), "vertices": graph.n}
-    if not exhaustive:
-        results["lower_bound"] = True  # a vertex sample only bounds delta from below
+    results = {"vertices": graph.n}
+    exhaustive = _put_delta(results, "delta", graph, args.seed, args.exhaustive, args.sample_vertices)
     return _report(
         "delta",
         {
@@ -230,24 +239,12 @@ def _cmd_conj_solve(args):
     model = _load_group(args.group)
     u = model.parse_element(args.u)
     v = model.parse_element(args.v)
-    solver = args.solver
-    if solver == "auto":
-        if isinstance(model, FreeGroup):
-            solver = "free"
-        elif isinstance(model, TwoStepNilpotent):
-            solver = "nilpotent"
-        else:
-            solver = "brute"
-    if solver == "free":
-        if not isinstance(model, FreeGroup):
-            raise ConfigError("--solver free needs a free group")
-        result = free_group_conjugacy(model, u, v)
-    elif solver == "nilpotent":
-        if not isinstance(model, TwoStepNilpotent):
-            raise ConfigError("--solver nilpotent needs a two-step nilpotent group")
-        result = nilpotent_conjugator(model, u, v)
-    else:
+    solver = choose_solver(model, args.solver)
+    if solver is None:
+        solver = "brute"
         result = brute_force_conjugator(model, u, v, args.radius, ball_cap=args.cap_ball)
+    else:
+        result = EXACT_SOLVERS[solver][1](model, u, v)
     return _report(
         "conj",
         {
@@ -328,8 +325,7 @@ def _cmd_rd(args):
 
 def _cmd_homology(args):
     model = _load_group(args.group)
-    if not hasattr(model, "order"):
-        raise ConfigError("homology needs a finite group")
+    require_finite(model)  # before the --nmax default reads the order
     n_max = args.nmax
     if n_max is None:
         n_max = 3 if model.order <= 6 else 2

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cayley import Ball, ball
-from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, DEFAULT_RADIUS_CAP
+from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, DEFAULT_RADIUS_CAP, FIT_MAX_DEGREE
 from .errors import DomainError, UnsupportedCase
 from .exactla import reduce_by_kernel, solve_integer_system
 from .groups import (
@@ -190,16 +190,12 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
     and the particular solution is shrunk by kernel vectors before the
     witness is verified.
     """
-    if not isinstance(model, TwoStepNilpotent):
-        raise UnsupportedCase("nilpotent solver needs a two-step nilpotent model")
+    choose_solver(model, "nilpotent")  # UnsupportedCase unless model is two-step nilpotent
     model.validate_element(u)
     model.validate_element(v)
-    x, cu = u
-    y, cv = v
-    if x != y:
-        return ConjugacyResult(
-            NOT_CONJUGATE, certificate="abelianization mismatch: conjugation fixes the base image"
-        )
+    certificate = _negative_certificate(model, u, v)  # the base parts differ
+    if certificate is not None:
+        return ConjugacyResult(NOT_CONJUGATE, certificate=certificate)
     z, kernel = solve_integer_system(*nilpotent_central_system(model, u, v))
     if z is None:
         return ConjugacyResult(
@@ -219,8 +215,7 @@ def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyR
     so the shortest such w (the empty word when k = 0 matches) gives a
     witness of least length.
     """
-    if not isinstance(model, FreeGroup):
-        raise UnsupportedCase("free solver needs a free group model")
+    choose_solver(model, "free")  # UnsupportedCase unless model is a free group
     model.validate_element(u)
     model.validate_element(v)
     p1, c1 = cyclic_reduce(u)
@@ -236,6 +231,27 @@ def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyR
     k = min(shifts, key=lambda s: min(s, n - s))
     w = c1[:k] if k <= n - k else model.inverse(c1[k:])
     return verified_conjugate(model, u, v, model.multiply(model.multiply(p1, w), model.inverse(p2)))
+
+
+# Each exact solver by its ``--solver`` name: the model class it decides and
+# the solver.  ``brute`` names the ball scan, which takes any model.
+EXACT_SOLVERS = {
+    "free": (FreeGroup, free_group_conjugacy),
+    "nilpotent": (TwoStepNilpotent, nilpotent_conjugator),
+}
+
+
+def choose_solver(model: GroupModel, solver: str) -> Optional[str]:
+    """The exact solver that ``solver`` names for ``model``, None for the ball
+    scan: ``auto`` takes the one of the model's class, if any, and a named
+    solver that does not fit the model raises UnsupportedCase."""
+    if solver == "auto":
+        return next((n for n, (cls, _) in EXACT_SOLVERS.items() if isinstance(model, cls)), None)
+    if solver == "brute":
+        return None
+    if solver not in EXACT_SOLVERS or not isinstance(model, EXACT_SOLVERS[solver][0]):
+        raise UnsupportedCase(f"solver {solver!r} does not apply to {model!r}")
+    return solver
 
 
 # ---------------------------------------------------------------------------
@@ -433,41 +449,34 @@ def _scan_chunk(model, base: Ball, keys: list, buckets: dict, conjugators: list)
 
 
 def _exact_solver_for(model: GroupModel):
-    if isinstance(model, FreeGroup):
-        return lambda u, v: free_group_conjugacy(model, u, v)
-    if isinstance(model, TwoStepNilpotent):
-        return lambda u, v: nilpotent_conjugator(model, u, v)
+    """A decider of conjugacy in ``model``, or None.  Abelian conjugacy is
+    equality, which ``brute_force_conjugator`` certifies before it builds a
+    ball, and the whole ball of a finite group exhausts it."""
+    name = choose_solver(model, "auto")
+    if name is not None:
+        solve = EXACT_SOLVERS[name][1]
+        return lambda u, v: solve(model, u, v)
     if isinstance(model, FreeAbelian):
-        return lambda u, v: (
-            verified_conjugate(model, u, v, model.identity())
-            if u == v
-            else ConjugacyResult(NOT_CONJUGATE, certificate="abelian")
-        )
+        return lambda u, v: brute_force_conjugator(model, u, v, 0)
     if isinstance(model, FiniteGroup):
         full = ball(model, model.order)
         return lambda u, v: brute_force_conjugator(model, u, v, model.order, search_ball=full)
     return None
 
 
-def fit_dominating_bound(
-    records: Sequence[ProfileRecord],
-    *,
-    fit_cap: Fraction = DEFAULT_FIT_CAP,
-    max_degree: int = 6,
-) -> ProfileFit:
-    """Least degree d with min_length <= A (1 + input_length)^d for all
-    records and minimized A <= fit_cap."""
-    per_degree = {}
-    for d in range(max_degree + 1):
-        A = Fraction(0)
-        for rec in records:
-            need = Fraction(rec.min_conjugator_length, (1 + rec.input_length) ** d)
-            if need > A:
-                A = need
-        per_degree[d] = A
-    for d in range(max_degree + 1):
-        if per_degree[d] <= fit_cap:
-            return ProfileFit(d, per_degree[d], per_degree, True)
+def fit_dominating_bound(records: Sequence[ProfileRecord]) -> ProfileFit:
+    """Least degree d <= FIT_MAX_DEGREE with min_length <= A (1 + input_length)^d
+    for all records and minimized A <= DEFAULT_FIT_CAP."""
+    per_degree = {
+        d: max(
+            (Fraction(r.min_conjugator_length, (1 + r.input_length) ** d) for r in records),
+            default=Fraction(0),
+        )
+        for d in range(FIT_MAX_DEGREE + 1)
+    }
+    for d, A in per_degree.items():
+        if A <= DEFAULT_FIT_CAP:
+            return ProfileFit(d, A, per_degree, True)
     return ProfileFit(None, None, per_degree, False)
 
 
@@ -477,8 +486,6 @@ def profile_conjugacy_bound(
     solver: str = "auto",
     *,
     slack: int = 2,
-    fit_cap: Fraction = DEFAULT_FIT_CAP,
-    max_degree: int = 6,
     ball_cap: int = DEFAULT_BALL_CAP,
     base_ball: Optional[Ball] = None,
     search_ball: Optional[Ball] = None,
@@ -486,54 +493,48 @@ def profile_conjugacy_bound(
     """Minimal conjugator lengths for every conjugate pair in the ball.
 
     Only pairs with equal conjugacy keys are examined.  Free groups take
-    each pair's minimal witness from the exact solver and keep it when it
-    lies within the search radius (2*radius + slack, or the radius of the
-    given search ball).  Other models scan the
-    search ball in BFS order, one element per coset of the central
-    coordinates; their exact solver (chosen per model) then reports the
-    conjugate pairs whose witnesses exceeded the search radius, so nothing
-    is dropped silently.  ``solver='brute'`` scans the whole search ball
-    over all pairs, with no keys, cosets or exact solver: the oracle.
+    each pair's minimal witness from the free solver and keep it when it
+    lies within the search radius (that of the given search ball, else
+    2*radius + slack).  Other models scan the search ball in BFS order, one
+    element per coset of the central coordinates; their exact solver then
+    reports the conjugate pairs whose witnesses exceeded the search radius,
+    so nothing is dropped silently.  ``solver='brute'`` scans the whole
+    search ball over all pairs, with no keys, cosets or exact solver: the
+    oracle.  A solver that does not fit the model raises UnsupportedCase.
     """
-    if solver not in ("auto", "brute"):
-        wanted = {"free": FreeGroup, "nilpotent": TwoStepNilpotent}.get(solver)
-        if wanted is None or not isinstance(model, wanted):
-            raise DomainError(f"solver {solver!r} does not apply to {model!r}")
+    name = choose_solver(model, solver)
     brute = solver == "brute"
     notes: list[str] = []
     b = base_ball if base_ball is not None else ball(model, radius, cap=ball_cap)
-    search_radius = 2 * radius + slack
+    search_radius = search_ball.radius if search_ball is not None else 2 * radius + slack
     keys = [None if brute else _conjugacy_key(model, u) for u in b.elements]
     buckets: dict = {}
     for vi, v in enumerate(b.elements):
         buckets.setdefault(keys[vi], {})[v] = vi
 
     exact = None if brute else _exact_solver_for(model)
-    unknown_pairs = []
-    if isinstance(model, FreeGroup) and exact is not None:
-        limit = search_ball.radius if search_ball is not None else search_radius
-        found = {}
-        for ui, u in enumerate(b.elements):
-            for v, vi in buckets[keys[ui]].items():
-                res = exact(u, v)  # equal keys: conjugate, with a minimal witness
-                if res.witness_length <= limit:
-                    found[ui, vi] = (res.witness_length, res.witness)
-                else:
-                    unknown_pairs.append((u, v))
+    if name == "free":
+        found = {}  # equal keys: conjugate, and the free solver's witness is minimal
     else:
         sb = search_ball if search_ball is not None else ball(model, search_radius, cap=ball_cap)
         conjugators = list(zip(sb.lengths, sb.elements)) if brute else _central_coset_reps(model, sb)
         found = _scan_chunk(model, b, keys, buckets, conjugators)
-        if exact is not None:
-            for ui, u in enumerate(b.elements):
-                for v, vi in buckets[keys[ui]].items():
-                    if (ui, vi) not in found and exact(u, v).is_conjugate:
-                        unknown_pairs.append((u, v))
-        elif not brute:
-            notes.append(
-                "no exact solver for this model: pairs beyond the search radius "
-                "are undetectable and are not reported"
-            )
+    unknown_pairs = []
+    if exact is not None:
+        for ui, u in enumerate(b.elements):
+            for v, vi in buckets[keys[ui]].items():
+                if (ui, vi) in found:
+                    continue
+                res = exact(u, v)
+                if name == "free" and res.witness_length <= search_radius:
+                    found[ui, vi] = (res.witness_length, res.witness)
+                elif res.is_conjugate:
+                    unknown_pairs.append((u, v))
+    elif not brute:
+        notes.append(
+            "no exact solver for this model: pairs beyond the search radius "
+            "are undetectable and are not reported"
+        )
 
     # connected components of the found pairs = conjugacy classes in the ball
     parent = list(range(len(b.elements)))
@@ -563,13 +564,5 @@ def profile_conjugacy_bound(
         )
     records.sort(key=lambda r: (r.input_length, b.index[r.u], b.index[r.v]))
 
-    fit = fit_dominating_bound(records, fit_cap=fit_cap, max_degree=max_degree)
-    return ProfileResult(
-        model=model,
-        radius=radius,
-        search_radius=search_radius,
-        records=records,
-        fit=fit,
-        unknown_pairs=unknown_pairs,
-        notes=notes,
-    )
+    fit = fit_dominating_bound(records)
+    return ProfileResult(model, radius, search_radius, records, fit, unknown_pairs, notes)

@@ -302,8 +302,9 @@ def solve_integer_system(A: list[list[int]], b: list[int]):
     return z, kernel
 
 
-def reduce_by_kernel(z: list[int], kernel: list[list[int]], passes: int = 4) -> list[int]:
-    """Greedily shrink the l1 norm of z by integer multiples of kernel vectors.
+def reduce_by_kernel(z: list[int], kernel: list[list[int]]) -> list[int]:
+    """Greedily shrink the l1 norm of z by integer multiples of kernel vectors,
+    in at most four passes over the kernel.
 
     No lattice reduction is attempted; adequacy is established by tests, not
     assumed.
@@ -313,7 +314,7 @@ def reduce_by_kernel(z: list[int], kernel: list[list[int]], passes: int = 4) -> 
     def l1(v):
         return sum(abs(x) for x in v)
 
-    for _ in range(passes):
+    for _ in range(4):
         improved = False
         for k in kernel:
             sq = sum(x * x for x in k)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .cayley import ball
 from .config import DEFAULT_BASIS_CAP
-from .errors import DomainError, PartitionViolation, ResourceCapError
+from .errors import ConfigError, DomainError, PartitionViolation, ResourceCapError
 from .exactla import SparseRationalMatrix
 from .groups import FiniteGroup, GroupModel, exact_length
 
@@ -39,8 +39,15 @@ class ConjClassTable:
         return len(self.classes)
 
 
+def require_finite(model: GroupModel) -> None:
+    """The complexes span all tuples of group elements: a finite group only."""
+    if not isinstance(model, FiniteGroup):
+        raise ConfigError("homology needs a finite group")
+
+
 def conj_classes(model: FiniteGroup) -> ConjClassTable:
     """Exact conjugacy partition with centralizer orders, by exhaustive scan."""
+    require_finite(model)
     order = model.order
     class_of = [-1] * order
     classes = []
@@ -82,12 +89,14 @@ class TupleBasis:
     where: dict
 
 
-def _hochschild_bases(model: FiniteGroup, n_max: int, class_of: tuple, basis_cap: int) -> list:
+def _hochschild_bases(model: FiniteGroup, n_max: int, class_of: Optional[tuple], basis_cap: int) -> list:
     """Tuple bases of degrees 0..n_max, split by ``class_of`` of the tuple
-    product.  All of one class when ``class_of`` is all zeros."""
+    product.  All of one class when ``class_of`` is None."""
+    require_finite(model)
     if n_max < 0:
         raise DomainError("degree must be >= 0")
     o, dim = model.order, model.order ** (n_max + 1)
+    class_of = class_of or (0,) * o
     if dim > basis_cap:
         raise ResourceCapError(f"basis of degree {n_max} has {dim} tuples, over cap {basis_cap}")
     tuples, products = [()], [0]
@@ -103,10 +112,6 @@ def _hochschild_bases(model: FiniteGroup, n_max: int, class_of: tuple, basis_cap
             blocks[c].append(t)
         bases.append(TupleBasis(blocks, where))
     return bases
-
-
-def _whole_bases(model: FiniteGroup, n: int, basis_cap: int) -> list:
-    return _hochschild_bases(model, n, (0,) * model.order, basis_cap)
 
 
 def _cyclic_bases(hochschild: list) -> list:
@@ -203,7 +208,7 @@ def hochschild_boundary(
     if n < 1:
         raise DomainError("the boundary map needs degree >= 1")
     if bases is None:
-        bases = _whole_bases(model, n, basis_cap)
+        bases = _hochschild_bases(model, n, None, basis_cap)
     return _assemble(model, _b_faces, bases[n].blocks[c], bases[n - 1], c)
 
 
@@ -223,7 +228,7 @@ def connes_B(
     if n < 0:
         raise DomainError("degree must be >= 0")
     if bases is None:
-        bases = _whole_bases(model, n + 1, basis_cap)
+        bases = _hochschild_bases(model, n + 1, None, basis_cap)
     return _assemble(model, _B_faces, bases[n].blocks[c], bases[n + 1], c)
 
 
@@ -232,7 +237,7 @@ def tau_matrix(
 ) -> SparseRationalMatrix:
     """The signed cyclic rotation (-1)^n (g_n, g_0,..,g_(n-1)) on C_n."""
     if bases is None:
-        bases = _whole_bases(model, n, basis_cap)
+        bases = _hochschild_bases(model, n, None, basis_cap)
     return _assemble(model, _tau_faces, bases[n].blocks[c], bases[n], c)
 
 

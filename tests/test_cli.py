@@ -169,6 +169,28 @@ def test_delta_sampled_report_is_labelled_a_lower_bound(capsys):
     assert payload["results"]["lower_bound"] is True
 
 
+def test_graph_labels_a_sampled_delta_a_lower_bound(capsys):
+    group = '{"type":"free_abelian","rank":2}'
+    code, out, _ = run_cli(capsys, ["graph", "--group", group, "--radius", "10"])
+    assert code == 0
+    graph = json.loads(out)["results"]
+    code, out, _ = run_cli(capsys, ["delta", "--group", group, "--radius", "10"])
+    assert code == 0
+    delta = json.loads(out)
+    assert delta["inputs"]["mode"] == "sampled"
+    assert graph["delta_estimate"] == delta["results"]["delta"]
+    assert graph["lower_bound"] is True
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-delta"]], ids=["exact", "no-delta"])
+def test_graph_without_a_sampled_delta_has_no_bound_label(capsys, extra):
+    code, out, _ = run_cli(capsys, ["graph", "--group", "Z6", "--radius", "6"] + extra)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["delta_estimate"] == (None if extra else "1")
+    assert "lower_bound" not in results
+
+
 def test_delta_is_exhaustive_when_every_block_fits_the_cap(capsys):
     # F2 r=5: 485 vertices, but a tree, so every block is one edge
     code, out, _ = run_cli(
@@ -282,6 +304,24 @@ def test_profile_solver_for_another_model_exits_1(capsys):
     code, _, err = run_cli(capsys, ["profile", "--group", "Z6", "--radius", "1", "--solver", "free"])
     assert code == 1
     assert "does not apply" in err
+
+
+@pytest.mark.parametrize(
+    "group,element,solver",
+    [("Z6", "1", "free"), ('{"type":"free","rank":2}', "a", "nilpotent")],
+    ids=["free-on-Z6", "nilpotent-on-F2"],
+)
+def test_misfit_solver_is_one_domain_error(capsys, group, element, solver):
+    errors = []
+    for argv in (
+        ["conj", "solve", "--group", group, "--u", element, "--v", element, "--solver", solver],
+        ["profile", "--group", group, "--radius", "1", "--solver", solver],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert f"solver {solver!r} does not apply" in errors[0]
 
 
 def _readme_cli_lines():

@@ -20,6 +20,7 @@ from ggtkit.conjugacy import (
     nilpotent_conjugator,
     profile_conjugacy_bound,
 )
+from ggtkit.errors import UnsupportedCase
 from ggtkit.groups import (
     FiniteGroup,
     FreeAbelian,
@@ -177,6 +178,16 @@ def test_nilpotent_agrees_with_brute_force_on_ball(heis_ball10):
 
 
 # -- free solver --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "solve,model,u",
+    [(free_group_conjugacy, HEIS, ((1, 0), (0,))), (nilpotent_conjugator, F2, (1,))],
+    ids=["free-on-Heisenberg", "nilpotent-on-F2"],
+)
+def test_exact_solver_rejects_another_model(solve, model, u):
+    with pytest.raises(UnsupportedCase, match="does not apply"):
+        solve(model, u, u)
 
 
 def test_free_solver_examples():
@@ -519,6 +530,18 @@ def test_profile_matches_brute_force_oracle(model, radius, slack):
         assert model.conjugate(rec.witness, rec.u) == rec.v
     brute = profile_conjugacy_bound(model, radius, "brute", slack=slack, search_ball=search)
     assert summary(brute) == expect
+
+
+@pytest.mark.parametrize(
+    "model,radius", [(F2, 2), (HEIS, 2), (symmetric_group_3(), 1)], ids=["F2", "Heisenberg", "S3"]
+)
+def test_profile_search_radius_is_the_given_ball_radius(model, radius):
+    # a search ball of radius 2*radius + 1 acts as slack 1, not the default slack 2
+    given = profile_conjugacy_bound(model, radius, search_ball=ball(model, 2 * radius + 1))
+    slack_one = profile_conjugacy_bound(model, radius, slack=1)
+    assert given.search_radius == slack_one.search_radius == 2 * radius + 1
+    assert given.records == slack_one.records
+    assert given.unknown_pairs == slack_one.unknown_pairs
 
 
 @pytest.mark.parametrize("G", [symmetric_group_3(), cyclic_group(4)], ids=["S3", "Z4"])

@@ -12,7 +12,7 @@ import pytest
 import ggtkit.homology
 from ggtkit.cli import run
 from ggtkit.config import DEFAULT_BASIS_CAP
-from ggtkit.errors import DomainError, PartitionViolation, ResourceCapError
+from ggtkit.errors import ConfigError, DomainError, PartitionViolation, ResourceCapError
 from ggtkit.exactla import SparseRationalMatrix, bareiss_rank
 from ggtkit.groups import FiniteGroup, FreeAbelian, FreeGroup, cyclic_group, symmetric_group_3
 from ggtkit.homology import (
@@ -292,6 +292,24 @@ def test_z2_rank_b1_gives_hh0():
 def test_basis_cap_enforced():
     with pytest.raises(ResourceCapError):
         hochschild_boundary(S3, 3, basis_cap=100)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda G: hochschild_slice(G, 2),
+        conj_classes,
+        lambda G: hochschild_boundary(G, 1),
+        lambda G: connes_B(G, 0),
+        lambda G: tau_matrix(G, 1),
+        lambda G: decomposition_maps(G, 0, 1),
+    ],
+    ids=["slice", "classes", "boundary", "connes_B", "tau", "decomposition"],
+)
+@pytest.mark.parametrize("G", [FreeGroup(2), FreeAbelian(2)], ids=["F2", "Z2"])
+def test_infinite_group_is_a_config_error(build, G):
+    with pytest.raises(ConfigError, match="homology needs a finite group"):
+        build(G)
 
 
 # -- homology dimensions ------------------------------------------------------------
