@@ -30,9 +30,10 @@ from .cayley import (
 )
 from .config import DEFAULT_BALL_CAP, DEFAULT_BASIS_CAP
 from .conjugacy import (
-    EXACT_SOLVERS,
+    CONJUGACY,
     brute_force_conjugator,
     choose_solver,
+    conjugacy_entry,
     profile_conjugacy_bound,
 )
 from .errors import ConfigError, GgtError, ResourceCapError
@@ -49,7 +50,7 @@ from .homology import hochschild_boundary  # noqa: F401
 from .rdalgebra import SupportedVector, check_product_estimate, parse_bounding_function
 
 SCHEMA_VERSION = 1
-SOLVERS = ["auto", "brute", *EXACT_SOLVERS]
+SOLVERS = ["auto", "brute", *(e.solver for e in CONJUGACY.values() if e.solver)]
 
 
 def _load_group(spec: str):
@@ -244,7 +245,7 @@ def _cmd_conj_solve(args):
         solver = "brute"
         result = brute_force_conjugator(model, u, v, args.radius, ball_cap=args.cap_ball)
     else:
-        result = EXACT_SOLVERS[solver][1](model, u, v)
+        result = conjugacy_entry(model).decide(model, u, v)
     return _report(
         "conj",
         {

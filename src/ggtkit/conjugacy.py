@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cayley import Ball, ball
 from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, DEFAULT_RADIUS_CAP, FIT_MAX_DEGREE
@@ -61,21 +61,12 @@ class ConjugacyResult:
         return out
 
 
-def _length_hint(model: GroupModel, g: Element) -> int:
-    # a radius certain to contain g: spell every coordinate as a letter
-    if isinstance(model, TwoStepNilpotent):
-        return sum(abs(v) for v in g[0]) + sum(abs(v) for v in g[1])
-    if isinstance(model, FiniteGroup):
-        return model.order
-    return DEFAULT_RADIUS_CAP
-
-
-def verified_conjugate(model: GroupModel, u: Element, v: Element, g: Element) -> ConjugacyResult:
-    """Wrap a witness after re-checking g^-1 u g = v by exact multiplication."""
+def verified_conjugate(model: GroupModel, u: Element, v: Element, g: Element, cap: int) -> ConjugacyResult:
+    """Wrap a witness after re-checking g^-1 u g = v by exact multiplication;
+    ``cap`` is a radius certain to contain g."""
     if model.conjugate(g, u) != v:
         raise DomainError("internal error: witness fails verification")
-    length = exact_length(model, g, _length_hint(model, g))
-    return ConjugacyResult(CONJUGATE, witness=g, witness_length=length)
+    return ConjugacyResult(CONJUGATE, witness=g, witness_length=exact_length(model, g, cap))
 
 
 def _exponent_sums(rank: int, word) -> tuple:
@@ -85,20 +76,11 @@ def _exponent_sums(rank: int, word) -> tuple:
     return tuple(sums)
 
 
-def _negative_certificate(model: GroupModel, u: Element, v: Element) -> Optional[str]:
-    """A proof that u and v cannot be conjugate, when one is cheap."""
-    if isinstance(model, FreeAbelian):
-        return None if u == v else "abelian group: conjugacy is equality"
-    if isinstance(model, TwoStepNilpotent):
-        if u[0] != v[0]:
-            return "abelianization mismatch: conjugation fixes the base image"
-        return None
-    if isinstance(model, FreeGroup):
-        if _exponent_sums(model.rank, u) != _exponent_sums(model.rank, v):
-            return "abelianization mismatch: exponent sums differ"
-        if len(cyclic_reduce(u)[1]) != len(cyclic_reduce(v)[1]):
-            return "cyclic reduction lengths differ"
-        return None
+def _free_certificate(model: FreeGroup, u: Element, v: Element) -> Optional[str]:
+    if _exponent_sums(model.rank, u) != _exponent_sums(model.rank, v):
+        return "abelianization mismatch: exponent sums differ"
+    if len(cyclic_reduce(u)[1]) != len(cyclic_reduce(v)[1]):
+        return "cyclic reduction lengths differ"
     return None
 
 
@@ -115,8 +97,8 @@ def brute_force_conjugator(
     model.validate_element(u)
     model.validate_element(v)
     if u == v:
-        return verified_conjugate(model, u, v, model.identity())
-    certificate = _negative_certificate(model, u, v)
+        return verified_conjugate(model, u, v, model.identity(), 0)
+    certificate = conjugacy_entry(model).certificate(model, u, v)
     if certificate is not None:
         return ConjugacyResult(NOT_CONJUGATE, certificate=certificate)
     sb = search_ball if search_ball is not None else ball(model, radius, cap=ball_cap)
@@ -125,7 +107,7 @@ def brute_force_conjugator(
             return ConjugacyResult(
                 CONJUGATE, witness=g, witness_length=sb.lengths[gi], searched_radius=sb.radius
             )
-    if isinstance(model, FiniteGroup) and len(sb.elements) == model.order:
+    if len(sb.elements) == model.order:
         return ConjugacyResult(
             NOT_CONJUGATE, searched_radius=sb.radius, certificate="exhausted finite group"
         )
@@ -140,24 +122,11 @@ def bounded_conjugacy(
     *,
     length_cap: int = DEFAULT_RADIUS_CAP,
     ball_cap: int = DEFAULT_BALL_CAP,
-    theory_backed: bool = False,
 ) -> ConjugacyResult:
-    """Brute-force search out to radius bound(L(u) + L(v)).
-
-    With ``theory_backed=True`` the caller asserts the model provably has a
-    solvable conjugacy bound with this function, upgrading Unknown to a
-    flagged NotConjugate.
-    """
+    """Brute-force search out to radius bound(L(u) + L(v))."""
     total = exact_length(model, u, length_cap) + exact_length(model, v, length_cap)
     radius = int(math.ceil(bound(total)))
-    result = brute_force_conjugator(model, u, v, radius, ball_cap=ball_cap)
-    if result.status == UNKNOWN and theory_backed:
-        return ConjugacyResult(
-            NOT_CONJUGATE,
-            searched_radius=result.searched_radius,
-            certificate="theory-backed: search exhausted the guaranteed bound",
-        )
-    return result
+    return brute_force_conjugator(model, u, v, radius, ball_cap=ball_cap)
 
 
 def nilpotent_central_system(
@@ -190,10 +159,10 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
     and the particular solution is shrunk by kernel vectors before the
     witness is verified.
     """
-    choose_solver(model, "nilpotent")  # UnsupportedCase unless model is two-step nilpotent
+    entry = _fitting_entry(model, "nilpotent")
     model.validate_element(u)
     model.validate_element(v)
-    certificate = _negative_certificate(model, u, v)  # the base parts differ
+    certificate = entry.certificate(model, u, v)  # the base parts differ
     if certificate is not None:
         return ConjugacyResult(NOT_CONJUGATE, certificate=certificate)
     z, kernel = solve_integer_system(*nilpotent_central_system(model, u, v))
@@ -202,8 +171,8 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
             NOT_CONJUGATE, certificate="central linear system unsolvable over Z"
         )
     z = reduce_by_kernel(z, kernel)
-    witness = (tuple(z), (0,) * model.n)
-    return verified_conjugate(model, u, v, witness)
+    # the word prod a_i^{z_i} spells the witness, so its length is at most |z|_1
+    return verified_conjugate(model, u, v, (tuple(z), (0,) * model.n), sum(map(abs, z)))
 
 
 def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyResult:
@@ -215,7 +184,7 @@ def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyR
     so the shortest such w (the empty word when k = 0 matches) gives a
     witness of least length.
     """
-    choose_solver(model, "free")  # UnsupportedCase unless model is a free group
+    _fitting_entry(model, "free")
     model.validate_element(u)
     model.validate_element(v)
     p1, c1 = cyclic_reduce(u)
@@ -230,28 +199,94 @@ def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyR
         )
     k = min(shifts, key=lambda s: min(s, n - s))
     w = c1[:k] if k <= n - k else model.inverse(c1[k:])
-    return verified_conjugate(model, u, v, model.multiply(model.multiply(p1, w), model.inverse(p2)))
+    g = model.multiply(model.multiply(p1, w), model.inverse(p2))
+    return verified_conjugate(model, u, v, g, DEFAULT_RADIUS_CAP)
 
 
-# Each exact solver by its ``--solver`` name: the model class it decides and
-# the solver.  ``brute`` names the ball scan, which takes any model.
-EXACT_SOLVERS = {
-    "free": (FreeGroup, free_group_conjugacy),
-    "nilpotent": (TwoStepNilpotent, nilpotent_conjugator),
+def _free_key(model: FreeGroup, u: Element):
+    core = cyclic_reduce(u)[1]
+    return min((core[k:] + core[:k] for k in range(len(core))), default=core)
+
+
+@dataclass(frozen=True)
+class ConjugacyEntry:
+    """What the solvers and the profiler know of conjugacy in one model class.
+
+    ``key(model, u)`` is an invariant of u's conjugacy class; ``complete``:
+    equal keys also imply conjugacy.  ``certificate(model, u, v)`` is a cheap
+    proof that u and v are not conjugate, or None.  ``centre(model, g)`` is
+    g's coset of a central subgroup, on which g^-1 u g alone depends.
+    ``decide(model, u, v)`` is the exact decider that ``--solver <solver>``
+    names; ``minimal``: its witnesses have least length.
+    """
+
+    key: Callable
+    complete: bool = False
+    certificate: Callable = lambda model, u, v: None
+    centre: Callable = lambda model, g: g
+    solver: Optional[str] = None
+    decide: Optional[Callable] = None
+    minimal: bool = False
+
+
+# No invariant and no decider: every element shares one key.
+_GENERIC = ConjugacyEntry(key=lambda model, u: None)
+
+# One entry per model class; ``brute`` names the ball scan, which takes any model.
+CONJUGACY = {
+    FreeGroup: ConjugacyEntry(
+        key=_free_key,  # the least rotation of the cyclic core
+        complete=True,
+        certificate=_free_certificate,
+        solver="free",
+        decide=free_group_conjugacy,
+        minimal=True,
+    ),
+    TwoStepNilpotent: ConjugacyEntry(
+        key=lambda model, u: u[0],  # conjugation fixes the base part
+        certificate=lambda model, u, v: (
+            None if u[0] == v[0] else "abelianization mismatch: conjugation fixes the base image"
+        ),
+        centre=lambda model, g: g[0],
+        solver="nilpotent",
+        decide=nilpotent_conjugator,
+    ),
+    FreeAbelian: ConjugacyEntry(
+        key=lambda model, u: u,
+        complete=True,
+        certificate=lambda model, u, v: None if u == v else "abelian group: conjugacy is equality",
+        centre=lambda model, g: (),
+    ),
+    FiniteGroup: ConjugacyEntry(
+        key=lambda model, u: min(model.conjugate(h, u) for h in range(model.order)),
+        complete=True,
+    ),
+    FreeProduct: _GENERIC,
 }
+
+
+def conjugacy_entry(model: GroupModel) -> ConjugacyEntry:
+    """The entry of the model's class; a class outside the table is generic."""
+    return CONJUGACY.get(type(model), _GENERIC)
+
+
+def _fitting_entry(model: GroupModel, solver: str) -> ConjugacyEntry:
+    """The model's entry, if its exact decider is the one ``solver`` names."""
+    entry = CONJUGACY.get(type(model), _GENERIC)
+    if entry.solver != solver:
+        raise UnsupportedCase(f"solver {solver!r} does not apply to {model!r}")
+    return entry
 
 
 def choose_solver(model: GroupModel, solver: str) -> Optional[str]:
     """The exact solver that ``solver`` names for ``model``, None for the ball
-    scan: ``auto`` takes the one of the model's class, if any, and a named
+    scan: ``auto`` takes the one of the model's entry, if any, and a named
     solver that does not fit the model raises UnsupportedCase."""
-    if solver == "auto":
-        return next((n for n, (cls, _) in EXACT_SOLVERS.items() if isinstance(model, cls)), None)
     if solver == "brute":
         return None
-    if solver not in EXACT_SOLVERS or not isinstance(model, EXACT_SOLVERS[solver][0]):
-        raise UnsupportedCase(f"solver {solver!r} does not apply to {model!r}")
-    return solver
+    if solver == "auto":
+        return conjugacy_entry(model).solver
+    return _fitting_entry(model, solver).solver
 
 
 # ---------------------------------------------------------------------------
@@ -390,47 +425,6 @@ class ProfileResult:
         return rows
 
 
-def _conjugacy_key(model: GroupModel, u: Element):
-    """An invariant shared by conjugate elements; only pairs with equal keys
-    can be conjugate.
-
-    Free groups: the least rotation of the cyclic core, which is complete
-    (equal keys iff conjugate).  Two-step nilpotent: the base part, which
-    conjugation fixes.  Free abelian: the element.  Finite groups: the least
-    element of the conjugacy class, also complete.  Every other model puts
-    all elements in one bucket.
-    """
-    if isinstance(model, FreeGroup):
-        core = cyclic_reduce(u)[1]
-        return min((core[k:] + core[:k] for k in range(len(core))), default=core)
-    if isinstance(model, TwoStepNilpotent):
-        return u[0]
-    if isinstance(model, FreeAbelian):
-        return u
-    if isinstance(model, FiniteGroup):
-        return min(model.conjugate(h, u) for h in range(model.order))
-    return None
-
-
-def _central_coset_reps(model: GroupModel, sb: Ball) -> list:
-    """(length, g) for the first search-ball element of each coset of the
-    central coordinates, in BFS order.
-
-    g^-1 u g depends only on that coset, and the first element of a coset is
-    its shortest, so scanning the representatives finds the same first
-    witness as scanning the whole ball.
-    """
-    if isinstance(model, FreeAbelian):
-        return [(sb.lengths[0], sb.elements[0])]
-    pairs = zip(sb.lengths, sb.elements)
-    if not isinstance(model, TwoStepNilpotent):
-        return list(pairs)
-    reps: dict = {}
-    for length, g in pairs:
-        reps.setdefault(g[0], (length, g))
-    return list(reps.values())
-
-
 def _scan_chunk(model, base: Ball, keys: list, buckets: dict, conjugators: list) -> dict:
     """(ui, vi) -> the first (length, g) of ``conjugators`` with g^-1 u g = v,
     where v ranges over the base-ball elements that share u's key."""
@@ -449,19 +443,9 @@ def _scan_chunk(model, base: Ball, keys: list, buckets: dict, conjugators: list)
 
 
 def _exact_solver_for(model: GroupModel):
-    """A decider of conjugacy in ``model``, or None.  Abelian conjugacy is
-    equality, which ``brute_force_conjugator`` certifies before it builds a
-    ball, and the whole ball of a finite group exhausts it."""
-    name = choose_solver(model, "auto")
-    if name is not None:
-        solve = EXACT_SOLVERS[name][1]
-        return lambda u, v: solve(model, u, v)
-    if isinstance(model, FreeAbelian):
-        return lambda u, v: brute_force_conjugator(model, u, v, 0)
-    if isinstance(model, FiniteGroup):
-        full = ball(model, model.order)
-        return lambda u, v: brute_force_conjugator(model, u, v, model.order, search_ball=full)
-    return None
+    """The exact decider of the model's entry, bound to the model, or None."""
+    decide = conjugacy_entry(model).decide
+    return None if decide is None else lambda u, v: decide(model, u, v)
 
 
 def fit_dominating_bound(records: Sequence[ProfileRecord]) -> ProfileFit:
@@ -492,43 +476,52 @@ def profile_conjugacy_bound(
 ) -> ProfileResult:
     """Minimal conjugator lengths for every conjugate pair in the ball.
 
-    Only pairs with equal conjugacy keys are examined.  Free groups take
-    each pair's minimal witness from the free solver and keep it when it
-    lies within the search radius (that of the given search ball, else
-    2*radius + slack).  Other models scan the search ball in BFS order, one
-    element per coset of the central coordinates; their exact solver then
-    reports the conjugate pairs whose witnesses exceeded the search radius,
-    so nothing is dropped silently.  ``solver='brute'`` scans the whole
-    search ball over all pairs, with no keys, cosets or exact solver: the
-    oracle.  A solver that does not fit the model raises UnsupportedCase.
+    Only pairs with equal conjugacy keys are examined.  A model whose
+    decider gives minimal witnesses (free groups) takes each pair's witness
+    from it and keeps it when it lies within the search radius (that of the
+    given search ball, else 2*radius + slack).  Other models scan the search
+    ball in BFS order, one element per central coset; pairs the scan missed
+    are reported as unknown when a complete key or the exact decider shows
+    them conjugate, so nothing is dropped silently.  ``solver='brute'``
+    scans the whole search ball over all pairs, with no keys, cosets or
+    decider: the oracle.  A solver that does not fit the model raises
+    UnsupportedCase.
     """
-    name = choose_solver(model, solver)
+    choose_solver(model, solver)  # UnsupportedCase when the solver does not fit
+    search_radius = search_ball.radius if search_ball is not None else 2 * radius + slack
+    if search_radius < 0:
+        raise DomainError("radius must be >= 0")
     brute = solver == "brute"
+    entry = conjugacy_entry(model)
     notes: list[str] = []
     b = base_ball if base_ball is not None else ball(model, radius, cap=ball_cap)
-    search_radius = search_ball.radius if search_ball is not None else 2 * radius + slack
-    keys = [None if brute else _conjugacy_key(model, u) for u in b.elements]
+    keys = [None if brute else entry.key(model, u) for u in b.elements]
     buckets: dict = {}
     for vi, v in enumerate(b.elements):
         buckets.setdefault(keys[vi], {})[v] = vi
 
     exact = None if brute else _exact_solver_for(model)
-    if name == "free":
-        found = {}  # equal keys: conjugate, and the free solver's witness is minimal
+    if exact is not None and entry.minimal:
+        found = {}  # the decider's witnesses are minimal: no scan
     else:
         sb = search_ball if search_ball is not None else ball(model, search_radius, cap=ball_cap)
-        conjugators = list(zip(sb.lengths, sb.elements)) if brute else _central_coset_reps(model, sb)
-        found = _scan_chunk(model, b, keys, buckets, conjugators)
+        # g^-1 u g depends only on g's central coset, and the first element
+        # of a coset in BFS order is its shortest: scanning one per coset
+        # finds the same first witness as scanning the whole ball
+        reps: dict = {}
+        for length, g in zip(sb.lengths, sb.elements):
+            reps.setdefault(g if brute else entry.centre(model, g), (length, g))
+        found = _scan_chunk(model, b, keys, buckets, list(reps.values()))
     unknown_pairs = []
-    if exact is not None:
+    if exact is not None or (entry.complete and not brute):
         for ui, u in enumerate(b.elements):
             for v, vi in buckets[keys[ui]].items():
                 if (ui, vi) in found:
                     continue
-                res = exact(u, v)
-                if name == "free" and res.witness_length <= search_radius:
+                res = None if exact is None else exact(u, v)
+                if entry.minimal and res.witness_length <= search_radius:
                     found[ui, vi] = (res.witness_length, res.witness)
-                elif res.is_conjugate:
+                elif res is None or res.is_conjugate:  # None: equal complete keys
                     unknown_pairs.append((u, v))
     elif not brute:
         notes.append(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ggtkit.cli import run
+from ggtkit.cli import SOLVERS, run
 from ggtkit.groups import heisenberg_group
 
 
@@ -322,6 +322,45 @@ def test_misfit_solver_is_one_domain_error(capsys, group, element, solver):
         errors.append(err)
     assert errors[0] == errors[1]
     assert f"solver {solver!r} does not apply" in errors[0]
+
+
+def test_solver_choices_read_off_the_table():
+    assert SOLVERS == ["auto", "brute", "free", "nilpotent"]
+
+
+GROUP_PER_CLASS = [
+    '{"type":"free","rank":2}',
+    '{"type":"free_abelian","rank":2}',
+    json.dumps(heisenberg_group().to_dict()),
+    "Z2",
+    '{"type":"free_product","factors":["Z2","Z3"]}',
+]
+
+
+def test_negative_search_radius_is_one_domain_error(capsys):
+    # 2 * radius + slack < 0: every model class fails alike, before any
+    # class-specific path (the free path builds no search ball)
+    errors = []
+    for group in GROUP_PER_CLASS:
+        code, out, err = run_cli(capsys, ["profile", "--group", group, "--radius", "1", "--slack", "-5"])
+        assert (code, out) == (1, "")
+        errors.append(err)
+    assert errors == ["ggtkit: error: radius must be >= 0\n"] * len(GROUP_PER_CLASS)
+
+
+# Exit code, stdout and (on failure) stderr of `conj solve` and `profile`
+# over all five model classes, recorded before the conjugacy table replaced
+# the per-class branches.  The one intended change since: `profile` on F2 at
+# radius 1, slack -5 exits 1 (it exited 0 with 5 unknown pairs).
+GOLDEN = json.loads((Path(__file__).parent / "golden_conj_profile.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
+def test_golden_replay(capsys, case):
+    code, out, err = run_cli(capsys, case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+    if code:
+        assert err == case["stderr"]
 
 
 def _readme_cli_lines():

@@ -8,13 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+import ggtkit
 from ggtkit.cayley import ball
 from ggtkit.conjugacy import (
-    _conjugacy_key,
+    CONJUGACY,
     bounded_conjugacy,
     brute_force_conjugator,
     centralizer_generators,
     classify_element,
+    conjugacy_entry,
     fit_dominating_bound,
     free_group_conjugacy,
     nilpotent_conjugator,
@@ -26,6 +28,7 @@ from ggtkit.groups import (
     FreeAbelian,
     FreeGroup,
     FreeProduct,
+    GroupModel,
     TwoStepNilpotent,
     cyclic_group,
     exact_length,
@@ -107,13 +110,12 @@ def test_bounded_conjugacy_linear_bound_agrees_on_conjugate_pairs():
 
 
 def test_theory_backed_upgrade():
-    # same exponent sums and cyclic lengths, but not rotations: never conjugate
+    # same exponent sums and cyclic lengths, but not rotations: never
+    # conjugate.  An exhausted bounded search has no certificate, so it stays
+    # unknown; only the exact solver says not conjugate.
     u, v = (1, 1, 2, 2), (1, 2, 1, 2)
     plain = bounded_conjugacy(F2, u, v, Const(1))
     assert plain.status == "unknown"
-    res = bounded_conjugacy(F2, u, v, Const(1), theory_backed=True)
-    assert res.status == "not_conjugate"
-    assert "theory-backed" in res.certificate
     assert free_group_conjugacy(F2, u, v).status == "not_conjugate"
 
 
@@ -429,6 +431,23 @@ def _smallest_in_component(n, pairs):
     return label
 
 
+def _oracle_records(base, oracle):
+    """The oracle's pairs as profile records (u, v, input length, minimal
+    conjugator length, class rep), in the profiler's order."""
+    rep = _smallest_in_component(len(base), oracle)
+    return [
+        (base.elements[ui], base.elements[vi], n, length, rep[ui])
+        for n, ui, vi, length in sorted(
+            (base.lengths[ui] + base.lengths[vi], ui, vi, length)
+            for (ui, vi), length in oracle.items()
+        )
+    ]
+
+
+def _summary(prof):
+    return [(r.u, r.v, r.input_length, r.min_conjugator_length, r.class_rep) for r in prof.records]
+
+
 def _in_column_lattice(cols, b):
     """Whether b is an integer combination of cols, by column-style
     Hermite elimination one coordinate at a time."""
@@ -503,14 +522,7 @@ def test_profile_matches_brute_force_oracle(model, radius, slack):
     base = ball(model, radius)
     search = ball(model, 2 * radius + slack)
     oracle = _oracle_pairs(model, base, search)
-    rep = _smallest_in_component(len(base), oracle)
-    expect = [
-        (base.elements[ui], base.elements[vi], n, length, rep[ui])
-        for n, ui, vi, length in sorted(
-            (base.lengths[ui] + base.lengths[vi], ui, vi, length)
-            for (ui, vi), length in oracle.items()
-        )
-    ]
+    expect = _oracle_records(base, oracle)
     conjugate = _conjugacy_decider(model, base)
     expect_unknown = [
         (u, v)
@@ -519,17 +531,13 @@ def test_profile_matches_brute_force_oracle(model, radius, slack):
         if (ui, vi) not in oracle and conjugate(u, v)
     ]
     assert bool(expect_unknown) == (slack < 0)
-
-    def summary(prof):
-        return [(r.u, r.v, r.input_length, r.min_conjugator_length, r.class_rep) for r in prof.records]
-
     fast = profile_conjugacy_bound(model, radius, slack=slack)
-    assert summary(fast) == expect
+    assert _summary(fast) == expect
     assert fast.unknown_pairs == expect_unknown
     for rec in fast.records:
         assert model.conjugate(rec.witness, rec.u) == rec.v
     brute = profile_conjugacy_bound(model, radius, "brute", slack=slack, search_ball=search)
-    assert summary(brute) == expect
+    assert _summary(brute) == expect
 
 
 @pytest.mark.parametrize(
@@ -544,18 +552,78 @@ def test_profile_search_radius_is_the_given_ball_radius(model, radius):
     assert given.unknown_pairs == slack_one.unknown_pairs
 
 
-@pytest.mark.parametrize("G", [symmetric_group_3(), cyclic_group(4)], ids=["S3", "Z4"])
-def test_conjugacy_key_is_complete_on_finite_groups(G):
-    conjugate = _conjugacy_decider(G, None)
-    for u in range(G.order):
-        for v in range(G.order):
-            same_key = _conjugacy_key(G, u) == _conjugacy_key(G, v)
-            assert same_key == conjugate(u, v)
+# (model, radius, complete): a complete key holds exactly on conjugate pairs
+KEY_CASES = [
+    pytest.param(F2, 3, True, id="F2-r3"),
+    pytest.param(FreeAbelian(2), 2, True, id="Z2-r2"),
+    pytest.param(symmetric_group_3(), 6, True, id="S3"),
+    pytest.param(cyclic_group(4), 4, True, id="Z4"),
+    pytest.param(HEIS, 2, False, id="Heisenberg-r2"),
+    pytest.param(_m3_nilpotent(), 2, False, id="nilpotent-m3-r2"),
+    pytest.param(FreeProduct([cyclic_group(2), cyclic_group(3)]), 3, False, id="Z2*Z3-r3"),
+]
 
 
-def test_conjugacy_key_is_complete_on_free_ball():
-    b3 = ball(F2, 3)
-    for u in b3.elements:
-        for v in b3.elements:
-            same_key = _conjugacy_key(F2, u) == _conjugacy_key(F2, v)
-            assert same_key == free_group_conjugacy(F2, u, v).is_conjugate
+@pytest.mark.parametrize("model,radius,complete", KEY_CASES)
+def test_conjugacy_key_is_invariant_and_complete_where_claimed(model, radius, complete):
+    entry = conjugacy_entry(model)
+    assert entry.complete == complete
+    base = ball(model, radius)
+    key = {u: entry.key(model, u) for u in base.elements}
+    if complete:
+        conjugate = _conjugacy_decider(model, base)
+        for u in base.elements:
+            for v in base.elements:
+                assert (key[u] == key[v]) == conjugate(u, v)
+    else:
+        for u in base.elements:
+            for s in model.generator_elements():
+                assert entry.key(model, model.conjugate(s, u)) == key[u]
+
+
+@pytest.mark.parametrize("model", [HEIS, FreeAbelian(2)], ids=["Heisenberg", "Z2"])
+def test_equal_centres_conjugate_alike(model):
+    entry = conjugacy_entry(model)
+    b = ball(model, 2)
+    cosets: dict = {}
+    for g in b.elements:
+        cosets.setdefault(entry.centre(model, g), []).append(g)
+    assert len(cosets) < len(b)
+    for members in cosets.values():
+        for u in b.elements:
+            assert len({model.conjugate(g, u) for g in members}) == 1
+
+
+def test_every_exported_model_class_has_an_entry():
+    # GroupModel is the interface the five model classes share
+    classes = [
+        obj
+        for obj in vars(ggtkit).values()
+        if isinstance(obj, type) and issubclass(obj, GroupModel) and obj is not GroupModel
+    ]
+    assert len(classes) == 5
+    assert all(cls in CONJUGACY for cls in classes)
+
+
+@pytest.mark.parametrize(
+    "model,radius",
+    [
+        (FreeProduct([cyclic_group(2), cyclic_group(3)]), 3),
+        (FreeProduct([FreeAbelian(1), cyclic_group(3)]), 2),
+    ],
+    ids=["Z2*Z3-r3", "Z*Z3-r2"],
+)
+def test_free_product_profile_matches_brute_force_oracle(model, radius):
+    # one shared key, no central cosets, no exact solver: the whole search ball
+    entry = conjugacy_entry(model)
+    base = ball(model, radius)
+    assert len({entry.key(model, u) for u in base.elements}) == 1
+    assert all(entry.centre(model, g) == g for g in base.elements)
+    expect = _oracle_records(base, _oracle_pairs(model, base, ball(model, 2 * radius + 2)))
+    fast = profile_conjugacy_bound(model, radius)
+    assert _summary(fast) == expect
+    assert fast.unknown_pairs == []
+    assert any("no exact solver" in note for note in fast.notes)
+    for rec in fast.records:
+        assert model.conjugate(rec.witness, rec.u) == rec.v
+    assert _summary(profile_conjugacy_bound(model, radius, "brute")) == expect
