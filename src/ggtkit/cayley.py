@@ -156,8 +156,11 @@ class MetricGraph:
 
         Iterative Tarjan, a depth-first search over the CSR arrays: when the
         search returns from v to its parent u with low(v) >= disc(u), u and
-        the vertices stacked since v form a block.
+        the vertices stacked since v form a block.  The graph is connected,
+        so with n - 1 edges it is a tree, whose blocks are its edges.
         """
+        if len(self._nbr) == 2 * (self.n - 1):
+            return self._edge_array()[:, :2].tolist()
         indptr, nbr = self._indptr.tolist(), self._nbr.tolist()
         disc = [-1] * self.n
         low = [0] * self.n

@@ -2,9 +2,10 @@
 
 Solvers never overclaim: a negative answer carries a model-specific
 certificate (abelianization mismatch, cyclic-word inequality, unsolvable
-central system, exhausted finite group); everything else at bounded search
-radius is reported Unknown.  Every returned witness g is re-verified by
-exact multiplication (g^-1 u g = v) before it leaves the module.
+central system, distinct least class elements in a finite group);
+everything else at bounded search radius is reported Unknown.  Every
+returned witness g is re-verified by exact multiplication (g^-1 u g = v)
+before it leaves the module.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ def brute_force_conjugator(
             return ConjugacyResult(
                 CONJUGATE, witness=g, witness_length=sb.lengths[gi], searched_radius=sb.radius
             )
-    if len(sb.elements) == model.order:
-        return ConjugacyResult(
-            NOT_CONJUGATE, searched_radius=sb.radius, certificate="exhausted finite group"
-        )
     return ConjugacyResult(UNKNOWN, searched_radius=sb.radius)
 
 
@@ -208,6 +205,11 @@ def _free_key(model: FreeGroup, u: Element):
     return min((core[k:] + core[:k] for k in range(len(core))), default=core)
 
 
+def _finite_key(model: FiniteGroup, u: Element):
+    """The least element of u's conjugacy class."""
+    return min(model.conjugate(h, u) for h in range(model.order))
+
+
 @dataclass(frozen=True)
 class ConjugacyEntry:
     """What the solvers and the profiler know of conjugacy in one model class.
@@ -258,8 +260,12 @@ CONJUGACY = {
         centre=lambda model, g: (),
     ),
     FiniteGroup: ConjugacyEntry(
-        key=lambda model, u: min(model.conjugate(h, u) for h in range(model.order)),
+        key=_finite_key,
         complete=True,
+        certificate=lambda model, u, v: (
+            None if _finite_key(model, u) == _finite_key(model, v)
+            else "finite group: the least elements of the two conjugacy classes differ"
+        ),
     ),
     FreeProduct: _GENERIC,
 }

@@ -81,8 +81,6 @@ def cyclic_reduce(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
 class GroupModel:
     """Common interface of the five exact group models."""
 
-    order: Optional[int] = None  # the number of elements; None for an infinite group
-
     def identity(self) -> Element:
         raise NotImplementedError
 

@@ -120,13 +120,29 @@ class Poly(BoundingFunction):
         if not norm:
             raise DomainError("a polynomial bounding function needs a positive term")
         object.__setattr__(self, "coeffs", tuple(sorted(norm.items())))
+        # the coefficients as integers over their common denominator
+        den = 1
+        for c in norm.values():
+            den = math.lcm(den, c.denominator)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(
+            self, "_nums", tuple((m, c.numerator * (den // c.denominator)) for m, c in self.coeffs)
+        )
 
     @staticmethod
     def basis(m: int, coefficient=1) -> "Poly":
         return Poly(((m, Fraction(coefficient)),))
 
     def __call__(self, x):
+        """At an int or Fraction x = p/q, one exact Fraction: the sum of
+        k_m (q+p)^m q^(M-m) over den q^M, where k_m / den are the
+        coefficients over their common denominator and M is the degree."""
         _check_nonneg(x)
+        if isinstance(x, (int, Fraction)):
+            p, q = x.numerator, x.denominator
+            top = self.degree()
+            num = sum(k * (q + p) ** m * q ** (top - m) for m, k in self._nums)
+            return Fraction(num, self._den * q**top)
         return sum(c * (1 + x) ** m for m, c in self.coeffs)
 
     def degree(self) -> int:
@@ -447,13 +463,14 @@ class SupportedVector:
 
     def add_term(self, elem: Element, value) -> None:
         self.model.validate_element(elem)
-        old = self.coeffs.get(elem, (Fraction(0), Fraction(0)))
         re, im = _to_pair(value)
-        new = (old[0] + re, old[1] + im)
-        if new == (0, 0):
-            self.coeffs.pop(elem, None)
+        old = self.coeffs.get(elem)
+        if old is not None:
+            re, im = old[0] + re, old[1] + im
+        if re or im:
+            self.coeffs[elem] = (re, im)
         else:
-            self.coeffs[elem] = new
+            self.coeffs.pop(elem, None)
 
     def support(self):
         return list(self.coeffs.keys())
@@ -494,16 +511,45 @@ class SupportedVector:
             return abs(im)
         return math.sqrt(float(re * re + im * im))
 
+    def _numerators(self) -> tuple:
+        """(d, [(elem, (re*d, im*d))]): the coefficients as integer pairs over
+        d, the lcm of their denominators."""
+        d = 1
+        for re, im in self.coeffs.values():
+            # pairwise, not lcm(*...): an argument tuple of each support size
+            # would be left in CPython's tuple free lists, raising peak RSS
+            d = math.lcm(d, re.denominator, im.denominator)
+        return d, [
+            (elem, (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)))
+            for elem, (re, im) in self.coeffs.items()
+        ]
+
     def convolve(self, other: "SupportedVector") -> "SupportedVector":
         """Group-algebra product: coefficient of g is the sum of a(g1) b(g2)
-        over factorizations g1 g2 = g."""
+        over factorizations g1 g2 = g.
+
+        Integer kernel: with each vector's coefficients written as integer
+        numerators over its common denominator (d_a, d_b), the products are
+        summed over Z per g1 g2, and each nonzero sum becomes one Fraction
+        over d_a d_b.  Sums that cancel to 0 are not stored; each stored
+        product element is validated once."""
         if other.model != self.model:
             raise DomainError("vectors live over different models")
         model = self.model
+        da, a = self._numerators()
+        db, b = other._numerators()
+        sums: dict = {}
+        for g1, (p, q) in a:
+            for g2, (r, s) in b:
+                g = model.multiply(g1, g2)
+                re, im = sums.get(g, (0, 0))
+                sums[g] = (re + p * r - q * s, im + p * s + q * r)
         out = SupportedVector(model)
-        for g1, (a, b) in self.coeffs.items():
-            for g2, (c, d) in other.coeffs.items():
-                out.add_term(model.multiply(g1, g2), (a * c - b * d, a * d + b * c))
+        den = da * db
+        for g, (re, im) in sums.items():
+            if re or im:
+                model.validate_element(g)
+                out.coeffs[g] = (Fraction(re, den), Fraction(im, den))
         return out
 
     def to_json(self) -> list:
@@ -522,19 +568,41 @@ class SupportedVector:
             vec.add_term(elem, (Fraction(term["re"]), Fraction(term["im"])))
         return vec
 
+    def _weighted_abs_sum(self, key, f):
+        """sum over the support of |coeff(g)| * f(key(g)), taken per value of
+        key: the real and imaginary coefficients' integer numerators over
+        their common denominator d are summed per key, and each sum n
+        becomes Fraction(n, d) * f(key) once.  The moduli of coefficients
+        with both parts nonzero, irrational in general, are float sums
+        (``math.fsum``); keys are visited in sorted order, so the result
+        depends only on the vector's value."""
+        d, nums = self._numerators()
+        exact: dict = {}
+        inexact: dict = {}
+        for elem, (re, im) in nums:
+            k = key(elem)
+            if re and im:
+                inexact.setdefault(k, []).append(self.abs_coefficient(elem))
+            else:
+                exact[k] = exact.get(k, 0) + abs(re or im)
+        total = sum((Fraction(n, d) * f(k) for k, n in sorted(exact.items())), Fraction(0))
+        return total + sum(math.fsum(moduli) * f(k) for k, moduli in sorted(inexact.items()))
+
     def seminorm(self, f: BoundingFunction, length_cap: int = DEFAULT_RADIUS_CAP):
-        """Weighted l1 seminorm: sum |coeff(g)| * f(L(g)) over the support."""
-        total = Fraction(0)
-        for elem, _ in self.items_sorted():
-            length = exact_length(self.model, elem, length_cap)
-            total = total + self.abs_coefficient(elem) * f(length)
-        return total
+        """Weighted l1 seminorm: sum |coeff(g)| * f(L(g)) over the support.
+
+        The sum is taken as sum_L f(L) * (sum of |coeff(g)| with L(g) = L):
+        integer numerators are summed per word length over the common
+        denominator, and f is evaluated once per distinct length.  The
+        result is exact unless a coefficient has both parts nonzero, or f
+        returns a float."""
+        model = self.model
+        return self._weighted_abs_sum(lambda elem: exact_length(model, elem, length_cap), f)
 
     def l1(self):
-        total = Fraction(0)
-        for elem, _ in self.items_sorted():
-            total = total + self.abs_coefficient(elem)
-        return total
+        """sum |coeff(g)| over the support, by the kernel of ``seminorm``
+        with one key and weight 1, so no word length is read."""
+        return self._weighted_abs_sum(lambda elem: 0, lambda k: 1)
 
 
 def seminorm(vec: SupportedVector, f: BoundingFunction, length_cap: int = DEFAULT_RADIUS_CAP):

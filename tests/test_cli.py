@@ -350,8 +350,11 @@ def test_negative_search_radius_is_one_domain_error(capsys):
 
 # Exit code, stdout and (on failure) stderr of `conj solve` and `profile`
 # over all five model classes, recorded before the conjugacy table replaced
-# the per-class branches.  The one intended change since: `profile` on F2 at
-# radius 1, slack -5 exits 1 (it exited 0 with 5 unknown pairs).
+# the per-class branches.  The intended changes since: `profile` on F2 at
+# radius 1, slack -5 exits 1 (it exited 0 with 5 unknown pairs), and `conj
+# solve` on non-conjugate finite-group pairs (entries 11 and 12) reports the
+# finite group's key certificate with no search radius, instead of
+# "exhausted finite group".
 GOLDEN = json.loads((Path(__file__).parent / "golden_conj_profile.json").read_text())
 
 

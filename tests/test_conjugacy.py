@@ -72,10 +72,24 @@ def test_brute_force_unknown_at_small_radius():
 
 
 def test_brute_force_exhausts_finite_group():
-    s3 = cyclic_group(4)
-    res = brute_force_conjugator(s3, 1, 3, 4)
-    assert res.status == "not_conjugate"
-    assert res.certificate == "exhausted finite group"
+    z4 = cyclic_group(4)
+    # the complete key of finite groups decides the pair before any scan
+    res = brute_force_conjugator(z4, 1, 3, 0)
+    assert (res.status, res.searched_radius) == ("not_conjugate", None)
+    assert res.certificate == "finite group: the least elements of the two conjugacy classes differ"
+
+
+def test_brute_force_refutes_every_finite_pair_at_radius_0():
+    # the least class elements certify every non-conjugate pair, so only
+    # conjugate pairs can stay unknown at a radius short of the group
+    for model in (symmetric_group_3(), cyclic_group(6)):
+        for u in range(model.order):
+            for v in range(model.order):
+                got = brute_force_conjugator(model, u, v, 0).status
+                if any(model.conjugate(h, u) == v for h in range(model.order)):
+                    assert got in ("conjugate", "unknown")
+                else:
+                    assert got == "not_conjugate"
 
 
 # -- bounded search ---------------------------------------------------------------

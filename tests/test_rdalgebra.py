@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ggtkit.cayley import ball
-from ggtkit.errors import ClassEscape, DomainError
-from ggtkit.groups import FreeGroup
+from ggtkit.cli import run
+from ggtkit.config import DEFAULT_RADIUS_CAP
+from ggtkit.errors import ClassEscape, DomainError, LengthCapError
+from ggtkit.groups import FreeAbelian, FreeGroup, exact_length, heisenberg_group
 from ggtkit.rdalgebra import (
     IDENTITY,
     Affine,
@@ -33,6 +38,8 @@ from ggtkit.rdalgebra import (
 )
 
 F2 = FreeGroup(2)
+Z2 = FreeAbelian(2)
+HEIS = heisenberg_group()
 
 
 # -- bounding functions --------------------------------------------------------
@@ -198,32 +205,62 @@ def test_convolution_square_expansion():
     assert sq == expected
 
 
+def _random_coefficient(rng, kind):
+    """A nonzero rational, purely imaginary or complex coefficient."""
+    c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+    if kind == "integer":
+        return (Fraction(c.numerator), Fraction(0))
+    if kind == "rational":
+        return (c, Fraction(0))
+    if kind == "imaginary":
+        return (Fraction(0), c)
+    return (c, Fraction(rng.randint(1, 9), rng.randint(1, 6)))
+
+
+def _oracle_product(*vecs):
+    """Nested-loop oracle for a product of vectors, one add_term per tuple."""
+    model = vecs[0].model
+    out = SupportedVector.delta(model, model.identity())
+    for vec in vecs:
+        nxt = SupportedVector(model)
+        for g1, (a, b) in out.coeffs.items():
+            for g2, (c, d) in vec.coeffs.items():
+                nxt.add_term(model.multiply(g1, g2), (a * c - b * d, a * d + b * c))
+        out = nxt
+    return out
+
+
 def test_convolution_associative_vs_nested_loop_oracle():
     rng = random.Random(4)
     b2 = ball(F2, 2)
-    for _ in range(15):
+    for kind in ["integer", "rational", "imaginary", "complex"] * 15:
         vecs = []
         for _ in range(3):
             vec = SupportedVector(F2)
             for _ in range(3):
-                vec.add_term(b2.elements[rng.randrange(len(b2))], Fraction(rng.randint(-4, 4)))
+                vec.add_term(b2.elements[rng.randrange(len(b2))], _random_coefficient(rng, kind))
             vecs.append(vec)
         a, b, c = vecs
         left = convolve(convolve(a, b), c)
         right = convolve(a, convolve(b, c))
-        assert left == right
-        # nested-loop oracle for the triple product
-        oracle = SupportedVector(F2)
-        for g1, v1 in a.coeffs.items():
-            for g2, v2 in b.coeffs.items():
-                for g3, v3 in c.coeffs.items():
-                    prod = F2.multiply(F2.multiply(g1, g2), g3)
-                    val = (
-                        v1[0] * v2[0] - v1[1] * v2[1],
-                        v1[0] * v2[1] + v1[1] * v2[0],
-                    )
-                    oracle.add_term(prod, (val[0] * v3[0] - val[1] * v3[1], val[0] * v3[1] + val[1] * v3[0]))
-        assert left == oracle
+        assert left == right == _oracle_product(a, b, c)
+        assert all(re or im for re, im in left.coeffs.values())
+
+
+def test_convolution_drops_cancelled_coefficients():
+    # (e + a/2)(e - a/2) = e - a^2/4: the two products at a cancel
+    u = SupportedVector(F2, [((), 1), ((1,), Fraction(1, 2))])
+    v = SupportedVector(F2, [((), 1), ((1,), Fraction(-1, 2))])
+    assert convolve(u, v).coeffs == {(): (1, 0), (1, 1): (Fraction(-1, 4), 0)}
+    # (1 + i a)(1 + i a) = 1 - a^2 + 2i a; (i a)(i A) = -1 cancels the identity
+    w = SupportedVector(F2, [((), 1), ((1,), 1j)])
+    x = SupportedVector(F2, [((), 1), ((1,), 1j), ((-1,), 1j)])
+    assert convolve(w, x).coeffs == {
+        (1,): (0, 2),
+        (-1,): (0, 1),
+        (1, 1): (-1, 0),
+    }
+    assert convolve(u, SupportedVector(F2)).coeffs == {}
 
 
 def test_convolution_bilinear():
@@ -253,6 +290,78 @@ def test_vector_json_round_trip():
     data = vec.to_json()
     assert all(set(d) == {"element", "re", "im"} for d in data)
     assert SupportedVector.from_json(F2, data) == vec
+
+
+def _abs_oracle(re, im):
+    return abs(re) if im == 0 else abs(im) if re == 0 else math.sqrt(float(re * re + im * im))
+
+
+@pytest.mark.parametrize("model,radius", [(F2, 3), (Z2, 3), (HEIS, 2)], ids=["F2", "Z2", "Heisenberg"])
+def test_seminorm_and_l1_match_per_element_oracle(model, radius):
+    rng = random.Random(7)
+    b = ball(model, radius)
+    fs = [Poly.basis(3), Poly(((0, Fraction(1, 3)), (2, Fraction(5, 2)))), IDENTITY, Exp(2), Const(Fraction(2, 7))]
+    for trial in range(40):
+        kinds = ["rational", "imaginary"] if trial % 4 else ["rational", "imaginary", "complex"]
+        vec = SupportedVector(model)
+        for _ in range(rng.randint(0, 7)):
+            vec.add_term(b.elements[rng.randrange(len(b))], _random_coefficient(rng, rng.choice(kinds)))
+        f = fs[trial % len(fs)]
+        terms = [(_abs_oracle(*vec.coeffs[g]), exact_length(model, g)) for g in vec.coeffs]
+        want_l1 = sum((c for c, _ in terms), Fraction(0))
+        want = sum((c * f(length) for c, length in terms), Fraction(0))
+        got_l1, got = vec.l1(), seminorm(vec, f)
+        if isinstance(want, float):  # a complex coefficient: float moduli, summed in another order
+            assert got == pytest.approx(want, rel=1e-12) and got_l1 == pytest.approx(want_l1, rel=1e-12)
+        else:
+            assert (type(got), got, type(got_l1), got_l1) == (Fraction, want, Fraction, want_l1)
+
+
+def test_seminorm_with_tiny_float_coefficient_and_float_weight():
+    # 1e-320 converts exactly, so the common denominator is 2^1074, past
+    # the float range; the float weight must meet the reduced Fraction
+    vec = SupportedVector(F2, [((1,), 1e-320)])
+    got = vec.seminorm(Exp(2, Fraction(1, 2)))
+    assert isinstance(got, float) and got == pytest.approx(1e-320 * 2**0.5, rel=1e-3)
+    assert vec.l1() == Fraction(1e-320)
+
+
+def test_float_sums_do_not_depend_on_insertion_order():
+    rng = random.Random(11)
+    b = ball(F2, 3)
+    for _ in range(30):
+        terms = [
+            (b.elements[rng.randrange(len(b))], _random_coefficient(rng, rng.choice(["rational", "complex"])))
+            for _ in range(8)
+        ]
+        forward, backward = SupportedVector(F2, terms), SupportedVector(F2, terms[::-1])
+        assert forward == backward
+        for f in (Poly.basis(2), Exp(2, Fraction(1, 2))):
+            assert repr(forward.seminorm(f)) == repr(backward.seminorm(f))
+        assert repr(forward.l1()) == repr(backward.l1())
+
+
+def test_l1_reads_no_word_length():
+    far = ((DEFAULT_RADIUS_CAP + 1, 0), (0,))  # base l1 past the cap: no exact length
+    vec = SupportedVector(HEIS, [(far, Fraction(3, 2)), (HEIS.identity(), -1j)])
+    with pytest.raises(LengthCapError):
+        exact_length(HEIS, far)
+    with pytest.raises(LengthCapError):
+        seminorm(vec, Const(1))
+    assert vec.l1() == Fraction(5, 2)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [((0, Fraction(1, 3)), (2, Fraction(5, 2))), ((1, 7),), ((0, Fraction(2, 9)), (1, Fraction(3, 4)), (3, 6))],
+)
+def test_poly_matches_basis_formula(coeffs):
+    f = Poly(coeffs)
+    for x in [0, 1, 2, 7, Fraction(1, 2), Fraction(7, 3), Fraction(10, 4), 0.5, 3.25, 2.0]:
+        want = sum(Fraction(c) * (1 + x) ** m for m, c in coeffs)
+        got = f(x)
+        assert type(got) is (float if isinstance(x, float) else Fraction)
+        assert got == want
 
 
 # -- the product estimate --------------------------------------------------------
@@ -286,3 +395,37 @@ def test_product_estimate_random_pairs():
             vecs.append(vec)
         rep = check_product_estimate(vecs[0], vecs[1], f, length_cap=8)
         assert rep.holds, rep
+
+
+# Outputs of check_product_estimate (and the product a*b, |a|_1) on 37 vector
+# pairs over F2, Z^2 and the Heisenberg group, and `rd check` reports,
+# recorded before the integer kernels replaced per-term Fraction arithmetic.
+# Pairs with complex coefficients (both parts nonzero) have float values,
+# which may move in the last bits when moduli are summed per word length.
+GOLDEN = json.loads((Path(__file__).parent / "golden_rd.json").read_text())
+_MODELS = {"F2": F2, "Z2": Z2, "H": HEIS}
+
+
+def _golden_vector(model, terms):
+    return SupportedVector(model, [(model.parse_element(e), (Fraction(re), Fraction(im))) for e, re, im in terms])
+
+
+@pytest.mark.parametrize("case", GOLDEN["estimates"], ids=[f"{i}-{c['group']}" for i, c in enumerate(GOLDEN["estimates"])])
+def test_golden_product_estimates(case):
+    model = _MODELS[case["group"]]
+    a, b = _golden_vector(model, case["a"]), _golden_vector(model, case["b"])
+    assert convolve(a, b).to_json() == case["product"]
+    rep = check_product_estimate(a, b, parse_bounding_function(case["f"]))
+    assert (rep.holds, rep.f2_description) == (case["holds"], case["f2"])
+    values = (rep.lhs, rep.rhs, a.l1())
+    want = (case["lhs"], case["rhs"], case["l1_a"])
+    if any(isinstance(v, float) for v in values):
+        assert [float(v) for v in values] == pytest.approx([float(w) for w in want], rel=1e-12)
+    else:
+        assert tuple(map(str, values)) == want
+
+
+@pytest.mark.parametrize("case", GOLDEN["cli"], ids=[f"{i}" for i in range(len(GOLDEN["cli"]))])
+def test_golden_rd_check_reports(capsys, case):
+    code = run(case["argv"])
+    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
