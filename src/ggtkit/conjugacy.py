@@ -5,7 +5,10 @@ certificate (abelianization mismatch, cyclic-word inequality, unsolvable
 central system, distinct least class elements in a finite group);
 everything else at bounded search radius is reported Unknown.  Every
 returned witness g is re-verified by exact multiplication (g^-1 u g = v)
-before it leaves the module.
+before it leaves the module, with a word length its solver certifies: the
+BFS depth of the ball scan, the reduced word length in free groups, and
+the base l1 norm in two-step nilpotent groups.  The free and nilpotent
+witnesses have least length.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Optional, Sequence
 from .cayley import Ball, ball
 from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, DEFAULT_RADIUS_CAP, FIT_MAX_DEGREE
 from .errors import DomainError, UnsupportedCase
-from .exactla import reduce_by_kernel, solve_integer_system
+from .exactla import solve_integer_system
 from .groups import (
     Element,
     FiniteGroup,
@@ -62,12 +65,12 @@ class ConjugacyResult:
         return out
 
 
-def verified_conjugate(model: GroupModel, u: Element, v: Element, g: Element, cap: int) -> ConjugacyResult:
+def verified_conjugate(model: GroupModel, u: Element, v: Element, g: Element, length: int) -> ConjugacyResult:
     """Wrap a witness after re-checking g^-1 u g = v by exact multiplication;
-    ``cap`` is a radius certain to contain g."""
+    ``length`` is g's word length, which the caller certifies."""
     if model.conjugate(g, u) != v:
         raise DomainError("internal error: witness fails verification")
-    return ConjugacyResult(CONJUGATE, witness=g, witness_length=exact_length(model, g, cap))
+    return ConjugacyResult(CONJUGATE, witness=g, witness_length=length)
 
 
 def _exponent_sums(rank: int, word) -> tuple:
@@ -148,13 +151,29 @@ def nilpotent_central_system(
     return A, [cv[t] - cu[t] for t in range(model.n)]
 
 
-def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> ConjugacyResult:
-    """Complete conjugacy decision for the two-step nilpotent models.
+def _l1_sphere(m: int, r: int):
+    """The points z of Z^m with |z|_1 = r."""
+    if m == 1:
+        yield from ((r,), (-r,)) if r else ((0,),)
+        return
+    for first in range(-r, r + 1):
+        for rest in _l1_sphere(m - 1, r - abs(first)):
+            yield (first,) + rest
 
-    Equal base parts are necessary; the central equation (see
-    nilpotent_central_system) is then solved over Z by Smith normal form,
-    and the particular solution is shrunk by kernel vectors before the
-    witness is verified.
+
+def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> ConjugacyResult:
+    """Complete conjugacy decision for the two-step nilpotent models, with
+    a witness of least word length.
+
+    Equal base parts are necessary.  Conjugation by g = (z, c) depends on
+    z alone and moves u's central part by A z (see nilpotent_central_system),
+    and every word for g has length at least |z|_1.  Smith normal form
+    either certifies A z = rhs unsolvable over Z or gives a solution z0;
+    the l1 spheres of Z^m are then searched in increasing radius, up to
+    |z0|_1 at most, for the first solution z.  The witness (z, 0) is
+    f_m^{z_m} ... f_1^{z_1} in the collection convention of
+    TwoStepNilpotent, so its length is exactly |z|_1, the least of any
+    conjugator.
     """
     entry = _fitting_entry(model, "nilpotent")
     model.validate_element(u)
@@ -162,14 +181,19 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
     certificate = entry.certificate(model, u, v)  # the base parts differ
     if certificate is not None:
         return ConjugacyResult(NOT_CONJUGATE, certificate=certificate)
-    z, kernel = solve_integer_system(*nilpotent_central_system(model, u, v))
-    if z is None:
+    A, rhs = nilpotent_central_system(model, u, v)
+    z0, _ = solve_integer_system(A, rhs)
+    if z0 is None:
         return ConjugacyResult(
             NOT_CONJUGATE, certificate="central linear system unsolvable over Z"
         )
-    z = reduce_by_kernel(z, kernel)
-    # the word prod a_i^{z_i} spells the witness, so its length is at most |z|_1
-    return verified_conjugate(model, u, v, (tuple(z), (0,) * model.n), sum(map(abs, z)))
+    radius, z = next(
+        (r, z)
+        for r in range(sum(map(abs, z0)) + 1)  # z0 lies on the last sphere
+        for z in _l1_sphere(model.m, r)
+        if all(sum(a * b for a, b in zip(row, z)) == t for row, t in zip(A, rhs))
+    )
+    return verified_conjugate(model, u, v, (z, (0,) * model.n), radius)
 
 
 def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyResult:
@@ -197,7 +221,7 @@ def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyR
     k = min(shifts, key=lambda s: min(s, n - s))
     w = c1[:k] if k <= n - k else model.inverse(c1[k:])
     g = model.multiply(model.multiply(p1, w), model.inverse(p2))
-    return verified_conjugate(model, u, v, g, DEFAULT_RADIUS_CAP)
+    return verified_conjugate(model, u, v, g, len(g))  # a reduced word
 
 
 def _free_key(model: FreeGroup, u: Element):
@@ -216,16 +240,15 @@ class ConjugacyEntry:
 
     ``key(model, u)`` is an invariant of u's conjugacy class; ``complete``:
     equal keys also imply conjugacy.  ``certificate(model, u, v)`` is a cheap
-    proof that u and v are not conjugate, or None.  ``centre(model, g)`` is
-    g's coset of a central subgroup, on which g^-1 u g alone depends.
-    ``decide(model, u, v)`` is the exact decider that ``--solver <solver>``
-    names; ``minimal``: its witnesses have least length.
+    proof that u and v are not conjugate, or None.  ``decide(model, u, v)``
+    is the exact decider that ``--solver <solver>`` names; ``minimal``: its
+    witnesses have least length (free and two-step nilpotent groups), so
+    the profiler builds no search ball for the model.
     """
 
     key: Callable
     complete: bool = False
     certificate: Callable = lambda model, u, v: None
-    centre: Callable = lambda model, g: g
     solver: Optional[str] = None
     decide: Optional[Callable] = None
     minimal: bool = False
@@ -249,15 +272,14 @@ CONJUGACY = {
         certificate=lambda model, u, v: (
             None if u[0] == v[0] else "abelianization mismatch: conjugation fixes the base image"
         ),
-        centre=lambda model, g: g[0],
         solver="nilpotent",
         decide=nilpotent_conjugator,
+        minimal=True,
     ),
     FreeAbelian: ConjugacyEntry(
         key=lambda model, u: u,
         complete=True,
         certificate=lambda model, u, v: None if u == v else "abelian group: conjugacy is equality",
-        centre=lambda model, g: (),
     ),
     FiniteGroup: ConjugacyEntry(
         key=_finite_key,
@@ -483,15 +505,16 @@ def profile_conjugacy_bound(
     """Minimal conjugator lengths for every conjugate pair in the ball.
 
     Only pairs with equal conjugacy keys are examined.  A model whose
-    decider gives minimal witnesses (free groups) takes each pair's witness
-    from it and keeps it when it lies within the search radius (that of the
-    given search ball, else 2*radius + slack).  Other models scan the search
-    ball in BFS order, one element per central coset; pairs the scan missed
-    are reported as unknown when a complete key or the exact decider shows
-    them conjugate, so nothing is dropped silently.  ``solver='brute'``
-    scans the whole search ball over all pairs, with no keys, cosets or
-    decider: the oracle.  A solver that does not fit the model raises
-    UnsupportedCase.
+    decider gives minimal witnesses (free and two-step nilpotent groups)
+    takes each pair's witness from it and keeps it when it lies within the
+    search radius (that of the given search ball, else 2*radius + slack);
+    no search ball is built.  Other models scan the search ball in BFS
+    order.  Conjugate pairs beyond the search radius, or missed by the
+    scan, are reported as unknown when a complete key or the exact decider
+    shows them conjugate, so nothing is dropped silently.
+    ``solver='brute'`` scans the whole search ball over all pairs, with no
+    keys or decider: the oracle.  A solver that does not fit the model
+    raises UnsupportedCase.
     """
     choose_solver(model, solver)  # UnsupportedCase when the solver does not fit
     search_radius = search_ball.radius if search_ball is not None else 2 * radius + slack
@@ -511,23 +534,19 @@ def profile_conjugacy_bound(
         found = {}  # the decider's witnesses are minimal: no scan
     else:
         sb = search_ball if search_ball is not None else ball(model, search_radius, cap=ball_cap)
-        # g^-1 u g depends only on g's central coset, and the first element
-        # of a coset in BFS order is its shortest: scanning one per coset
-        # finds the same first witness as scanning the whole ball
-        reps: dict = {}
-        for length, g in zip(sb.lengths, sb.elements):
-            reps.setdefault(g if brute else entry.centre(model, g), (length, g))
-        found = _scan_chunk(model, b, keys, buckets, list(reps.values()))
+        found = _scan_chunk(model, b, keys, buckets, list(zip(sb.lengths, sb.elements)))
     unknown_pairs = []
     if exact is not None or (entry.complete and not brute):
         for ui, u in enumerate(b.elements):
             for v, vi in buckets[keys[ui]].items():
                 if (ui, vi) in found:
                     continue
-                res = None if exact is None else exact(u, v)
+                res = None if exact is None else exact(u, v)  # None: equal complete keys
+                if res is not None and not res.is_conjugate:
+                    continue
                 if entry.minimal and res.witness_length <= search_radius:
                     found[ui, vi] = (res.witness_length, res.witness)
-                elif res is None or res.is_conjugate:  # None: equal complete keys
+                else:
                     unknown_pairs.append((u, v))
     elif not brute:
         notes.append(

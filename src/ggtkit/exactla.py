@@ -301,36 +301,3 @@ def solve_integer_system(A: list[list[int]], b: list[int]):
     z = [sum(V[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
     return z, kernel
 
-
-def reduce_by_kernel(z: list[int], kernel: list[list[int]]) -> list[int]:
-    """Greedily shrink the l1 norm of z by integer multiples of kernel vectors,
-    in at most four passes over the kernel.
-
-    No lattice reduction is attempted; adequacy is established by tests, not
-    assumed.
-    """
-    z = list(z)
-
-    def l1(v):
-        return sum(abs(x) for x in v)
-
-    for _ in range(4):
-        improved = False
-        for k in kernel:
-            sq = sum(x * x for x in k)
-            if sq == 0:
-                continue
-            proj = round(sum(a * b for a, b in zip(z, k)) / sq)
-            best_t, best_norm = 0, l1(z)
-            for t in range(proj - 2, proj + 3):
-                if t == 0:
-                    continue
-                cand = l1([a - t * b for a, b in zip(z, k)])
-                if cand < best_norm:
-                    best_t, best_norm = t, cand
-            if best_t:
-                z = [a - best_t * b for a, b in zip(z, k)]
-                improved = True
-        if not improved:
-            break
-    return z

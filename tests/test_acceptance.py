@@ -17,7 +17,7 @@ from ggtkit.bounds import PresentationConstants, bcp_epsilon, n_tilde, neighborh
 from ggtkit.cayley import CyclicSubgroup, ball, cayley_graph, coned_off, estimate_delta_4point
 from ggtkit.cli import run as cli_run
 from ggtkit.conjugacy import free_group_conjugacy, nilpotent_conjugator, profile_conjugacy_bound
-from ggtkit.groups import FreeAbelian, cyclic_group, symmetric_group_3
+from ggtkit.groups import FreeAbelian, cyclic_group, exact_length, symmetric_group_3
 from ggtkit.homology import (
     conj_classes,
     connes_B,
@@ -84,6 +84,9 @@ def test_criterion_1_nilpotent_oracle_equivalence(heis, heis_ball3, heis_ball10)
                     assert heis.multiply(heis.multiply(heis.inverse(g), u), g) == v
                     assert exact.is_conjugate
                     assert heis.conjugate(exact.witness, u) == v
+                    # the claimed minimum is the oracle's, and the witness's length
+                    assert exact.witness_length == glen
+                    assert exact_length(heis, exact.witness) == exact.witness_length
                 else:
                     # no conjugator within radius 10: a valid solver witness
                     # would have to be longer (and none exists when the
@@ -93,6 +96,15 @@ def test_criterion_1_nilpotent_oracle_equivalence(heis, heis_ball3, heis_ball10)
                         assert exact.witness_length > heis_ball10.radius
                     else:
                         assert exact.status == "not_conjugate"
+
+
+def test_nilpotent_large_central_offset(heis):
+    # (1,0|0) and (1,0|c) are conjugate only by (z1, c | *), of length >= c:
+    # the solver must not grow a ball out to radius c
+    with Budget(1, "nilpotent solve at central offset 64 (Heisenberg)"):
+        res = nilpotent_conjugator(heis, ((1, 0), (0,)), ((1, 0), (64,)))
+    assert res.witness == ((0, 64), (0,))
+    assert res.witness_length == 64
 
 
 def test_criterion_2_free_oracle_equivalence(f2, f2_ball4, f2_ball8):

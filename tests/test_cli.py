@@ -354,7 +354,9 @@ def test_negative_search_radius_is_one_domain_error(capsys):
 # radius 1, slack -5 exits 1 (it exited 0 with 5 unknown pairs), and `conj
 # solve` on non-conjugate finite-group pairs (entries 11 and 12) reports the
 # finite group's key certificate with no search radius, instead of
-# "exhausted finite group".
+# "exhausted finite group".  The last entry, `conj solve --solver nilpotent`
+# on an m=3, n=1 group whose central system has a rank-2 kernel, pins the
+# brute-force minimum `0,0,-1|0` (length 1).
 GOLDEN = json.loads((Path(__file__).parent / "golden_conj_profile.json").read_text())
 
 

@@ -11,7 +11,6 @@ import pytest
 from ggtkit.exactla import (
     SparseRationalMatrix,
     bareiss_rank,
-    reduce_by_kernel,
     smith_normal_form,
     solve_integer_system,
 )
@@ -101,9 +100,6 @@ def test_solver_round_trip_and_kernel():
         assert all(sum(A[i][j] * z[j] for j in range(nc)) == b[i] for i in range(nr))
         for k in kernel:
             assert all(sum(A[i][j] * k[j] for j in range(nc)) == 0 for i in range(nr))
-        z2 = reduce_by_kernel(z, kernel)
-        assert all(sum(A[i][j] * z2[j] for j in range(nc)) == b[i] for i in range(nr))
-        assert sum(abs(v) for v in z2) <= sum(abs(v) for v in z)
 
 
 def test_solver_reports_unsolvable():
