@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from .cayley import Ball, ball
 from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, DEFAULT_RADIUS_CAP, FIT_MAX_DEGREE
-from .errors import DomainError, UnsupportedCase
+from .errors import DomainError, ResourceCapError, UnsupportedCase
 from .exactla import solve_integer_system
 from .groups import (
     Element,
@@ -161,6 +161,23 @@ def _l1_sphere(m: int, r: int):
             yield (first,) + rest
 
 
+def _capped_radii(m: int, last: int):
+    """The radii 0..last, each yielded before its l1 sphere in Z^m is
+    searched; past DEFAULT_BALL_CAP lattice points in the spheres so far,
+    ResourceCapError.  |S_m(r)| = sum_{k>=1} 2^k C(m,k) C(r-1,k-1) for r >= 1
+    (k nonzero coordinates, their signs, and a composition of r into k
+    parts), and 1 for r = 0."""
+    points = 0
+    for r in range(last + 1):
+        points += sum(2**k * math.comb(m, k) * math.comb(r - 1, k - 1) for k in range(1, m + 1)) if r else 1
+        if points > DEFAULT_BALL_CAP:
+            raise ResourceCapError(
+                f"nilpotent conjugator search: the l1 ball of radius {r} in Z^{m} "
+                f"has {points} points, over cap {DEFAULT_BALL_CAP}"
+            )
+        yield r
+
+
 def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> ConjugacyResult:
     """Complete conjugacy decision for the two-step nilpotent models, with
     a witness of least word length.
@@ -173,7 +190,8 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
     |z0|_1 at most, for the first solution z.  The witness (z, 0) is
     f_m^{z_m} ... f_1^{z_1} in the collection convention of
     TwoStepNilpotent, so its length is exactly |z|_1, the least of any
-    conjugator.
+    conjugator.  The search raises ResourceCapError once its spheres hold
+    more than DEFAULT_BALL_CAP lattice points.
     """
     entry = _fitting_entry(model, "nilpotent")
     model.validate_element(u)
@@ -189,7 +207,7 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
         )
     radius, z = next(
         (r, z)
-        for r in range(sum(map(abs, z0)) + 1)  # z0 lies on the last sphere
+        for r in _capped_radii(model.m, sum(map(abs, z0)))  # z0 lies on the last sphere
         for z in _l1_sphere(model.m, r)
         if all(sum(a * b for a, b in zip(row, z)) == t for row, t in zip(A, rhs))
     )

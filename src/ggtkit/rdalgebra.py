@@ -140,10 +140,14 @@ class Poly(BoundingFunction):
         _check_nonneg(x)
         if isinstance(x, (int, Fraction)):
             p, q = x.numerator, x.denominator
-            top = self.degree()
-            num = sum(k * (q + p) ** m * q ** (top - m) for m, k in self._nums)
-            return Fraction(num, self._den * q**top)
+            return Fraction(self._numerator_at(p, q), self._den * q ** self.degree())
         return sum(c * (1 + x) ** m for m, c in self.coeffs)
+
+    def _numerator_at(self, p: int, q: int) -> int:
+        """The integer numerator of self(p/q) over den q^M; at an integer x
+        it is self(x) * den."""
+        top = self.degree()
+        return sum(k * (q + p) ** m * q ** (top - m) for m, k in self._nums)
 
     def degree(self) -> int:
         return self.coeffs[-1][0]
@@ -291,8 +295,18 @@ def f2_of(f: BoundingFunction) -> BoundingFunction:
         out = Compose(f.outer, f2_of(f.inner))
     else:
         raise DomainError(f"no doubling rule for {type(f).__name__}")
-    _verify_dominance(lambda x: f(2 * x), out, range(0, 17), "f(2x) <= f2(x)")
+    _verify_doubling(f, out)
     return out
+
+
+def _verify_doubling(f: BoundingFunction, f2: BoundingFunction) -> None:
+    """Check f(2x) <= f2(x) at x = 0..16.  Two Polys over one common
+    denominator are compared on their integer numerators, which gives the
+    same verdicts as their Fraction values."""
+    lhs, rhs = (lambda x: f(2 * x)), f2
+    if isinstance(f, Poly) and isinstance(f2, Poly) and f._den == f2._den:
+        lhs, rhs = (lambda x: f._numerator_at(2 * x, 1)), (lambda x: f2._numerator_at(x, 1))
+    _verify_dominance(lhs, rhs, range(0, 17), "f(2x) <= f2(x)")
 
 
 def _verify_dominance(lhs, rhs, grid: Iterable[int], what: str) -> None:
@@ -528,28 +542,17 @@ class SupportedVector:
         """Group-algebra product: coefficient of g is the sum of a(g1) b(g2)
         over factorizations g1 g2 = g.
 
-        Integer kernel: with each vector's coefficients written as integer
-        numerators over its common denominator (d_a, d_b), the products are
-        summed over Z per g1 g2, and each nonzero sum becomes one Fraction
-        over d_a d_b.  Sums that cancel to 0 are not stored; each stored
-        product element is validated once."""
+        Integer kernel (``_product_sums``): with each vector's coefficients
+        written as integer numerators over its common denominator (d_a,
+        d_b), the products are summed over Z per g1 g2, and each nonzero sum
+        becomes one Fraction over d_a d_b.  Sums that cancel to 0 are not
+        stored; each stored product element is validated once."""
         if other.model != self.model:
             raise DomainError("vectors live over different models")
-        model = self.model
-        da, a = self._numerators()
-        db, b = other._numerators()
-        sums: dict = {}
-        for g1, (p, q) in a:
-            for g2, (r, s) in b:
-                g = model.multiply(g1, g2)
-                re, im = sums.get(g, (0, 0))
-                sums[g] = (re + p * r - q * s, im + p * s + q * r)
-        out = SupportedVector(model)
-        den = da * db
-        for g, (re, im) in sums.items():
-            if re or im:
-                model.validate_element(g)
-                out.coeffs[g] = (Fraction(re, den), Fraction(im, den))
+        den, sums = _product_sums(self.model, self._numerators(), other._numerators())
+        out = SupportedVector(self.model)
+        for g, (re, im) in sums:
+            out.coeffs[g] = (Fraction(re, den), Fraction(im, den))
         return out
 
     def to_json(self) -> list:
@@ -568,26 +571,6 @@ class SupportedVector:
             vec.add_term(elem, (Fraction(term["re"]), Fraction(term["im"])))
         return vec
 
-    def _weighted_abs_sum(self, key, f):
-        """sum over the support of |coeff(g)| * f(key(g)), taken per value of
-        key: the real and imaginary coefficients' integer numerators over
-        their common denominator d are summed per key, and each sum n
-        becomes Fraction(n, d) * f(key) once.  The moduli of coefficients
-        with both parts nonzero, irrational in general, are float sums
-        (``math.fsum``); keys are visited in sorted order, so the result
-        depends only on the vector's value."""
-        d, nums = self._numerators()
-        exact: dict = {}
-        inexact: dict = {}
-        for elem, (re, im) in nums:
-            k = key(elem)
-            if re and im:
-                inexact.setdefault(k, []).append(self.abs_coefficient(elem))
-            else:
-                exact[k] = exact.get(k, 0) + abs(re or im)
-        total = sum((Fraction(n, d) * f(k) for k, n in sorted(exact.items())), Fraction(0))
-        return total + sum(math.fsum(moduli) * f(k) for k, moduli in sorted(inexact.items()))
-
     def seminorm(self, f: BoundingFunction, length_cap: int = DEFAULT_RADIUS_CAP):
         """Weighted l1 seminorm: sum |coeff(g)| * f(L(g)) over the support.
 
@@ -597,12 +580,71 @@ class SupportedVector:
         result is exact unless a coefficient has both parts nonzero, or f
         returns a float."""
         model = self.model
-        return self._weighted_abs_sum(lambda elem: exact_length(model, elem, length_cap), f)
+        d, nums = self._numerators()
+        return _weighted_sum(d, *_abs_sums(d, nums, lambda elem: exact_length(model, elem, length_cap)), f)
 
     def l1(self):
         """sum |coeff(g)| over the support, by the kernel of ``seminorm``
-        with one key and weight 1, so no word length is read."""
-        return self._weighted_abs_sum(lambda elem: 0, lambda k: 1)
+        with one key, so no word length is read."""
+        d, nums = self._numerators()
+        return _total_abs(d, *_abs_sums(d, nums, lambda elem: 0))
+
+
+def _product_sums(model: GroupModel, a: tuple, b: tuple) -> tuple:
+    """The product of two vectors given as (d, nums) by ``_numerators``, as
+    (d_a d_b, [(g, (re, im))]): the products of integer numerators summed
+    over Z per g = g1 g2, and kept when nonzero.  Each kept g is validated
+    once."""
+    da, xs = a
+    db, ys = b
+    sums: dict = {}
+    for g1, (p, q) in xs:
+        for g2, (r, s) in ys:
+            g = model.multiply(g1, g2)
+            re, im = sums.get(g, (0, 0))
+            sums[g] = (re + p * r - q * s, im + p * s + q * r)
+    out = []
+    for g, pair in sums.items():
+        if pair[0] or pair[1]:
+            model.validate_element(g)
+            out.append((g, pair))
+    return da * db, out
+
+
+def _abs_sums(d: int, nums: list, key) -> tuple:
+    """One pass over integer numerators over d: (exact, inexact), where
+    exact[k] sums |numerator| over the real or imaginary coefficients with
+    key(g) = k, and inexact[k] lists the float moduli of those with both
+    parts nonzero, each sqrt((re^2 + im^2) / d^2), the same float as
+    ``abs_coefficient``."""
+    exact: dict = {}
+    inexact: dict = {}
+    for elem, (re, im) in nums:
+        k = key(elem)
+        if re and im:
+            inexact.setdefault(k, []).append(math.sqrt(float(Fraction(re * re + im * im, d * d))))
+        else:
+            exact[k] = exact.get(k, 0) + abs(re or im)
+    return exact, inexact
+
+
+def _weighted_sum(d: int, exact: dict, inexact: dict, f):
+    """sum_k f(k) * (the |coefficients| with key k) from ``_abs_sums``: each
+    integer sum n becomes Fraction(n, d) * f(k) once, and each list of
+    moduli math.fsum(moduli) * f(k).  Keys are visited in sorted order, so
+    the result depends only on the vector's value."""
+    total = sum((Fraction(n, d) * f(k) for k, n in sorted(exact.items())), Fraction(0))
+    return total + sum(math.fsum(moduli) * f(k) for k, moduli in sorted(inexact.items()))
+
+
+def _total_abs(d: int, exact: dict, inexact: dict):
+    """sum |coeff(g)| from ``_abs_sums`` under any key: the value of
+    ``_weighted_sum`` with one key and weight 1 (``math.fsum`` is correctly
+    rounded, so it does not depend on how the moduli are grouped)."""
+    total = Fraction(sum(exact.values()), d)
+    if inexact:
+        total += math.fsum(x for moduli in inexact.values() for x in moduli)
+    return total
 
 
 def seminorm(vec: SupportedVector, f: BoundingFunction, length_cap: int = DEFAULT_RADIUS_CAP):
@@ -631,10 +673,30 @@ def check_product_estimate(
 
         |a * b|_f  <=  |a|_1 |b|_f2 + |a|_f2 |b|_1
 
-    with f2 the constructive doubling bound of f."""
+    with f2 the constructive doubling bound of f.
+
+    One integer pass: a and b are written over their common denominators
+    once; the lhs is read from the product's integer sums
+    (``_product_sums``), with no product vector built; each of a and b is
+    split by word length once, which gives both its |.|_1 and its |.|_f2.
+    The values equal those of ``convolve``, ``seminorm`` and ``l1``, and
+    errors come in their order: f2_of, the model check, the product's
+    elements and lengths, then b's lengths, then a's."""
     f2 = f2_of(f)
-    lhs = a.convolve(b).seminorm(f, length_cap)
-    rhs = a.l1() * b.seminorm(f2, length_cap) + a.seminorm(f2, length_cap) * b.l1()
+    if b.model != a.model:
+        raise DomainError("vectors live over different models")
+    model = a.model
+
+    def length(elem):
+        return exact_length(model, elem, length_cap)
+
+    (da, na), (db, nb) = a._numerators(), b._numerators()
+    den, product = _product_sums(model, (da, na), (db, nb))
+    lhs = _weighted_sum(den, *_abs_sums(den, product, length), f)
+    sums_b = _abs_sums(db, nb, length)
+    b_f2 = _weighted_sum(db, *sums_b, f2)
+    sums_a = _abs_sums(da, na, length)
+    rhs = _total_abs(da, *sums_a) * b_f2 + _weighted_sum(da, *sums_a, f2) * _total_abs(db, *sums_b)
     if isinstance(lhs, float) or isinstance(rhs, float):
         holds = float(lhs) <= float(rhs) * (1 + 1e-9) + 1e-9
     else:

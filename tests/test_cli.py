@@ -37,6 +37,16 @@ def test_bounds_eval_payload(capsys):
     assert payload["warnings"]
 
 
+def test_conj_solve_nilpotent_search_past_cap_exits_3(capsys, monkeypatch):
+    from ggtkit import conjugacy
+
+    monkeypatch.setattr(conjugacy, "DEFAULT_BALL_CAP", 1000)
+    heis = '{"type":"two_step_nilpotent","m":2,"n":1,"C":[[[0],[-1]],[[1],[0]]]}'
+    code, out, err = run_cli(capsys, ["conj", "solve", "--group", heis, "--u", "1,0|0", "--v", "1,0|64"])
+    assert (code, out) == (3, "")
+    assert "resource cap: nilpotent conjugator search" in err
+
+
 def test_conj_solve_auto_picks_nilpotent(capsys):
     heis = json.dumps(heisenberg_group().to_dict())
     code, out, _ = run_cli(
@@ -387,3 +397,17 @@ def test_readme_cli_line_exits_0(capsys, monkeypatch, tmp_path, line):
     code, out, err = run_cli(capsys, shlex.split(line)[1:])
     assert code == 0, err
     json.loads(out)
+
+
+def _readme_library_block():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # every print line of the example ends in "# <what it prints>"
+    block = _readme_library_block()
+    want = [line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(want) == 6
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want

@@ -22,7 +22,8 @@ from ggtkit.conjugacy import (
     nilpotent_conjugator,
     profile_conjugacy_bound,
 )
-from ggtkit.errors import UnsupportedCase
+from ggtkit import conjugacy
+from ggtkit.errors import ResourceCapError, UnsupportedCase
 from ggtkit.groups import (
     FiniteGroup,
     FreeAbelian,
@@ -162,6 +163,39 @@ def test_nilpotent_witness_is_minimal_with_a_rank_2_kernel():
     res = nilpotent_conjugator(model, u, v)
     assert res.witness == ((0, 0, -1), (0,)) and res.witness_length == 1
     assert brute_force_conjugator(model, u, v, 2).witness_length == 1
+
+
+def test_nilpotent_sphere_search_cap(monkeypatch):
+    # (1,0|0) -> (1,0|64) is solved on the sphere of radius 64, so the
+    # search holds the whole l1 ball of radius 64 in Z^2: 2*64^2 + 2*64 + 1
+    # points; the m=3 pair of length 1 holds 1 + 6 points
+    u, v = ((1, 0), (0,)), ((1, 0), (64,))
+    model = _m3n1_nilpotent()
+    u3, v3 = model.parse_element("2,3,0|0"), model.parse_element("2,3,0|-5")
+    monkeypatch.setattr(conjugacy, "DEFAULT_BALL_CAP", 2 * 64**2 + 2 * 64 + 1)
+    assert nilpotent_conjugator(HEIS, u, v).witness_length == 64
+    monkeypatch.setattr(conjugacy, "DEFAULT_BALL_CAP", 7)
+    assert nilpotent_conjugator(model, u3, v3).witness_length == 1
+    monkeypatch.setattr(conjugacy, "DEFAULT_BALL_CAP", 6)
+    with pytest.raises(ResourceCapError, match="nilpotent conjugator search"):
+        nilpotent_conjugator(model, u3, v3)
+    monkeypatch.setattr(conjugacy, "DEFAULT_BALL_CAP", 2 * 64**2 + 2 * 64)
+    with pytest.raises(ResourceCapError, match="radius 64 in Z\\^2 has 8321 points"):
+        nilpotent_conjugator(HEIS, u, v)
+
+
+def test_l1_sphere_sizes_match_enumeration(monkeypatch):
+    # the cap counts each sphere by its closed-form size: with the cap at
+    # the size of the ball of radius r, radius r is reached and r + 1 is not
+    for m in range(1, 5):
+        ball_size = 0
+        for r in range(7):
+            ball_size += sum(1 for _ in conjugacy._l1_sphere(m, r))
+            monkeypatch.setattr(conjugacy, "DEFAULT_BALL_CAP", ball_size)
+            radii = conjugacy._capped_radii(m, r + 1)
+            assert [next(radii) for _ in range(r + 1)] == list(range(r + 1))
+            with pytest.raises(ResourceCapError):
+                next(radii)
 
 
 def test_nilpotent_central_system_shape():

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggtkit.cayley import ball
@@ -19,6 +19,8 @@ from ggtkit.errors import ClassEscape, DomainError, LengthCapError
 from ggtkit.groups import FreeAbelian, FreeGroup, exact_length, heisenberg_group
 from ggtkit.rdalgebra import (
     IDENTITY,
+    _verify_doubling,
+    _verify_dominance,
     Affine,
     BoundingClass,
     Compose,
@@ -89,6 +91,48 @@ def test_f2_of_examples():
     assert g2(3) == 2 ** 6  # 2^x -> 4^x
     a2 = f2_of(Affine(3, 1))
     assert a2(5) == 13
+
+
+_FRACTIONAL = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(lambda c: c.denominator > 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_FRACTIONAL, min_size=1, max_size=4),
+    st.permutations(range(8)),
+    st.permutations(range(8)),
+)
+def test_integer_doubling_grid_matches_fraction_grid(coeffs, exps_f, exps_g):
+    # f and g carry the same coefficients on other exponents, so they share
+    # their common denominator (> 1) and g need not dominate f(2x)
+    f = Poly(tuple(zip(exps_f, coeffs)))
+    g = Poly(tuple(zip(exps_g, coeffs)))
+    assert f._den == g._den == f2_of(f)._den > 1
+    for x in range(17):
+        assert (f._numerator_at(2 * x, 1) <= g._numerator_at(x, 1)) == (f(2 * x) <= g(x))
+    outcomes = []
+    for check in (_verify_doubling, lambda f, g: _verify_dominance(lambda x: f(2 * x), g, range(17), "f(2x) <= f2(x)")):
+        try:
+            check(f, g)
+            outcomes.append(None)
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_f2_of_poly_checks_integer_numerators(monkeypatch):
+    f = Poly(((0, Fraction(1, 3)), (2, Fraction(5, 2))))
+    want = f2_of(f)
+    # (1+2x)^2 / 3 > (1+x) / 3 from x = 1
+    with pytest.raises(DomainError) as exc:
+        _verify_doubling(Poly.basis(2, Fraction(1, 3)), Poly.basis(1, Fraction(1, 3)))
+    assert str(exc.value) == "dominance check failed at x=1: f(2x) <= f2(x)"
+
+    def no_fraction_values(self, x):
+        raise AssertionError("Fraction grid used")
+
+    monkeypatch.setattr(Poly, "__call__", no_fraction_values)
+    assert f2_of(f) == want
 
 
 @given(st.integers(0, 30))
@@ -429,3 +473,86 @@ def test_golden_product_estimates(case):
 def test_golden_rd_check_reports(capsys, case):
     code = run(case["argv"])
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+# Oracle for the single-pass estimate: the public operations it replaces.
+_ORACLE_FS = [
+    Poly.basis(0),
+    Poly.basis(2),
+    Poly(((0, Fraction(1, 3)), (3, Fraction(5, 2)))),
+    Affine(Fraction(1, 2), 3),
+    Exp(2, Fraction(1, 2)),  # float values at odd lengths
+    Const(Fraction(2, 7)),
+    Sum(((Fraction(1, 2), Poly.basis(1)), (1, Exp(Fraction(3, 2))))),
+]
+_ORACLE_BALLS = {"F2": ball(F2, 2), "Z2": ball(Z2, 2), "H": ball(HEIS, 2)}
+_SMALL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+
+
+@st.composite
+def _oracle_vector(draw, model_name):
+    elements = _ORACLE_BALLS[model_name].elements
+    terms = draw(st.lists(st.tuples(st.sampled_from(elements), st.tuples(_SMALL, _SMALL)), max_size=6))
+    return SupportedVector(_MODELS[model_name], terms)
+
+
+@st.composite
+def _oracle_case(draw):
+    name = draw(st.sampled_from(sorted(_ORACLE_BALLS)))
+    a, b = draw(_oracle_vector(name)), draw(_oracle_vector(name))
+    if draw(st.booleans()):  # (e + a)(e - a) = e - a^2: the terms of a cancel
+        e = SupportedVector.delta(a.model, a.model.identity())
+        a, b = e + a, e + a.scale(-1)
+    return a, b, draw(st.sampled_from(_ORACLE_FS)), draw(st.integers(0, 5))
+
+
+def _outcome(compute):
+    try:
+        values = compute()
+    except DomainError as exc:
+        return (type(exc), str(exc))
+    return tuple((type(v), repr(v)) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_case())
+def test_product_estimate_equals_public_operations(case):
+    a, b, f, cap = case
+
+    def oracle():
+        f2 = f2_of(f)
+        lhs = convolve(a, b).seminorm(f, cap)
+        return lhs, a.l1() * b.seminorm(f2, cap) + a.seminorm(f2, cap) * b.l1()
+
+    def estimate():
+        rep = check_product_estimate(a, b, f, length_cap=cap)
+        return rep.lhs, rep.rhs
+
+    # exact values equal, floats bit-identical, the same error first
+    assert _outcome(estimate) == _outcome(oracle)
+
+
+def test_product_estimate_cancelled_and_empty_products():
+    u = SupportedVector(F2, [((), 1), ((1,), Fraction(1, 2))])
+    v = SupportedVector(F2, [((), 1), ((1,), Fraction(-1, 2))])
+    rep = check_product_estimate(u, v, Poly.basis(1))
+    assert rep.lhs == 1 + Fraction(1, 4) * 3  # e - a^2/4: the a terms cancel
+    empty = check_product_estimate(u, SupportedVector(F2), Poly.basis(1))
+    assert (empty.lhs, empty.rhs, empty.holds) == (0, 0, True)
+
+
+def test_product_estimate_errors_as_public_operations():
+    a = SupportedVector(F2, [((1,), 1)])
+    with pytest.raises(DomainError, match="different models"):
+        check_product_estimate(a, SupportedVector(Z2, [((1, 0), 1)]), Poly.basis(1))
+    with pytest.raises(DomainError, match="different models"):
+        convolve(a, SupportedVector(Z2, [((1, 0), 1)]))
+    # the product f1 f1 has length 2 in the Heisenberg group; a and b length 1
+    f1 = HEIS.parse_element("1,0|0")
+    x = SupportedVector.delta(HEIS, f1)
+    with pytest.raises(LengthCapError) as est:
+        check_product_estimate(x, x, Poly.basis(1), length_cap=1)
+    with pytest.raises(LengthCapError) as ref:
+        convolve(x, x).seminorm(Poly.basis(1), 1)
+    assert str(est.value) == str(ref.value)
+    assert check_product_estimate(x, x, Poly.basis(1), length_cap=2).holds
