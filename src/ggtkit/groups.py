@@ -254,10 +254,16 @@ class FreeGroup(GroupModel):
     def validate_element(self, a):
         if not isinstance(a, tuple):
             raise ModelMismatch(f"free group element must be a tuple, got {type(a).__name__}")
+        # one pass: every letter is range-checked before a cancelling pair
+        # x, -x is reported
+        cancels, prev = False, 0
         for x in a:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
                 raise ModelMismatch(f"letter {x!r} out of range for rank {self.rank}")
-        if reduce_word(a) != a:
+            if x == -prev:
+                cancels = True
+            prev = x
+        if cancels:
             raise ModelMismatch("free group element is not freely reduced")
 
     def generator_elements(self):

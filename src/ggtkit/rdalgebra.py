@@ -110,24 +110,23 @@ class Poly(BoundingFunction):
     def __post_init__(self):
         norm = {}
         for m, c in self.coeffs:
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if m < 0 or int(m) != m:
                 raise DomainError("basis exponents must be nonnegative integers")
-            if c < 0:
+            if c.numerator < 0:
                 raise DomainError("basis coefficients must be nonnegative")
             if c:
-                norm[int(m)] = norm.get(int(m), Fraction(0)) + c
+                m = int(m)
+                norm[m] = norm[m] + c if m in norm else c
         if not norm:
             raise DomainError("a polynomial bounding function needs a positive term")
-        object.__setattr__(self, "coeffs", tuple(sorted(norm.items())))
+        coeffs = tuple(sorted(norm.items()))
+        object.__setattr__(self, "coeffs", coeffs)
         # the coefficients as integers over their common denominator
-        den = 1
-        for c in norm.values():
-            den = math.lcm(den, c.denominator)
+        den = math.lcm(*(c.denominator for _, c in coeffs))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(
-            self, "_nums", tuple((m, c.numerator * (den // c.denominator)) for m, c in self.coeffs)
-        )
+        object.__setattr__(self, "_nums", tuple((m, c.numerator * (den // c.denominator)) for m, c in coeffs))
 
     @staticmethod
     def basis(m: int, coefficient=1) -> "Poly":
@@ -145,9 +144,16 @@ class Poly(BoundingFunction):
 
     def _numerator_at(self, p: int, q: int) -> int:
         """The integer numerator of self(p/q) over den q^M; at an integer x
-        it is self(x) * den."""
-        top = self.degree()
-        return sum(k * (q + p) ** m * q ** (top - m) for m, k in self._nums)
+        = p (q = 1) it is self(x) * den, with no power of q taken."""
+        total = 0
+        if q == 1:
+            for m, k in self._nums:
+                total += k * (1 + p) ** m
+            return total
+        top = self.coeffs[-1][0]
+        for m, k in self._nums:
+            total += k * (q + p) ** m * q ** (top - m)
+        return total
 
     def degree(self) -> int:
         return self.coeffs[-1][0]
@@ -277,7 +283,9 @@ def f2_of(f: BoundingFunction) -> BoundingFunction:
     """A class member f2 with f(2x) <= f2(x) for all x >= 0.
 
     Constructive choices: (1+x)^m -> (1+x)^(2m) since 1+2x <= (1+x)^2;
-    base^(s x) -> base^(2s x); constants unchanged.
+    base^(s x) -> base^(2s x); constants unchanged.  A Poly's f2 is the
+    doubled Poly, sum c_m (1+x)^(2m) over the same common denominator, and
+    is checked like every f2 at x = 0..16, on integer numerators.
     """
     if isinstance(f, Const):
         out = f
@@ -301,12 +309,15 @@ def f2_of(f: BoundingFunction) -> BoundingFunction:
 
 def _verify_doubling(f: BoundingFunction, f2: BoundingFunction) -> None:
     """Check f(2x) <= f2(x) at x = 0..16.  Two Polys over one common
-    denominator are compared on their integer numerators, which gives the
-    same verdicts as their Fraction values."""
-    lhs, rhs = (lambda x: f(2 * x)), f2
+    denominator are compared on their integer numerators
+    (``Poly._numerator_at``), which gives the same verdicts as their Fraction
+    values."""
     if isinstance(f, Poly) and isinstance(f2, Poly) and f._den == f2._den:
-        lhs, rhs = (lambda x: f._numerator_at(2 * x, 1)), (lambda x: f2._numerator_at(x, 1))
-    _verify_dominance(lhs, rhs, range(0, 17), "f(2x) <= f2(x)")
+        for x in range(0, 17):
+            if f._numerator_at(2 * x, 1) > f2._numerator_at(x, 1):
+                raise DomainError(f"dominance check failed at x={x}: f(2x) <= f2(x)")
+        return
+    _verify_dominance(lambda x: f(2 * x), f2, range(0, 17), "f(2x) <= f2(x)")
 
 
 def _verify_dominance(lhs, rhs, grid: Iterable[int], what: str) -> None:
@@ -449,11 +460,14 @@ def parse_bounding_function(text: str) -> BoundingFunction:
 
 
 def _to_pair(value):
-    if isinstance(value, tuple):
-        return (Fraction(value[0]), Fraction(value[1]))
-    if isinstance(value, complex):
-        return (Fraction(value.real), Fraction(value.imag))
-    return (Fraction(value), Fraction(0))
+    try:
+        if isinstance(value, tuple):
+            return (Fraction(value[0]), Fraction(value[1]))
+        if isinstance(value, complex):
+            return (Fraction(value.real), Fraction(value.imag))
+        return (Fraction(value), Fraction(0))
+    except (ValueError, OverflowError):  # nan, +-inf, or not a number
+        raise DomainError(f"coefficient {value!r} is not a finite number") from None
 
 
 class SupportedVector:
@@ -629,12 +643,22 @@ def _abs_sums(d: int, nums: list, key) -> tuple:
 
 
 def _weighted_sum(d: int, exact: dict, inexact: dict, f):
-    """sum_k f(k) * (the |coefficients| with key k) from ``_abs_sums``: each
-    integer sum n becomes Fraction(n, d) * f(k) once, and each list of
-    moduli math.fsum(moduli) * f(k).  Keys are visited in sorted order, so
-    the result depends only on the vector's value."""
-    total = sum((Fraction(n, d) * f(k) for k, n in sorted(exact.items())), Fraction(0))
-    return total + sum(math.fsum(moduli) * f(k) for k, moduli in sorted(inexact.items()))
+    """sum_k f(k) * (the |coefficients| with key k) from ``_abs_sums``.
+
+    For a Poly f the exact part is one integer dot product, sum_k n_k times
+    f's integer numerator at k (``Poly._numerator_at``), over d * f._den:
+    one Fraction.  For other weights each integer sum n becomes
+    Fraction(n, d) * f(k) once, in sorted key order.  Each list of moduli
+    adds math.fsum(moduli) * f(k), in sorted key order, so the result
+    depends only on the vector's value."""
+    if isinstance(f, Poly):
+        at = f._numerator_at
+        total = Fraction(sum(n * at(k, 1) for k, n in exact.items()), d * f._den)
+    else:
+        total = sum((Fraction(n, d) * f(k) for k, n in sorted(exact.items())), Fraction(0))
+    if inexact:
+        total += sum(math.fsum(moduli) * f(k) for k, moduli in sorted(inexact.items()))
+    return total
 
 
 def _total_abs(d: int, exact: dict, inexact: dict):
@@ -676,12 +700,13 @@ def check_product_estimate(
     with f2 the constructive doubling bound of f.
 
     One integer pass: a and b are written over their common denominators
-    once; the lhs is read from the product's integer sums
+    d_a, d_b once; the lhs is read from the product's integer sums
     (``_product_sums``), with no product vector built; each of a and b is
-    split by word length once, which gives both its |.|_1 and its |.|_f2.
+    split by word length once, which gives both its |.|_1 and its |.|_f2;
+    for a Poly f each |.|_f2 is one integer dot product (``_weighted_sum``).
     The values equal those of ``convolve``, ``seminorm`` and ``l1``, and
     errors come in their order: f2_of, the model check, the product's
-    elements and lengths, then b's lengths, then a's."""
+    elements and lengths, then b's lengths and |b|_f2, then a's."""
     f2 = f2_of(f)
     if b.model != a.model:
         raise DomainError("vectors live over different models")

@@ -200,6 +200,15 @@ def test_multiply_validates_membership(f2):
         multiply(f2, (1, -1), (2,))  # not reduced
 
 
+def test_free_validation_checks_every_letter_before_reducedness(f2):
+    with pytest.raises(ModelMismatch, match="letter 5 out of range"):
+        f2.validate_element((1, -1, 5))
+    for word in [(1, -1), (2, 1, -1, 2), (1, 2, -2)]:
+        with pytest.raises(ModelMismatch, match="not freely reduced"):
+            f2.validate_element(word)
+    f2.validate_element((1, 2, 1, -2, -1))
+
+
 def test_model_round_trip_through_dict(heis, s3, z2z3_product):
     for model in (FreeGroup(3), FreeAbelian(2), heis, s3, z2z3_product):
         assert model_from_dict(model.to_dict()) == model

@@ -20,6 +20,7 @@ from ggtkit.groups import FreeAbelian, FreeGroup, exact_length, heisenberg_group
 from ggtkit.rdalgebra import (
     IDENTITY,
     _verify_doubling,
+    _weighted_sum,
     _verify_dominance,
     Affine,
     BoundingClass,
@@ -133,6 +134,58 @@ def test_f2_of_poly_checks_integer_numerators(monkeypatch):
 
     monkeypatch.setattr(Poly, "__call__", no_fraction_values)
     assert f2_of(f) == want
+
+
+_POLYS = st.lists(
+    st.tuples(st.integers(0, 6), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)),
+    min_size=1,
+    max_size=4,
+).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLYS)
+def test_f2_of_poly_is_the_constructed_double(coeffs):
+    p = Poly(coeffs)
+    want = Poly(tuple((2 * m, c) for m, c in p.coeffs))
+    got = f2_of(p)
+    assert (got, hash(got), got.coeffs, got._den, got._nums) == (want, hash(want), want.coeffs, want._den, want._nums)
+
+
+def _reference_normal_form(coeffs):
+    """Poly's normal form written out: Fraction coefficients summed per
+    exponent, zero terms dropped, sorted by exponent."""
+    norm = {}
+    for m, c in coeffs:
+        if Fraction(c):
+            norm[int(m)] = norm.get(int(m), Fraction(0)) + Fraction(c)
+    return tuple(sorted(norm.items()))
+
+
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(0, 6),
+        st.one_of(st.integers(0, 5), st.fractions(min_value=0, max_value=9, max_denominator=9), st.sampled_from([0.5, 2.0])),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERMS)
+def test_poly_normal_form_and_numerators(terms):
+    # unsorted, repeated and zero terms, int, float and Fraction coefficients
+    want = _reference_normal_form(terms)
+    if not want:
+        with pytest.raises(DomainError, match="needs a positive term"):
+            Poly(tuple(terms))
+        return
+    p = Poly(tuple(terms))
+    assert p.coeffs == want and all(type(m) is int and type(c) is Fraction for m, c in p.coeffs)
+    assert p == Poly(want) and hash(p) == hash(Poly(want))
+    assert p._den == math.lcm(*(c.denominator for _, c in want))
+    assert p._nums == tuple((m, int(c * p._den)) for m, c in want)
 
 
 @given(st.integers(0, 30))
@@ -385,6 +438,37 @@ def test_float_sums_do_not_depend_on_insertion_order():
         assert repr(forward.l1()) == repr(backward.l1())
 
 
+def _per_length_weighted_sum(d, exact, inexact, f):
+    """The per-length Fraction formula: Fraction(n, d) * f(k) per key."""
+    total = sum((Fraction(n, d) * f(k) for k, n in sorted(exact.items())), Fraction(0))
+    return total + sum(math.fsum(moduli) * f(k) for k, moduli in sorted(inexact.items()))
+
+
+_MODULI = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _POLYS,
+    st.integers(1, 60),
+    st.dictionaries(st.integers(0, 12), st.integers(1, 10**6), max_size=6),
+    st.dictionaries(st.integers(0, 12), _MODULI, max_size=4),
+)
+def test_poly_weighted_sum_equals_per_length_formula(coeffs, d, exact, inexact):
+    # empty, exact-only, inexact-only and mixed parts, with _den >= 1
+    f = Poly(coeffs)
+    got, want = _weighted_sum(d, exact, inexact, f), _per_length_weighted_sum(d, exact, inexact, f)
+    assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1, math.inf), (Fraction(1), math.nan)])
+def test_non_finite_coefficients_are_domain_errors(value):
+    with pytest.raises(DomainError, match="is not a finite number"):
+        SupportedVector(F2, [((1,), value)])
+    with pytest.raises(DomainError, match="is not a finite number"):
+        SupportedVector.delta(F2, (1,)).scale(value)
+
+
 def test_l1_reads_no_word_length():
     far = ((DEFAULT_RADIUS_CAP + 1, 0), (0,))  # base l1 past the cap: no exact length
     vec = SupportedVector(HEIS, [(far, Fraction(3, 2)), (HEIS.identity(), -1j)])
@@ -469,6 +553,35 @@ def test_golden_product_estimates(case):
         assert tuple(map(str, values)) == want
 
 
+# Estimates, seminorms under f and f2, and l1 norms for Polys with non-integer
+# coefficients (a list of [m, c]) and a parsed Sum weight, recorded as reprs
+# before Poly-weighted seminorms became integer dot products: the type and
+# every float bit must be unchanged.
+@pytest.mark.parametrize("case", GOLDEN["weighted"], ids=[f"{i}-{c['group']}" for i, c in enumerate(GOLDEN["weighted"])])
+def test_golden_weighted_seminorms(case):
+    model = _MODELS[case["group"]]
+    a, b = _golden_vector(model, case["a"]), _golden_vector(model, case["b"])
+    if isinstance(case["f"], str):
+        f = parse_bounding_function(case["f"])
+    else:
+        f = Poly(tuple((m, Fraction(c)) for m, c in case["f"]))
+    f2 = f2_of(f)
+    rep = check_product_estimate(a, b, f)
+    values = {
+        "lhs": rep.lhs,
+        "rhs": rep.rhs,
+        "a_f": a.seminorm(f),
+        "b_f": b.seminorm(f),
+        "a_f2": a.seminorm(f2),
+        "b_f2": b.seminorm(f2),
+        "ab_f": convolve(a, b).seminorm(f),
+        "a_l1": a.l1(),
+        "b_l1": b.l1(),
+    }
+    assert (rep.holds, rep.f2_description) == (case["holds"], case["f2"])
+    assert {k: repr(v) for k, v in values.items()} == case["values"]
+
+
 @pytest.mark.parametrize("case", GOLDEN["cli"], ids=[f"{i}" for i in range(len(GOLDEN["cli"]))])
 def test_golden_rd_check_reports(capsys, case):
     code = run(case["argv"])
@@ -484,6 +597,8 @@ _ORACLE_FS = [
     Exp(2, Fraction(1, 2)),  # float values at odd lengths
     Const(Fraction(2, 7)),
     Sum(((Fraction(1, 2), Poly.basis(1)), (1, Exp(Fraction(3, 2))))),
+    Poly(((1, Fraction(3, 4)), (2, Fraction(2, 9)), (4, 7))),
+    parse_bounding_function("3*(1+x)^2 + 1"),
 ]
 _ORACLE_BALLS = {"F2": ball(F2, 2), "Z2": ball(Z2, 2), "H": ball(HEIS, 2)}
 _SMALL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
@@ -556,3 +671,20 @@ def test_product_estimate_errors_as_public_operations():
         convolve(x, x).seminorm(Poly.basis(1), 1)
     assert str(est.value) == str(ref.value)
     assert check_product_estimate(x, x, Poly.basis(1), length_cap=2).holds
+
+
+@pytest.mark.parametrize("f", [Exp(10**200), Poly.basis(1, 10**400)])
+def test_product_estimate_raises_b_overflow_before_a_length_cap(f):
+    # b's f2 sum overflows the float range (a complex coefficient's modulus
+    # times a huge exact weight), a's word is past the cap, and the product
+    # a*b = 2 f1 is within it: the public operations raise b's error first
+    a = SupportedVector(HEIS, [(HEIS.parse_element("2,0|0"), 1 - 1j)])
+    b = SupportedVector(HEIS, [(HEIS.parse_element("-1,0|0"), 1 + 1j)])
+    with pytest.raises(LengthCapError):
+        a.seminorm(f2_of(f), 1)
+    with pytest.raises(OverflowError) as ref:
+        convolve(a, b).seminorm(f, 1)
+        a.l1() * b.seminorm(f2_of(f), 1)
+    with pytest.raises(OverflowError) as est:
+        check_product_estimate(a, b, f, length_cap=1)
+    assert str(est.value) == str(ref.value)
