@@ -16,9 +16,10 @@ from typing import Hashable, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_BALL_CAP, DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
-from .errors import DomainError, OracleInconsistency, ResourceCapError
+from .errors import DomainError, OracleInconsistency, ResourceCapError, UnsupportedCase
 from .groups import (
-    Ball, Element, FreeAbelian, FreeGroup, FreeProduct, GroupModel, TwoStepNilpotent, cyclic_reduce
+    Ball, Element, FiniteGroup, FreeAbelian, FreeGroup, FreeProduct, GroupModel, TwoStepNilpotent,
+    cyclic_reduce,
 )
 
 SCALE = 2  # stored weight = SCALE * true length
@@ -229,103 +230,138 @@ class SubgroupOracle:
     def contains(self, model: GroupModel, elem: Element) -> bool:
         raise NotImplementedError
 
-    def coset_key(self, model: GroupModel, elem: Element) -> Optional[Hashable]:
-        """Optional canonical left-coset key; None means 'use the generic scan'."""
-        return None
+    def coset_key(self, model: GroupModel, elem: Element) -> Hashable:
+        """Canonical left-coset key: two elements share it exactly when they
+        lie in one left coset of the subgroup.  ``coned_off`` numbers cosets
+        by it and checks it against ``contains``."""
+        raise NotImplementedError
 
 
 class CyclicSubgroup(SubgroupOracle):
-    """The cyclic subgroup generated by one element."""
+    """The cyclic subgroup generated by one element.
+
+    Its coset key and membership test come from ``CYCLIC``, one entry per
+    model class, built once for the generator and the last model asked."""
 
     def __init__(self, generator: Element, label: str = "H"):
         self.generator = generator
         self.label = label
+        self._model = None
+
+    def _entry(self, model):
+        """(key, contains) for this generator in ``model``."""
+        if model is not self._model:
+            h = self.generator
+            if h == model.identity():  # the trivial subgroup: each element is its own coset
+                self._ops = (lambda elem: elem), (lambda elem: elem == h)
+            else:
+                build = CYCLIC.get(type(model))
+                if build is None:
+                    raise UnsupportedCase(f"no cyclic subgroup entry for {model!r}")
+                self._ops = build(model, h)
+            self._model = model
+        return self._ops
 
     def contains(self, model, elem):
-        g = self.generator
-        if elem == model.identity():
-            return True
-        if g == model.identity():
-            return False
-        if isinstance(model, FreeGroup):
-            return self._free_power_check(model, elem)
-        if isinstance(model, (FreeAbelian, TwoStepNilpotent)):
-            return self._torsion_free_power_check(model, elem)
-        if isinstance(model, FreeProduct):
-            return self._free_product_power_check(model, elem)
-        power = g  # a finite group: the powers of g cycle back to the identity
-        while power != model.identity():
-            if power == elem:
-                return True
-            power = model.multiply(power, g)
-        return False
-
-    def _free_power_check(self, model, elem):
-        pre, core = cyclic_reduce(self.generator)
-        if not core:
-            return False
-        p = len(pre)
-        if p and (elem[:p] != pre or elem[-p:] != model.inverse(pre)):
-            return False
-        middle = elem[p: len(elem) - p] if p else elem
-        if not middle or len(middle) % len(core):
-            return False
-        k = len(middle) // len(core)
-        return middle == core * k or middle == model.inverse(core) * k
-
-    def _torsion_free_power_check(self, model, elem):
-        """Solve elem = g^k for k on the first nonzero coordinate of g, then
-        check g^k exactly.  In a two-step nilpotent group that coordinate
-        lies in the base part, which is linear in k, unless g is central."""
-        g, x, y = self.generator, self.generator, elem
-        if isinstance(model, TwoStepNilpotent):
-            x, y = g[0] + g[1], elem[0] + elem[1]
-        t = next(t for t, v in enumerate(x) if v)
-        k, rem = divmod(y[t], x[t])
-        return rem == 0 and _power(model, g, k) == elem
-
-    def _free_product_power_check(self, model, elem):
-        """Write h = p c p^-1 with c cyclically reduced.  A single syllable
-        c = (i, s) leaves the question to factor i: elem is in <h> exactly
-        when p^-1 elem p is e or (i, x) with x in <s>.  Otherwise c^k has
-        |k| |c| syllables, and |elem| >= |c^k| - 2|p| bounds the |k| to try."""
-        pre, core = model.cyclic_syllable_reduce(self.generator)
-        if len(core) == 1:
-            (i, s), = core
-            inner = model.multiply(model.multiply(model.inverse(pre), elem), pre)
-            return len(inner) == 1 and inner[0][0] == i and CyclicSubgroup(s).contains(
-                model.factors[i], inner[0][1]
-            )
-        g, inv = self.generator, model.inverse(self.generator)
-        power, neg = g, inv
-        for _ in range((len(elem) + 2 * len(pre)) // len(core)):
-            if elem in (power, neg):
-                return True
-            power, neg = model.multiply(power, g), model.multiply(neg, inv)
-        return False
+        return self._entry(model)[1](elem)
 
     def coset_key(self, model, elem):
-        """For a free group: the least element of elem<h> by (length, letters).
+        return self._entry(model)[0](elem)
 
-        Write h = p c p^-1 with c cyclically reduced.  Then elem<h> = x<c>p^-1
-        with x = elem p, so the least element of x<c> names the coset.  Once
-        whole copies of c and c^-1 are stripped off the end of x, lengths
-        only grow past x c and x c^-1.
-        """
-        if not isinstance(model, FreeGroup):
-            return None
-        pre, core = cyclic_reduce(self.generator)
-        if not core:
-            return elem
+
+def _periodic_cyclic(model: GroupModel, pre: Element, core: Element):
+    """<h> for h = p c p^-1 in a free group or free product, where c is
+    cyclically reduced with c^k written as c k times (the letters, or the
+    syllables, of c and c^-1 never meet).  Then elem<h> = x<c>p^-1 with
+    x = elem p.  Once whole copies of c and c^-1 are stripped off the end
+    of x, the one or two elements of x<c> that end in neither c nor c^-1
+    are among x, x c and x c^-1, the same from any member; the others end
+    in c or c^-1 only as x c or x c^-1 written out, longer than x.  So the
+    least of the three by (length, payload) names the coset.  elem is in
+    <h> exactly when p^-1 elem p is c^k or c^-k as written."""
+    pre_inv, inv, n = model.inverse(pre), model.inverse(core), len(core)
+
+    def key(elem):
         x = model.multiply(elem, pre) if pre else elem
-        inv = model.inverse(core)
-        k = len(core)
-        while x[-k:] == core:
-            x = x[:-k]
-        while x[-k:] == inv:
-            x = x[:-k]
-        return min((x, model.multiply(x, core), model.multiply(x, inv)),
-                   key=lambda w: (len(w), w))
+        while x[-n:] == core:
+            x = x[:-n]
+        while x[-n:] == inv:
+            x = x[:-n]
+        return min((x, model.multiply(x, core), model.multiply(x, inv)), key=lambda w: (len(w), w))
+
+    def contains(elem):
+        y = model.multiply(pre_inv, model.multiply(elem, pre)) if pre else elem
+        k, rem = divmod(len(y), n)
+        return not rem and y in (core * k, inv * k)
+
+    return key, contains
+
+
+def _lattice_cyclic(coordinates):
+    """Z^n and two-step nilpotent groups, whose ``coordinates`` (base part,
+    then central part) are additive along <h>: the coordinate t at h's first
+    nonzero entry moves by k h_t from elem to elem h^k, since it lies in the
+    base part unless h is central.  So elem h^(-floor(elem_t / h_t)) is the
+    one element of elem<h> with its coordinate t in [0, |h_t|), and elem is
+    in <h> exactly when that key is e."""
+
+    def build(model, h):
+        t, ht = next((t, v) for t, v in enumerate(coordinates(h)) if v)
+        e = model.identity()
+
+        def key(elem):
+            return model.multiply(elem, _power(model, h, -(coordinates(elem)[t] // ht)))
+
+        return key, lambda elem: key(elem) == e
+
+    return build
+
+
+def _finite_cyclic(model: FiniteGroup, h: Element):
+    """<h> read off the table; a coset is keyed by its least element."""
+    powers = [model.identity()]
+    while (g := model.multiply(powers[-1], h)) != powers[0]:
+        powers.append(g)
+    table = model.table
+    return (lambda elem: min(table[elem][g] for g in powers)), frozenset(powers).__contains__
+
+
+def _product_cyclic(model: FreeProduct, h: Element):
+    """Write h = p c p^-1 with c cyclically reduced.  A core of >= 2
+    syllables has first and last syllables in distinct factors, so c^k is c
+    written k times (see ``_periodic_cyclic``).  A single syllable c = (i, s)
+    leaves the coset to factor i: with x = elem p, elem<h> = x<c>p^-1 is
+    named by x without a last syllable in factor i and factor i's key of
+    that syllable's payload modulo <s>; elem is in <h> exactly when
+    p^-1 elem p is e or (i, y) with y in <s>."""
+    pre, core = model.cyclic_syllable_reduce(h)
+    if len(core) > 1:
+        return _periodic_cyclic(model, pre, core)
+    (i, s), = core
+    factor, sub, pre_inv = model.factors[i], CyclicSubgroup(s), model.inverse(pre)
+    empty = sub.coset_key(factor, factor.identity())
+
+    def key(elem):
+        x = model.multiply(elem, pre)
+        if x and x[-1][0] == i:
+            return x[:-1], sub.coset_key(factor, x[-1][1])
+        return x, empty
+
+    def contains(elem):
+        y = model.multiply(pre_inv, model.multiply(elem, pre))
+        return not y or (len(y) == 1 and y[0][0] == i and sub.contains(factor, y[0][1]))
+
+    return key, contains
+
+
+# One entry per model class: build(model, h) -> (key, contains) for h != e.
+CYCLIC = {
+    FreeGroup: lambda model, h: _periodic_cyclic(model, *cyclic_reduce(h)),
+    FreeAbelian: _lattice_cyclic(lambda x: x),
+    TwoStepNilpotent: _lattice_cyclic(lambda x: x[0] + x[1]),
+    FiniteGroup: _finite_cyclic,
+    FreeProduct: _product_cyclic,
+}
 
 
 def _power(model: GroupModel, g: Element, k: int) -> Element:
@@ -437,46 +473,30 @@ def coned_off(b: Ball, factors) -> ConedOffGraph:
     coset_of = []
     coset_members = []
     for oracle in oracles:
-        keyed = oracle.coset_key(model, model.identity()) is not None
-        if keyed:
-            key_to_id: dict = {}
-            ids = [key_to_id.setdefault(oracle.coset_key(model, e), len(key_to_id)) for e in b.elements]
-        else:
-            # generic scan: compare against one representative per known coset
-            ids, reps = [], []
-            for i, e in enumerate(b.elements):
-                for cid, r in enumerate(reps):
-                    if oracle.contains(model, model.multiply(model.inverse(b.elements[r]), e)):
-                        break
-                else:
-                    cid = len(reps)
-                    reps.append(i)
-                ids.append(cid)
-        members: list[list[int]] = [[] for _ in range(max(ids) + 1)]
+        key_to_id: dict = {}
+        ids = [key_to_id.setdefault(oracle.coset_key(model, e), len(key_to_id)) for e in b.elements]
+        members: list[list[int]] = [[] for _ in range(len(key_to_id))]
         for i, cid in enumerate(ids):
             members[cid].append(i)
-        if keyed:
-            # verify the fast path against the membership oracle: consecutive
-            # members of each coset must differ by a subgroup element, and a
-            # bounded number of representative pairs must not
-            for group in members:
-                for i, j in zip(group, group[1:]):
-                    diff = model.multiply(model.inverse(b.elements[i]), b.elements[j])
-                    if not oracle.contains(model, diff):
+        # verify the key against the membership oracle: consecutive members
+        # of each coset must differ by a subgroup element, and a bounded
+        # number of representative pairs must not
+        for group in members:
+            for i, j in zip(group, group[1:]):
+                diff = model.multiply(model.inverse(b.elements[i]), b.elements[j])
+                if not oracle.contains(model, diff):
+                    raise OracleInconsistency(
+                        f"{oracle.label}: coset key groups non-equivalent elements"
+                    )
+        if len(members) <= REP_VERIFY_LIMIT:
+            reps = [b.elements[group[0]] for group in members]
+            for x in range(len(reps)):
+                inv = model.inverse(reps[x])
+                for y in range(x + 1, len(reps)):
+                    if oracle.contains(model, model.multiply(inv, reps[y])):
                         raise OracleInconsistency(
-                            f"{oracle.label}: coset key groups non-equivalent elements"
+                            f"{oracle.label}: coset key splits one coset in two"
                         )
-            if len(members) <= REP_VERIFY_LIMIT:
-                reps = [group[0] for group in members]
-                for x in range(len(reps)):
-                    for y in range(x + 1, len(reps)):
-                        diff = model.multiply(
-                            model.inverse(b.elements[reps[x]]), b.elements[reps[y]]
-                        )
-                        if oracle.contains(model, diff):
-                            raise OracleInconsistency(
-                                f"{oracle.label}: coset key splits one coset in two"
-                            )
         coset_of.append(ids)
         coset_members.append(members)
 

@@ -104,6 +104,10 @@ def _parse_cone(model, text: str):
     if kind == "factor":
         if not isinstance(model, FreeProduct):
             raise ConfigError("factor cones need a free product group")
+        if not (arg.isdecimal() and int(arg) < len(model.factors)):
+            raise ConfigError(
+                f"factor index {arg!r} must be an integer in [0, {len(model.factors)})"
+            )
         return FactorSubgroup(int(arg))
     raise ConfigError(f"unknown cone spec {text!r}; use cyclic:<element> or factor:<index>")
 

@@ -14,7 +14,7 @@ witnesses have least length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -252,6 +252,52 @@ def _finite_key(model: FiniteGroup, u: Element):
     return min(model.conjugate(h, u) for h in range(model.order))
 
 
+def _period_root(word: tuple) -> tuple:
+    """The shortest prefix r of the word with word = r^k, letter for letter."""
+    n = len(word)
+    return next(word[:d] for d in range(1, n + 1) if n % d == 0 and word == word[:d] * (n // d))
+
+
+def _free_centralizer(model: FreeGroup, h: Element) -> list:
+    """h = p c p^-1 with c cyclically reduced: C(h) is infinite cyclic,
+    generated by p r p^-1 with r the primitive root of c."""
+    prefix, core = cyclic_reduce(h)
+    return [model.multiply(model.multiply(prefix, _period_root(core)), model.inverse(prefix))]
+
+
+def _nilpotent_centralizer(model: TwoStepNilpotent, h: Element) -> list:
+    """g = (z, c) commutes with h exactly when A z = 0 for the central
+    system of (h, h), so C(h) is generated by (z, 0) over a basis of the
+    kernel of A and the central generators."""
+    _, kernel = solve_integer_system(*nilpotent_central_system(model, h, h))
+    central = model.positive_generators()[model.m:]
+    return [(tuple(z), (0,) * model.n) for z in kernel] + central
+
+
+def _finite_centralizer(model: FiniteGroup, h: Element) -> list:
+    """Every nontrivial element that commutes with h, read off the table."""
+    return [g for g in range(1, model.order) if model.table[g][h] == model.table[h][g]]
+
+
+def _product_centralizer(model: FreeProduct, h: Element) -> list:
+    """h = p c p^-1 with c cyclically reduced (Magnus-Karrass-Solitar 4.1):
+    a core of >= 2 syllables has the infinite cyclic centralizer generated
+    by p r p^-1, r the shortest syllable period of c; a single syllable
+    (i, s) has p C_i(s) p^-1, with C_i(s) its centralizer in factor i."""
+    prefix, core = model.cyclic_syllable_reduce(h)
+    if len(core) > 1:
+        roots = [_period_root(core)]
+    else:
+        (i, s), = core
+        roots = [((i, g),) for g in centralizer_generators(model.factors[i], s)]
+    inv = model.inverse(prefix)
+    return [model.multiply(model.multiply(prefix, r), inv) for r in roots]
+
+
+def _no_centralizer(model: GroupModel, h: Element) -> list:
+    raise UnsupportedCase(f"no exact centralizer for {model!r}")
+
+
 @dataclass(frozen=True)
 class ConjugacyEntry:
     """What the solvers and the profiler know of conjugacy in one model class.
@@ -262,6 +308,7 @@ class ConjugacyEntry:
     is the exact decider that ``--solver <solver>`` names; ``minimal``: its
     witnesses have least length (free and two-step nilpotent groups), so
     the profiler builds no search ball for the model.
+    ``centralizer(model, h)`` lists generators of the centralizer of h != e.
     """
 
     key: Callable
@@ -270,6 +317,7 @@ class ConjugacyEntry:
     solver: Optional[str] = None
     decide: Optional[Callable] = None
     minimal: bool = False
+    centralizer: Callable = _no_centralizer
 
 
 # No invariant and no decider: every element shares one key.
@@ -284,6 +332,7 @@ CONJUGACY = {
         solver="free",
         decide=free_group_conjugacy,
         minimal=True,
+        centralizer=_free_centralizer,
     ),
     TwoStepNilpotent: ConjugacyEntry(
         key=lambda model, u: u[0],  # conjugation fixes the base part
@@ -293,11 +342,13 @@ CONJUGACY = {
         solver="nilpotent",
         decide=nilpotent_conjugator,
         minimal=True,
+        centralizer=_nilpotent_centralizer,
     ),
     FreeAbelian: ConjugacyEntry(
         key=lambda model, u: u,
         complete=True,
         certificate=lambda model, u, v: None if u == v else "abelian group: conjugacy is equality",
+        centralizer=lambda model, h: model.positive_generators(),
     ),
     FiniteGroup: ConjugacyEntry(
         key=_finite_key,
@@ -306,8 +357,9 @@ CONJUGACY = {
             None if _finite_key(model, u) == _finite_key(model, v)
             else "finite group: the least elements of the two conjugacy classes differ"
         ),
+        centralizer=_finite_centralizer,
     ),
-    FreeProduct: _GENERIC,
+    FreeProduct: replace(_GENERIC, centralizer=_product_centralizer),
 }
 
 
@@ -366,62 +418,14 @@ def classify_element(model: FreeProduct, u: Element) -> ElementClass:
 # centralizers
 
 
-def _free_primitive_root(model: FreeGroup, h: Element) -> Element:
-    prefix, core = cyclic_reduce(h)
-    n = len(core)
-    period = n
-    for d in range(1, n):
-        if n % d == 0 and core == core[:d] * (n // d):
-            period = d
-            break
-    return model.multiply(model.multiply(prefix, core[:period]), model.inverse(prefix))
-
-
-def centralizer_generators(
-    model: GroupModel,
-    h: Element,
-    radius: int,
-    *,
-    ball_cap: int = DEFAULT_BALL_CAP,
-    search_ball: Optional[Ball] = None,
-) -> list:
-    """Generators of the ball-restricted centralizer of h.
-
-    Exact for finite groups once the radius covers the group; free groups
-    get the primitive root of h.  Otherwise: all commuting ball elements,
-    greedily reduced by subgroup closure within the ball.
-    """
+def centralizer_generators(model: GroupModel, h: Element) -> list:
+    """Generators of the centralizer C(h), exact for every model class: the
+    model's standard generators when h = e, else those of its conjugacy
+    entry's ``centralizer``.  No ball is built."""
     model.validate_element(h)
     if h == model.identity():
         return model.positive_generators()
-    if isinstance(model, FreeGroup):
-        return [_free_primitive_root(model, h)]
-    sb = search_ball if search_ball is not None else ball(model, radius, cap=ball_cap)
-    commuting = [i for i, g in enumerate(sb.elements) if model.commutes(g, h)]
-    generators: list = []
-    known = {0}
-    for i in commuting:
-        if i in known or i == 0:
-            continue
-        generators.append(sb.elements[i])
-        # re-close the generated set inside the ball
-        step_elems = []
-        for g in generators:
-            step_elems.append(g)
-            step_elems.append(model.inverse(g))
-        frontier = [0]
-        known = {0}
-        while frontier:
-            nxt = []
-            for j in frontier:
-                for s in step_elems:
-                    w = model.multiply(sb.elements[j], s)
-                    wj = sb.index.get(w)
-                    if wj is not None and wj not in known:
-                        known.add(wj)
-                        nxt.append(wj)
-            frontier = nxt
-    return generators
+    return conjugacy_entry(model).centralizer(model, h)
 
 
 # ---------------------------------------------------------------------------

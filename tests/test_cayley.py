@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from ggtkit.groups import (
     FreeAbelian,
     FreeGroup,
     FreeProduct,
+    TwoStepNilpotent,
     cyclic_group,
     heisenberg_group,
     symmetric_group_3,
@@ -218,15 +220,33 @@ def test_inconsistent_oracle_rejected(f2):
         def contains(self, model, elem):
             return elem in ((), (1,))  # not closed: a*a missing
 
-        def coset_key(self, model, elem):
-            return None
-
     b = ball(f2, 2)
-    with pytest.raises(OracleInconsistency):
+    with pytest.raises(OracleInconsistency, match="not closed under inverses"):
         coned_off(b, [Broken((1,))])
 
 
-COSET_GENERATORS = [(1,), (1, 2), (1, 1), (2, 1, -2), (1, 2, -1, -2)]
+class _MergingKey(CyclicSubgroup):
+    """Puts b into the coset of e."""
+
+    def coset_key(self, model, elem):
+        return super().coset_key(model, () if elem == (2,) else elem)
+
+
+class _SplittingKey(CyclicSubgroup):
+    """Splits every coset by the parity of the element's length."""
+
+    def coset_key(self, model, elem):
+        return super().coset_key(model, elem), len(elem) % 2
+
+
+def test_coset_key_merging_two_cosets_is_rejected(f2):
+    with pytest.raises(OracleInconsistency, match="coset key groups non-equivalent elements"):
+        coned_off(ball(f2, 2), [_MergingKey((1,))])
+
+
+def test_coset_key_splitting_a_coset_is_rejected(f2):
+    with pytest.raises(OracleInconsistency, match="coset key splits one coset in two"):
+        coned_off(ball(f2, 2), [_SplittingKey((1,))])
 
 
 @pytest.fixture(scope="module")
@@ -234,32 +254,108 @@ def f2_ball5(f2):
     return ball(f2, 5)
 
 
-@pytest.mark.parametrize("h", COSET_GENERATORS)
-def test_coset_key_partition_matches_membership_oracle(f2, f2_ball5, h):
-    oracle = CyclicSubgroup(h)
-    elems = f2_ball5.elements
-    keys = [oracle.coset_key(f2, g) for g in elems]
+# Oracles: the membership test of Z^n and two-step nilpotent groups and the
+# generic coset scan that the per-class coset keys replaced.
+
+
+def _torsion_free_power_check(model, g, elem):
+    """Solve elem = g^k for k on the first nonzero coordinate of g, then
+    check g^k exactly.  In a two-step nilpotent group that coordinate lies
+    in the base part, which is linear in k, unless g is central."""
+    if elem == model.identity():
+        return True
+    if g == model.identity():
+        return False
+    x, y = _coordinates(model, g), _coordinates(model, elem)
+    t = next(t for t, v in enumerate(x) if v)
+    k, rem = divmod(y[t], x[t])
+    return rem == 0 and _step_power(model, g, k) == elem
+
+
+def _generic_scan(b, member):
+    """Coset ids in ball order: compare each element with one representative
+    per known coset."""
+    model = b.model
+    ids, reps = [], []
+    for e in b.elements:
+        for cid, r in enumerate(reps):
+            if member(model.multiply(model.inverse(r), e)):
+                break
+        else:
+            cid = len(reps)
+            reps.append(e)
+        ids.append(cid)
+    return ids
+
+
+# model, ball radius, generators: the identity, central elements, proper
+# powers and elements with a conjugating prefix
+_CYCLIC_CASES = {
+    "F2": (FreeGroup(2), 5, ["a", "ab", "aa", "baB", "abAB", "e"]),
+    "Z^2": (FreeAbelian(2), 6, ["e", "1,0", "2,-2", "0,3"]),
+    "Heisenberg": (heisenberg_group(), 4,
+                   ["e", "0,0|1", "0,0|2", "2,0|0", "1,1|0", "1,0|1", "0,-1|0"]),
+    "S3": (symmetric_group_3(), 3, ["e", "(123)", "(12)", "(13)"]),
+    "Z6": (cyclic_group(6), 3, ["e", "g", "g2", "g3"]),
+    "Z2*Z3": (FreeProduct([cyclic_group(2), cyclic_group(3)]), 8,
+              ["e", "1:g2", "0:g*1:g", "0:g*1:g*0:g*1:g", "1:g*0:g*1:g2", "0:g*1:g*0:g*1:g2*0:g"]),
+    "Z*Z3": (FreeProduct([FreeAbelian(1), cyclic_group(3)]), 4,
+             ["e", "0:1", "0:2", "0:1*1:g", "1:g*0:1*1:g2", "1:g*0:1*1:g*0:-1*1:g2"]),
+    "F2*Z6": (FreeProduct([FreeGroup(2), cyclic_group(6)]), 3,
+              ["e", "1:g3", "0:aa", "0:a*1:g", "0:b*1:g2*0:B", "0:a*1:g*0:a*1:g"]),
+    "Z^2*Z3": (FreeProduct([FreeAbelian(2), cyclic_group(3)]), 3,
+               ["e", "0:1,0", "0:2,-2", "0:1,0*1:g", "1:g*0:0,1*1:g2"]),
+}
+# F2's cases keep their ids h0..h4
+_CYCLIC_IDS = [
+    f"h{i}" if name == "F2" else f"{name}-h{i}"
+    for name, (_, _, gens) in _CYCLIC_CASES.items()
+    for i in range(len(gens))
+]
+_CYCLIC_PARAMS = [(name, text) for name, (_, _, gens) in _CYCLIC_CASES.items() for text in gens]
+
+
+@functools.cache
+def _case_ball(name):
+    model, radius, _ = _CYCLIC_CASES[name]
+    return ball(model, radius)
+
+
+def _cyclic_case(name, text):
+    """(ball, h, membership oracle for differences of ball elements)."""
+    b = _case_ball(name)
+    model = b.model
+    h = model.parse_element(text)
+    if isinstance(model, (FreeAbelian, TwoStepNilpotent)):
+        return b, h, functools.partial(_torsion_free_power_check, model, h)
+    # a power h^k of length at most 2r has |k| <= 2r, or k below the order
+    # of a finite factor (at most 6)
+    return b, h, _powers(model, h, 2 * b.radius + 6).__contains__
+
+
+@pytest.mark.parametrize("name,text", _CYCLIC_PARAMS, ids=_CYCLIC_IDS)
+def test_coset_key_partition_matches_membership_oracle(name, text):
+    b, h, member = _cyclic_case(name, text)
+    model, elems = b.model, b.elements
+    keys = [CyclicSubgroup(h).coset_key(model, g) for g in elems]
     wrong = [
         (i, j)
         for i, g in enumerate(elems)
         for j in range(i + 1, len(elems))
-        if (keys[i] == keys[j]) != oracle.contains(f2, f2.multiply(f2.inverse(g), elems[j]))
+        if (keys[i] == keys[j]) != member(model.multiply(model.inverse(g), elems[j]))
     ]
     assert wrong == []
 
 
-class _ScanOnly(CyclicSubgroup):
-    def coset_key(self, model, elem):
-        return None
-
-
-@pytest.mark.parametrize("h", COSET_GENERATORS)
-def test_coned_off_by_coset_key_equals_generic_scan(f2_ball5, h):
-    keyed = coned_off(f2_ball5, [CyclicSubgroup(h, "H")])
-    scanned = coned_off(f2_ball5, [_ScanOnly(h, "H")])
-    assert keyed.graph.edges == scanned.graph.edges
-    assert keyed.cones == scanned.cones
-    assert keyed.coset_of == scanned.coset_of
+@pytest.mark.parametrize("name,text", _CYCLIC_PARAMS, ids=_CYCLIC_IDS)
+def test_coned_off_by_coset_key_equals_generic_scan(name, text):
+    b, h, member = _cyclic_case(name, text)
+    keyed = coned_off(b, [CyclicSubgroup(h, "H")])
+    ids = _generic_scan(b, member)
+    assert keyed.coset_of == [ids]
+    assert keyed.cones == [(0, cid) for cid in range(max(ids) + 1)]
+    cone_edges = {(i, len(b) + cid, 1) for i, cid in enumerate(ids)}
+    assert keyed.graph.edges == sorted(set(_oracle_cayley_edges(b)) | cone_edges)
 
 
 # -- four-point condition ------------------------------------------------------

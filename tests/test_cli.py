@@ -153,6 +153,16 @@ def test_free_product_cyclic_cones_exit_0(capsys, group, radius, cone):
     assert json.loads(out)["results"]["cosets_per_factor"]
 
 
+@pytest.mark.parametrize("index", ["5", "2", "-1", "x", ""])
+def test_factor_cone_index_outside_the_product_exits_2(capsys, index):
+    group = '{"type":"free_product","factors":["Z2","Z3"]}'
+    code, out, err = run_cli(
+        capsys, ["coned", "--group", group, "--radius", "2", "--cone", f"factor:{index}"]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"ggtkit: config error: factor index {index!r} must be an integer in [0, 2)\n"
+
+
 def test_delta_exhaustive_report_has_no_bound_label(capsys):
     code, out, _ = run_cli(
         capsys, ["delta", "--group", '{"type":"free","rank":2}', "--radius", "2"]
@@ -376,6 +386,26 @@ def test_golden_replay(capsys, case):
     assert (code, out) == (case["exit"], case["stdout"])
     if code:
         assert err == case["stderr"]
+
+
+# Exit code, stdout, stderr (on failure) and `--csv` edge list of `coned`
+# over cyclic cones on all five model classes and factor cones on free
+# products, recorded while only free-group cyclic subgroups had a coset key
+# and every other cone took the generic coset scan.
+GOLDEN_CONED = json.loads((Path(__file__).parent / "golden_coned.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CONED, ids=[f"{i}-{c['argv'][6]}" for i, c in enumerate(GOLDEN_CONED)]
+)
+def test_golden_coned_replay(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+    if code:
+        assert err == case["stderr"]
+    csv_path = tmp_path / "edges.csv"
+    assert (csv_path.read_text() if csv_path.exists() else None) == case["csv"]
 
 
 def _readme_cli_lines():

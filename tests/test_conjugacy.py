@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from ggtkit.conjugacy import (
     nilpotent_conjugator,
     profile_conjugacy_bound,
 )
-from ggtkit import conjugacy
+from ggtkit import cayley, conjugacy
 from ggtkit.errors import ResourceCapError, UnsupportedCase
 from ggtkit.groups import (
     FiniteGroup,
@@ -341,7 +342,7 @@ def test_classification_matches_bounded_conjugation_oracle():
 
 def test_centralizer_of_three_cycle(s3):
     h = s3.names.index("(123)")
-    gens = centralizer_generators(s3, h, 6)
+    gens = centralizer_generators(s3, h)
     generated = {0}
     frontier = [0]
     steps = list(gens) + [s3.inverse(g) for g in gens]
@@ -361,7 +362,7 @@ def test_centralizer_of_three_cycle(s3):
 
 def test_primitive_root_of_power():
     h = F2.multiply(F2.multiply((1, 2), (1, 2)), (1, 2))  # (ab)^3
-    assert centralizer_generators(F2, h, 6) == [(1, 2)]
+    assert centralizer_generators(F2, h) == [(1, 2)]
     # commutation-scan oracle on the radius-6 ball
     b6 = ball(F2, 6)
     commuting = {g for g in b6.elements if F2.commutes(g, h)}
@@ -375,12 +376,12 @@ def test_primitive_root_of_power():
 
 
 def test_centralizer_of_identity_is_standard_generators(heis):
-    assert centralizer_generators(HEIS, HEIS.identity(), 2) == HEIS.positive_generators()
-    assert centralizer_generators(F2, (), 2) == [(1,), (2,)]
+    assert centralizer_generators(HEIS, HEIS.identity()) == HEIS.positive_generators()
+    assert centralizer_generators(F2, ()) == [(1,), (2,)]
 
 
 def test_centralizer_of_central_element_is_whole_ball(heis):
-    gens = centralizer_generators(HEIS, ((0, 0), (1,)), 2)
+    gens = centralizer_generators(HEIS, ((0, 0), (1,)))
     generated = {HEIS.identity()}
     frontier = [HEIS.identity()]
     b2 = ball(HEIS, 2)
@@ -395,6 +396,77 @@ def test_centralizer_of_central_element_is_whole_ball(heis):
                     nxt.append(w)
         frontier = nxt
     assert generated == set(b2.elements)
+
+
+# The ball-restricted commuting scan is the oracle for the exact centralizers:
+# every commuting element of a radius-r ball must lie in the subgroup that
+# the generators span, found by closing them inside the radius-2r ball.
+_CENTRALIZER_CASES = {
+    "F2": (F2, 4, ["a", "ab", "abab", "baB", "abAB"]),
+    "Z^2": (FreeAbelian(2), 3, ["1,0", "2,-2"]),
+    "Heisenberg": (HEIS, 3, ["0,0|1", "1,0|0", "2,0|0", "1,1|1", "2,-2|3"]),
+    "S3": (symmetric_group_3(), 3, ["(123)", "(12)"]),
+    "Z6": (cyclic_group(6), 3, ["g", "g3"]),
+    "Z2*Z3": (FreeProduct([cyclic_group(2), cyclic_group(3)]), 6,
+              ["1:g", "0:g*1:g", "0:g*1:g*0:g*1:g", "1:g*0:g*1:g2"]),
+    "Z*Z3": (FreeProduct([FreeAbelian(1), cyclic_group(3)]), 3, ["0:1", "0:2", "0:1*1:g", "1:g*0:1*1:g2"]),
+    "F2*Z6": (FreeProduct([FreeGroup(2), cyclic_group(6)]), 3,
+              ["1:g3", "0:aa", "0:a*1:g", "0:b*1:g2*0:B", "0:a*1:g*0:a*1:g"]),
+    "Z^2*Z3": (FreeProduct([FreeAbelian(2), cyclic_group(3)]), 3, ["0:1,0", "0:1,0*1:g", "1:g*0:0,1*1:g2"]),
+}
+_CENTRALIZER_PARAMS = [(name, text) for name, (_, _, hs) in _CENTRALIZER_CASES.items() for text in hs]
+
+
+@functools.cache
+def _case_ball(name, radius):
+    return ball(_CENTRALIZER_CASES[name][0], radius)
+
+
+def _commuting_scan(model, h, b):
+    """The elements of the ball that commute with h."""
+    return [g for g in b.elements if model.commutes(g, h)]
+
+
+def _closure_in_ball(model, gens, b):
+    """The elements of the ball reached from e by steps g^+-1, g in gens,
+    without leaving the ball."""
+    steps = list(gens) + [model.inverse(g) for g in gens]
+    seen = {model.identity()}
+    frontier = [model.identity()]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in steps:
+                w = model.multiply(u, g)
+                if w in b.index and w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("name,text", _CENTRALIZER_PARAMS, ids=[f"{n}-{t}" for n, t in _CENTRALIZER_PARAMS])
+def test_centralizer_generators_match_commuting_scan(name, text):
+    model, radius, _ = _CENTRALIZER_CASES[name]
+    h = model.parse_element(text)
+    gens = centralizer_generators(model, h)
+    assert gens and all(model.commutes(g, h) for g in gens)
+    spanned = _closure_in_ball(model, gens, _case_ball(name, 2 * radius))
+    commuting = _commuting_scan(model, h, _case_ball(name, radius))
+    assert len(commuting) > 1 and set(commuting) <= spanned
+
+
+def test_centralizer_generators_build_no_ball(monkeypatch):
+    want = {(name, text): centralizer_generators(model, model.parse_element(text))
+            for name, (model, _, hs) in _CENTRALIZER_CASES.items() for text in hs}
+
+    def no_ball(self, radius, cap=None):
+        raise AssertionError("centralizer_generators grew a ball")
+
+    monkeypatch.setattr(ggtkit.groups.Ball, "grow", no_ball)
+    for (name, text), gens in want.items():
+        model = _CENTRALIZER_CASES[name][0]
+        assert centralizer_generators(model, model.parse_element(text)) == gens
 
 
 # -- profiler ------------------------------------------------------------------------------
@@ -662,6 +734,19 @@ def test_every_exported_model_class_has_an_entry():
     ]
     assert len(classes) == 5
     assert all(cls in CONJUGACY for cls in classes)
+    assert all(CONJUGACY[cls].centralizer is not conjugacy._no_centralizer for cls in classes)
+    assert set(cayley.CYCLIC) == set(classes)
+
+
+def test_model_class_outside_the_tables_is_unsupported():
+    class Renamed(FreeGroup):
+        pass
+
+    model = Renamed(2)
+    with pytest.raises(UnsupportedCase):
+        centralizer_generators(model, (1,))
+    with pytest.raises(UnsupportedCase):
+        cayley.CyclicSubgroup((1,)).contains(model, (1,))
 
 
 @pytest.mark.parametrize(
