@@ -112,6 +112,15 @@ def _parse_cone(model, text: str):
     raise ConfigError(f"unknown cone spec {text!r}; use cyclic:<element> or factor:<index>")
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """The value of ``--flag``; text that is not a finite rational (``x``,
+    ``1/0``, ``inf``, ``nan``) is a config error.  Reports echo the text."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--{flag} {text!r} is not a rational number") from None
+
+
 def _constants_from_args(args) -> PresentationConstants:
     kwargs = {}
     for field, flag in [
@@ -126,7 +135,7 @@ def _constants_from_args(args) -> PresentationConstants:
     ]:
         val = getattr(args, flag, None)
         if val is not None:
-            kwargs[field] = Fraction(val)
+            kwargs[field] = _rational(flag, val)
     return PresentationConstants(**kwargs)
 
 
@@ -221,17 +230,18 @@ def _cmd_coned(args):
 def _cmd_bounds(args):
     consts = _constants_from_args(args)
     if args.bounds_action == "eval":
-        chain = bcp_epsilon(Fraction(args.k), consts)
+        k = _rational("k", args.k)
+        chain = bcp_epsilon(k, consts)
         return _report(
             "bounds",
-            {"action": "eval", "k": str(Fraction(args.k))},
+            {"action": "eval", "k": str(k)},
             chain.as_dict(),
             constants=consts.as_dict(),
             warnings=[chain.note],
         )
     c_of_k = parse_bounding_function(args.c)
     qs = [parse_bounding_function(q) for q in args.q]
-    rep = theorem_bound(Fraction(args.lu), Fraction(args.lv), consts, c_of_k, qs)
+    rep = theorem_bound(_rational("lu", args.lu), _rational("lv", args.lv), consts, c_of_k, qs)
     return _report(
         "bounds",
         {"action": "theorem", "lu": args.lu, "lv": args.lv, "c": args.c, "q": args.q},

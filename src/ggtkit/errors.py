@@ -33,10 +33,6 @@ class OracleInconsistency(DomainError):
     """A subgroup membership oracle is not closed under the group operation."""
 
 
-class ClassEscape(DomainError):
-    """A bounding-function operation left the requested function class."""
-
-
 class PartitionViolation(GgtError):
     """A boundary map did not respect the conjugacy-class block structure.
 

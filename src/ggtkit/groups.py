@@ -566,7 +566,7 @@ class FiniteGroup(GroupModel):
         if generators is None:
             gens = tuple(range(1, order))
         else:
-            gens = tuple(int(g) for g in generators)
+            gens = _as_int_tuple(generators, "generators")
             if any(g <= 0 or g >= order for g in gens):
                 raise ConfigError("generator indices must be nonzero elements")
         self.gens = gens
@@ -794,7 +794,10 @@ class FreeProduct(GroupModel):
             if ":" not in part:
                 raise ConfigError("free product element format is 'factor:payload*factor:payload...'")
             idx_str, payload_str = part.split(":", 1)
-            idx = int(idx_str)
+            try:
+                idx = int(idx_str)
+            except ValueError:
+                raise ConfigError(f"factor index {idx_str!r} is not an integer") from None
             if not 0 <= idx < len(self.factors):
                 raise ConfigError(f"factor index {idx} out of range")
             payload = self.factors[idx].parse_element(payload_str)
@@ -812,6 +815,20 @@ class FreeProduct(GroupModel):
 # model (de)serialization
 
 
+def _field(data: dict, name: str, typ: type, required: bool = True):
+    """data[name], which must be a JSON integer (not a boolean) or list as
+    ``typ`` says; an optional field that is absent or null is None."""
+    if not required and data.get(name) is None:
+        return None
+    value = data[name]
+    if type(value) is not typ:
+        what = "an integer" if typ is int else "a list"
+        raise ConfigError(
+            f"group spec of type {data['type']!r} needs {what} in field {name!r}, not {value!r}"
+        )
+    return value
+
+
 def model_from_dict(data) -> GroupModel:
     """Build a group model from its JSON-style description."""
     if isinstance(data, str):
@@ -823,22 +840,25 @@ def model_from_dict(data) -> GroupModel:
     kind = data["type"]
     try:
         if kind == "free":
-            return FreeGroup(int(data["rank"]))
+            return FreeGroup(_field(data, "rank", int))
         if kind == "free_abelian":
-            return FreeAbelian(int(data["rank"]))
+            return FreeAbelian(_field(data, "rank", int))
         if kind == "two_step_nilpotent":
-            return TwoStepNilpotent(int(data["m"]), int(data["n"]), data["C"])
+            m, n, C = _field(data, "m", int), _field(data, "n", int), _field(data, "C", list)
+            if any(type(row) is not list for row in C):
+                raise ConfigError(f"group spec of type {kind!r} needs a list of lists in field 'C'")
+            return TwoStepNilpotent(m, n, C)
         if kind == "finite":
             if "builtin" in data:
                 return model_from_dict(data["builtin"])
             return FiniteGroup(
-                data["table"],
-                names=data.get("names"),
-                generators=data.get("generators"),
+                _field(data, "table", list),
+                names=_field(data, "names", list, required=False),
+                generators=_field(data, "generators", list, required=False),
                 label=data.get("label"),
             )
         if kind == "free_product":
-            return FreeProduct([model_from_dict(f) for f in data["factors"]])
+            return FreeProduct([model_from_dict(f) for f in _field(data, "factors", list)])
     except KeyError as exc:
         raise ConfigError(f"group spec of type {kind!r} is missing field {exc.args[0]!r}") from exc
     raise ConfigError(f"unknown group type {kind!r}")

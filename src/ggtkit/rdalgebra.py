@@ -3,37 +3,23 @@ supported group-algebra elements.
 
 A bounding function is a symbolic nondecreasing function R+ -> R+ built
 from constants, affine pieces, polynomials over the (1+x)^m basis, and
-exponentials, closed under positive rational combinations, max, and
-composition.  Nondecreasingness is guaranteed structurally (all weights
-and coefficients are nonnegative).
+exponentials, and positive rational combinations of these.
+Nondecreasingness is guaranteed structurally (all weights and
+coefficients are nonnegative).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .config import DEFAULT_RADIUS_CAP
-from .errors import ClassEscape, DomainError
+from .errors import ConfigError, DomainError
 from .groups import Element, GroupModel, exact_length
 
 Number = Union[int, Fraction, float]
-
-
-class BoundingClass(enum.IntEnum):
-    """The named classes, ordered Bmin < Lin < P < E < Bmax."""
-
-    BMIN = 0
-    LIN = 1
-    P = 2
-    E = 3
-    BMAX = 4
-
-    def __str__(self):
-        return {0: "Bmin", 1: "Lin", 2: "P", 3: "E", 4: "Bmax"}[int(self)]
 
 
 def _check_nonneg(x) -> None:
@@ -45,9 +31,6 @@ class BoundingFunction:
     """Base class; subclasses are immutable value objects."""
 
     def __call__(self, x: Number) -> Number:
-        raise NotImplementedError
-
-    def tag(self) -> BoundingClass:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -70,9 +53,6 @@ class Const(BoundingFunction):
         _check_nonneg(x)
         return self.value
 
-    def tag(self):
-        return BoundingClass.BMIN
-
     def describe(self):
         return str(self.value)
 
@@ -93,9 +73,6 @@ class Affine(BoundingFunction):
     def __call__(self, x):
         _check_nonneg(x)
         return self.a + self.b * x
-
-    def tag(self):
-        return BoundingClass.BMIN if self.b == 0 else BoundingClass.LIN
 
     def describe(self):
         return f"{self.a} + {self.b}*x"
@@ -158,15 +135,6 @@ class Poly(BoundingFunction):
     def degree(self) -> int:
         return self.coeffs[-1][0]
 
-    def coeff_total(self) -> Fraction:
-        return sum(c for _, c in self.coeffs)
-
-    def tag(self):
-        deg = self.degree()
-        if deg == 0:
-            return BoundingClass.BMIN
-        return BoundingClass.LIN if deg == 1 else BoundingClass.P
-
     def describe(self):
         parts = []
         for m, c in self.coeffs:
@@ -201,9 +169,6 @@ class Exp(BoundingFunction):
             return self.base ** int(e)
         return float(self.base) ** float(self.scale * x)
 
-    def tag(self):
-        return BoundingClass.BMIN if self.base == 1 else BoundingClass.E
-
     def describe(self):
         inner = "x" if self.scale == 1 else f"{self.scale}*x"
         return f"{self.base}^({inner})"
@@ -224,55 +189,13 @@ class Sum(BoundingFunction):
     def __call__(self, x):
         return sum(w * f(x) for w, f in self.terms)
 
-    def tag(self):
-        return max(f.tag() for _, f in self.terms)
-
     def describe(self):
         return " + ".join(
             f.describe() if w == 1 else f"{w}*({f.describe()})" for w, f in self.terms
         )
 
 
-@dataclass(frozen=True)
-class MaxOf(BoundingFunction):
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise DomainError("max needs at least one part")
-
-    def __call__(self, x):
-        return max(f(x) for f in self.parts)
-
-    def tag(self):
-        return max(f.tag() for f in self.parts)
-
-    def describe(self):
-        return "max(" + ", ".join(f.describe() for f in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class Compose(BoundingFunction):
-    outer: BoundingFunction
-    inner: BoundingFunction
-
-    def __call__(self, x):
-        return self.outer(self.inner(x))
-
-    def tag(self):
-        to, ti = self.outer.tag(), self.inner.tag()
-        if to == BoundingClass.BMIN:
-            return BoundingClass.BMIN
-        if BoundingClass.E in (to, ti):
-            return BoundingClass.E
-        return max(to, ti)  # compositions up to P stay in P
-
-    def describe(self):
-        return f"({self.outer.describe()}) o ({self.inner.describe()})"
-
-
 IDENTITY = Affine(0, 1)
-ONE = Const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +220,6 @@ def f2_of(f: BoundingFunction) -> BoundingFunction:
         out = Exp(f.base, 2 * f.scale)
     elif isinstance(f, Sum):
         out = Sum(tuple((w, f2_of(g)) for w, g in f.terms))
-    elif isinstance(f, MaxOf):
-        out = MaxOf(tuple(f2_of(g) for g in f.parts))
-    elif isinstance(f, Compose):
-        out = Compose(f.outer, f2_of(f.inner))
     else:
         raise DomainError(f"no doubling rule for {type(f).__name__}")
     _verify_doubling(f, out)
@@ -333,92 +252,13 @@ def _verify_dominance(lhs, rhs, grid: Iterable[int], what: str) -> None:
             raise DomainError(f"dominance check failed at x={x}: {what}")
 
 
-def _poly_envelope(f: BoundingFunction):
-    """(c, M) with f(x) <= c * (1+x)^M, for functions of class <= P."""
-    if isinstance(f, Const):
-        return f.value, 0
-    if isinstance(f, Affine):
-        return f.a + f.b, 1
-    if isinstance(f, Poly):
-        return f.coeff_total(), f.degree()
-    if isinstance(f, Sum):
-        envs = [_poly_envelope(g) for _, g in f.terms]
-        ws = [w for w, _ in f.terms]
-        return sum(w * c for w, (c, _) in zip(ws, envs)), max(m for _, m in envs)
-    if isinstance(f, MaxOf):
-        envs = [_poly_envelope(g) for g in f.parts]
-        return sum(c for c, _ in envs), max(m for _, m in envs)
-    if isinstance(f, Compose):
-        co, mo = _poly_envelope(f.outer)
-        ci, mi = _poly_envelope(f.inner)
-        # outer(inner) <= co (1 + ci (1+x)^mi)^mo <= co (1+ci)^mo (1+x)^(mi mo)
-        return co * (1 + ci) ** mo, mi * mo
-    raise DomainError(f"no polynomial envelope for {type(f).__name__}")
-
-
-def compose_bound(
-    f1: BoundingFunction,
-    f2: BoundingFunction,
-    target_class: Optional[BoundingClass] = None,
-) -> BoundingFunction:
-    """A symbolic f3 with f1(f2(x)) <= f3(x), verified on a grid.
-
-    Raises ClassEscape when the constructed bound leaves ``target_class``.
-    """
-    if isinstance(f1, Const):
-        out = f1
-    elif isinstance(f2, Const):
-        val = f1(f2.value)
-        out = Const(val if not isinstance(val, float) else Fraction(math.ceil(val)))
-    elif isinstance(f1, Affine):
-        terms = []
-        if f1.a:
-            terms.append((Fraction(1), Const(f1.a)))
-        if f1.b:
-            terms.append((f1.b, f2))
-        out = Sum(tuple(terms))
-    elif f1.tag() <= BoundingClass.P and f2.tag() <= BoundingClass.P:
-        ci, mi = _poly_envelope(f2)
-        if isinstance(f1, Poly):
-            pieces = f1.coeffs
-        else:
-            c1, m1 = _poly_envelope(f1)
-            pieces = ((m1, c1),)
-        # (1 + f2)^m <= ((1 + ci) (1+x)^mi)^m
-        out = Poly(tuple((m * mi, c * (1 + ci) ** m) for m, c in pieces))
-    elif isinstance(f1, Poly) and isinstance(f2, Exp) and f2.base > 1:
-        # (1 + C^(sx))^m <= (2 C^(sx))^m
-        terms = []
-        for m, c in f1.coeffs:
-            if m == 0:
-                terms.append((c, ONE))
-            else:
-                terms.append((c * 2**m, Exp(f2.base, f2.scale * m)))
-        out = Sum(tuple(terms))
-    else:
-        out = Compose(f1, f2)  # honest member of the composition closure E
-
-    grid = range(0, 65) if out.tag() <= BoundingClass.P else range(0, 9)
-    _verify_dominance(lambda x: f1(f2(x)), out, grid, "f1(f2(x)) <= f3(x)")
-    if target_class is not None and out.tag() > target_class:
-        raise ClassEscape(
-            f"composition lands in {out.tag()}, outside requested {target_class}"
-        )
-    return out
-
-
-def dominates_on_grid(f: BoundingFunction, g: BoundingFunction, grid=range(0, 65)) -> bool:
-    """Grid refutation check for f <= g; True never certifies, False refutes."""
-    try:
-        _verify_dominance(f, g, grid, "f <= g")
-    except DomainError:
-        return False
-    return True
-
-
 def parse_bounding_function(text: str) -> BoundingFunction:
     """Parse simple expressions: '1', '5/2', 'x', '(1+x)^3', '2^x', sums
-    like '3*(1+x)^2 + 1'."""
+    like '3*(1+x)^2 + 1'.
+
+    Text that is not such an expression raises ConfigError naming it; a
+    well-formed value outside the domain (a constant <= 0, a negative
+    exponent, a base below 1) raises DomainError."""
     text = text.strip()
     terms = [t.strip() for t in text.split("+")]
     # re-join splits inside '(1+x)' parentheses
@@ -431,25 +271,27 @@ def parse_bounding_function(text: str) -> BoundingFunction:
             merged.append(t)
         depth += t.count("(") - t.count(")")
     parsed = []
-    for term in merged:
-        term = term.strip()
-        weight = Fraction(1)
-        if "*" in term:
-            w, term = term.split("*", 1)
-            weight = Fraction(w.strip())
+    try:
+        for term in merged:
             term = term.strip()
-        if term == "x":
-            parsed.append((weight, IDENTITY))
-        elif term.startswith("(1+x)"):
-            m = 1
-            if "^" in term:
-                m = int(term.split("^", 1)[1])
-            parsed.append((weight, Poly.basis(m)))
-        elif "^x" in term:
-            base = Fraction(term.split("^", 1)[0])
-            parsed.append((weight, Exp(base)))
-        else:
-            parsed.append((weight, Const(Fraction(term))))
+            weight = Fraction(1)
+            if "*" in term:
+                w, term = term.split("*", 1)
+                weight = Fraction(w.strip())
+                term = term.strip()
+            if term == "x":
+                parsed.append((weight, IDENTITY))
+            elif term.startswith("(1+x)"):
+                power = term[len("(1+x)"):].strip()
+                if power and not power.startswith("^"):
+                    raise ValueError(power)
+                parsed.append((weight, Poly.basis(int(power[1:]) if power else 1)))
+            elif term.endswith("^x"):
+                parsed.append((weight, Exp(Fraction(term[:-2]))))
+            else:
+                parsed.append((weight, Const(Fraction(term))))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"malformed bounding function {text!r}") from None
     if len(parsed) == 1 and parsed[0][0] == 1:
         return parsed[0][1]
     return Sum(tuple(parsed))
@@ -669,14 +511,6 @@ def _total_abs(d: int, exact: dict, inexact: dict):
     if inexact:
         total += math.fsum(x for moduli in inexact.values() for x in moduli)
     return total
-
-
-def seminorm(vec: SupportedVector, f: BoundingFunction, length_cap: int = DEFAULT_RADIUS_CAP):
-    return vec.seminorm(f, length_cap)
-
-
-def convolve(a: SupportedVector, b: SupportedVector) -> SupportedVector:
-    return a.convolve(b)
 
 
 @dataclass(frozen=True)

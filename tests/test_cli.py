@@ -320,6 +320,73 @@ def test_bad_flag_value_exits_2(argv):
     assert _exit_code(argv) == 2
 
 
+Z2_Z3 = '{"type":"free_product","factors":["Z2","Z3"]}'
+# argv -> the texts that its error line must name
+MALFORMED = {
+    **{(*BASE_ARGV["rd check"], "--f", text): [text] for text in ["(1+x)^y", "x+", "(1+x)junk", "2^xy"]},
+    **{(*BASE_ARGV["bounds theorem"], "--c", text): [text] for text in ["abc", "((1+x)^2", "1/0"]},
+    (*BASE_ARGV["bounds theorem"], "--q", "x+"): ["x+"],
+    **{
+        (*argv, flag, text): [flag, text]
+        for text in ["x", "1/0", "inf", "nan"]
+        for argv, flag in [
+            (["bounds", "eval"], "--k"),
+            (["bounds", "theorem", "--lv", "3"], "--lu"),
+            (["bounds", "theorem", "--lu", "2"], "--lv"),
+            *[(BASE_ARGV["bounds eval"], flag) for flag in
+              ["--delta", "--L", "--M", "--C", "--Mball", "--Kaxis", "--Kh", "--dtrans"]],
+        ]
+    },
+    ("coned", "--group", Z2_Z3, "--radius", "2", "--cone", "cyclic:x:g"): ["'x'"],
+    ("coned", "--group", Z2_Z3, "--radius", "2", "--cone", "factor:0", "--pair", "x:g", "e"): ["'x'"],
+    ("conj", "solve", "--group", Z2_Z3, "--v", "1:g", "--u", "0:g*x:g"): ["'x'"],
+    **{
+        ("ball", "--group", spec, "--radius", "1"): named
+        for spec, named in [
+            ('{"type":"free","rank":"x"}', ["'free'", "'rank'"]),
+            ('{"type":"free","rank":[1]}', ["'free'", "'rank'"]),
+            ('{"type":"free","rank":2.5}', ["'free'", "'rank'"]),
+            ('{"type":"free","rank":true}', ["'free'", "'rank'"]),
+            ('{"type":"free_abelian","rank":"2"}', ["'free_abelian'", "'rank'"]),
+            ('{"type":"two_step_nilpotent","m":false,"n":1,"C":[[[0]]]}', ["'two_step_nilpotent'", "'m'"]),
+            ('{"type":"two_step_nilpotent","m":1,"n":1,"C":5}', ["'two_step_nilpotent'", "'C'"]),
+            ('{"type":"two_step_nilpotent","m":1,"n":1,"C":[5]}', ["'two_step_nilpotent'", "'C'"]),
+            ('{"type":"finite","table":5}', ["'finite'", "'table'"]),
+            ('{"type":"finite","table":[[0,1],[1,0]],"names":5}', ["'finite'", "'names'"]),
+            ('{"type":"finite","table":[[0,1],[1,0]],"generators":5}', ["'finite'", "'generators'"]),
+            ('{"type":"finite","table":[[0,1],[1,0]],"generators":["a"]}', ["generators"]),
+            ('{"type":"free_product","factors":5}', ["'free_product'", "'factors'"]),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(MALFORMED), ids=[a[2] if a[0] == "ball" else " ".join(a[-2:]) for a in MALFORMED]
+)
+def test_malformed_value_is_a_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, list(argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("ggtkit: config error: ") and "Traceback" not in err
+    for text in MALFORMED[argv]:
+        assert text in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BASE_ARGV["bounds theorem"] + ["--c", "-1"],
+        BASE_ARGV["bounds theorem"] + ["--q", "(1+x)^-1"],
+        ["homology", "--group", "Z2", "--nmax", "-1"],
+    ],
+    ids=["c-negative", "q-negative-exponent", "nmax-negative"],
+)
+def test_value_outside_the_domain_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("ggtkit: error: ")
+
+
 def test_profile_solver_for_another_model_exits_1(capsys):
     code, _, err = run_cli(capsys, ["profile", "--group", "Z6", "--radius", "1", "--solver", "free"])
     assert code == 1
