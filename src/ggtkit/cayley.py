@@ -41,6 +41,43 @@ def ball(model: GroupModel, radius: int, *, cap: int = DEFAULT_BALL_CAP) -> Ball
 # metric graphs
 
 
+def _arcs(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Indices of the arcs out of the given vertices, vertex by vertex, in
+    CSR arrays with row pointers ``indptr``."""
+    start = indptr[vertices]
+    count = indptr[vertices + 1] - start
+    offset = np.cumsum(count) - count
+    return np.arange(int(count.sum())) + np.repeat(start - offset, count)
+
+
+def _level_bfs(n, indptr, nbr, wt, weights, seeds, d0: int) -> np.ndarray:
+    """Distances (int64, -1 unreached) from seed vertices at distance d0 in
+    CSR arrays with positive integer weights.
+
+    Level-synchronous BFS: the unreached vertices queued at the least
+    pending level d have distance d, and each arc of weight w out of them
+    queues its head at d + w.  One mask collects a level's queue without
+    duplicates.
+    """
+    dist = np.full(n, -1, dtype=np.int64)
+    mark = np.zeros(n, dtype=bool)
+    levels = {d0: [np.asarray(seeds)]}
+    while levels:
+        d = min(levels)
+        mark[np.concatenate(levels.pop(d))] = True
+        mark &= dist < 0
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
+        dist[frontier] = d
+        arcs = _arcs(indptr, frontier)
+        arcs = arcs[dist[nbr[arcs]] < 0]
+        for w in weights:
+            head = nbr[arcs if len(weights) == 1 else arcs[wt[arcs] == w]]
+            if len(head):
+                levels.setdefault(d + w, []).append(head)
+    return dist
+
+
 class MetricGraph:
     """Undirected weighted graph; weights are positive ints (scaled x2).
 
@@ -93,48 +130,77 @@ class MetricGraph:
         k = lo + np.searchsorted(self._nbr[lo:hi], v)
         return int(self._wt[k]) if k < hi and self._nbr[k] == v else None
 
-    def _arcs(self, vertices: np.ndarray) -> np.ndarray:
-        """Indices into ``_nbr`` of the arcs out of the given vertices, vertex
-        by vertex."""
-        start = self._indptr[vertices]
-        count = self._indptr[vertices + 1] - start
-        offset = np.cumsum(count) - count
-        return np.arange(int(count.sum())) + np.repeat(start - offset, count)
-
     def distances_from(self, source: int) -> np.ndarray:
         """Scaled shortest-path distances from one vertex, as a read-only
         int32 array (int64 only for distances past 2^31 - 1), cached; -1
         marks an unreachable vertex.
 
-        Level-synchronous BFS: weights are positive integers, so the
-        unreached vertices queued at the least pending level d have distance
-        d, and each arc of weight w out of them queues its head at d + w.
-        One mask collects a level's queue without duplicates.
+        A level BFS (``_level_bfs``) over the graph, or over ``_reduced``
+        when it has cone apexes: then an apex source seeds the BFS from its
+        neighbours, and each apex h reads its distance back as the least
+        d(u) + w(u, h) over its neighbours u.
         """
         got = self._dist_cache.get(source)
         if got is not None:
             return got
-        nbr, wt = self._nbr, self._wt
-        dist = np.full(self.n, -1, dtype=np.int64)
-        mark = np.zeros(self.n, dtype=bool)
-        levels = {0: [np.array([source])]}
-        while levels:
-            d = min(levels)
-            mark[np.concatenate(levels.pop(d))] = True
-            mark &= dist < 0
-            frontier = np.flatnonzero(mark)
-            mark[frontier] = False
-            dist[frontier] = d
-            arcs = self._arcs(frontier)
-            arcs = arcs[dist[nbr[arcs]] < 0]
-            for w in self._weights:
-                head = nbr[arcs[wt[arcs] == w]]
-                if len(head):
-                    levels.setdefault(d + w, []).append(head)
+        red = self._reduced
+        if red is None:
+            dist = _level_bfs(self.n, self._indptr, self._nbr, self._wt, self._weights, [source], 0)
+        else:
+            csr, is_apex, apex, heads, seg, w = red
+            if is_apex[source]:
+                seeds = self._nbr[self._indptr[source]:self._indptr[source + 1]]
+                dist = _level_bfs(self.n, *csr, seeds, w)
+            else:
+                dist = _level_bfs(self.n, *csr, [source], 0)
+            near, far = dist[heads], np.iinfo(np.int64).max
+            d = np.minimum.reduceat(np.where(near < 0, far, near), seg)
+            dist[apex] = np.where(d == far, -1, d + w)
+            dist[source] = 0  # an apex source read back 2w
         row = dist.astype(np.int32) if dist.max(initial=0) < 2**31 else dist
         row.flags.writeable = False
         self._dist_cache[source] = row
         return row
+
+    @cached_property
+    def _reduced(self):
+        """The graph with its cone apexes eliminated, or None when it has
+        none or their shortcuts would outnumber the graph's arcs.
+
+        An apex is a vertex whose arcs all carry the least weight w and none
+        of whose neighbours is such a vertex, so no two apexes are adjacent
+        and a shortest path through an apex h enters and leaves it by
+        non-apex neighbours u, v: each h becomes the shortcut arcs u -> v of
+        weight 2w, and loses its own arcs.  Returns the reduced CSR arrays
+        and weights, the apex mask and ids, the heads of the apexes' arcs
+        with each apex's first position among them, and w.
+        """
+        if len(self._weights) < 2:  # every vertex touches another of least weight
+            return None
+        indptr, nbr, wt, w = self._indptr, self._nbr, self._wt, self._weights[0]
+        deg = np.diff(indptr)
+        tail = np.repeat(np.arange(self.n), deg)
+        light = (np.bincount(tail[wt != w], minlength=self.n) == 0) & (deg > 0)
+        is_apex = light & (np.bincount(tail[light[nbr]], minlength=self.n) == 0)
+        apex = np.flatnonzero(is_apex)
+        d = deg[apex]
+        if not len(apex) or int((d * (d - 1)).sum()) > len(nbr):
+            return None
+        arcs = _arcs(indptr, apex)
+        # every ordered pair (a, b) of distinct arcs of one apex
+        per = np.repeat(d, d)
+        a = np.repeat(arcs, per)
+        b = np.repeat(np.repeat(indptr[apex], d) - (np.cumsum(per) - per), per) + np.arange(len(a))
+        a, b = a[a != b], b[a != b]
+        own = ~(is_apex[tail] | is_apex[nbr])
+        tails = np.concatenate([tail[own], nbr[a]])
+        order = np.argsort(tails, kind="stable")
+        heads = np.concatenate([nbr[own], nbr[b]])[order]
+        wts = np.concatenate([wt[own], np.full(len(a), 2 * w)])[order]
+        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.n), out=ptr[1:])
+        csr = ptr, heads, wts, np.unique(wts).tolist()
+        return csr, is_apex, apex, nbr[arcs], np.cumsum(d) - d, w
 
     def distance_scaled(self, u: int, v: int) -> int:
         d = int(self.distances_from(u)[v])
@@ -226,6 +292,7 @@ class SubgroupOracle:
     """Membership oracle for a subgroup of the ball's ambient group."""
 
     label = "H"
+    generator = None  # h for <h>: coned_off joins g and g * h with no key
 
     def contains(self, model: GroupModel, elem: Element) -> bool:
         raise NotImplementedError
@@ -415,7 +482,11 @@ class ConedOffGraph:
         return self.base.n
 
     def cone_vertex(self, factor_index: int, coset_id: int) -> int:
-        return self.cone_start + self.cones.index((factor_index, coset_id))
+        """Cones are numbered factor by factor, each factor's by coset id."""
+        sizes = [len(m) for m in self.coset_members]
+        if not (0 <= factor_index < len(sizes) and 0 <= coset_id < sizes[factor_index]):
+            raise DomainError(f"no cone for coset {coset_id} of factor {factor_index}")
+        return self.cone_start + sum(sizes[:factor_index]) + coset_id
 
     def distance(self, u: int, v: int) -> Fraction:
         return self.graph.distance(u, v)
@@ -461,52 +532,115 @@ def _check_factor_consistency(b: Ball, oracles) -> list[list[int]]:
     return members_per_factor
 
 
+def _word(b: Ball, x: Element) -> list[int]:
+    """Generator indices of a geodesic word for x, read off the ball's
+    parent tree; empty when x is e or lies outside the ball."""
+    i, word = b.index.get(x, 0), []
+    while i > 0:
+        word.append(b.parent_gen[i])
+        i = b.parents[i]
+    return word[::-1]
+
+
+def _least_members(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per element, the least element of its class under the joins
+    u[k] ~ v[k], where u and v each list an element at most once.
+
+    Each round takes the least label across every join and then jumps
+    (least = least[least]).  Labels only fall and stay inside their class,
+    and a round that changes nothing leaves them equal along every join,
+    so each class carries its least member."""
+    least = np.arange(n)
+    while True:
+        new = least.copy()
+        new[u] = np.minimum(new[u], least[v])
+        new[v] = np.minimum(new[v], least[u])
+        new = new[new]
+        if np.array_equal(new, least):
+            return least
+        least = new
+
+
+def _cosets(b: Ball, oracle) -> tuple[np.ndarray, list[list[int]]]:
+    """Coset id per ball element, cosets numbered by least member, and the
+    members of each coset in ball order.
+
+    g and g * h lie in one coset of <h>, so composing h's geodesic letters
+    through the neighbour table (-1 once a step leaves the ball) joins them
+    with no product.  The classes of these joins, chains, can split a coset
+    but never merge two; with no generator, or h outside the ball, each
+    element is a chain.  ``coset_key`` is called once per chain, on its
+    least member, and chains with equal keys merge, each checked with
+    ``contains`` against the previous chain of its coset.  Up to
+    ``REP_VERIFY_LIMIT`` cosets the key is also checked to split no coset:
+    it must agree across one join of each chain, and no two coset
+    representatives may lie in one coset.
+    """
+    model, elements, n, table = b.model, b.elements, len(b), b.neighbour_table()
+    t = np.arange(n)
+    for s in _word(b, oracle.generator):
+        t[t >= 0] = table[t[t >= 0], s]
+    u = np.flatnonzero((t >= 0) & (t != np.arange(n)))  # an empty word joins nothing
+    v = t[u]
+    least = _least_members(n, u, v)
+    chains = np.flatnonzero(least == np.arange(n)).tolist()
+    keys = [oracle.coset_key(model, elements[r]) for r in chains]
+    key_to_id: dict = {}
+    last: list[int] = []  # per coset, its latest chain
+    chain_ids = []
+    for r, key in zip(chains, keys):
+        cid = key_to_id.setdefault(key, len(key_to_id))
+        if cid < len(last):
+            diff = model.multiply(model.inverse(elements[last[cid]]), elements[r])
+            if not oracle.contains(model, diff):
+                raise OracleInconsistency(
+                    f"{oracle.label}: coset key groups non-equivalent elements"
+                )
+            last[cid] = r
+        else:
+            last.append(r)
+        chain_ids.append(cid)
+    ids = np.empty(n, dtype=np.int64)
+    ids[chains] = chain_ids
+    ids = ids[least]
+    order = np.argsort(ids, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(ids)).tolist()
+    members = [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    if len(members) <= REP_VERIFY_LIMIT:
+        partner = np.full(n, -1)
+        partner[u], partner[v] = v, u
+        reps = [elements[group[0]] for group in members]
+        invs = [model.inverse(g) for g in reps]
+        if any(
+            p >= 0 and oracle.coset_key(model, elements[p]) != key
+            for p, key in zip(partner[chains].tolist(), keys)
+        ) or any(
+            oracle.contains(model, model.multiply(invs[x], reps[y]))
+            for x in range(len(reps))
+            for y in range(x + 1, len(reps))
+        ):
+            raise OracleInconsistency(f"{oracle.label}: coset key splits one coset in two")
+    return ids, members
+
+
 def coned_off(b: Ball, factors) -> ConedOffGraph:
     """Build the coned-off graph of a ball relative to subgroup oracles."""
-    model = b.model
     oracles = list(factors)
     if not oracles:
         raise DomainError("at least one subgroup factor is required")
     _check_factor_consistency(b, oracles)
     base = cayley_graph(b)
-
-    coset_of = []
-    coset_members = []
-    for oracle in oracles:
-        key_to_id: dict = {}
-        ids = [key_to_id.setdefault(oracle.coset_key(model, e), len(key_to_id)) for e in b.elements]
-        members: list[list[int]] = [[] for _ in range(len(key_to_id))]
-        for i, cid in enumerate(ids):
-            members[cid].append(i)
-        # verify the key against the membership oracle: consecutive members
-        # of each coset must differ by a subgroup element, and a bounded
-        # number of representative pairs must not
-        for group in members:
-            for i, j in zip(group, group[1:]):
-                diff = model.multiply(model.inverse(b.elements[i]), b.elements[j])
-                if not oracle.contains(model, diff):
-                    raise OracleInconsistency(
-                        f"{oracle.label}: coset key groups non-equivalent elements"
-                    )
-        if len(members) <= REP_VERIFY_LIMIT:
-            reps = [b.elements[group[0]] for group in members]
-            for x in range(len(reps)):
-                inv = model.inverse(reps[x])
-                for y in range(x + 1, len(reps)):
-                    if oracle.contains(model, model.multiply(inv, reps[y])):
-                        raise OracleInconsistency(
-                            f"{oracle.label}: coset key splits one coset in two"
-                        )
-        coset_of.append(ids)
-        coset_members.append(members)
+    cosets = [_cosets(b, oracle) for oracle in oracles]
+    coset_of = [ids.tolist() for ids, _ in cosets]
+    coset_members = [members for _, members in cosets]
 
     # cone vertex of (factor fi, coset cid) is base.n + offset[fi] + cid
     cones = [(fi, cid) for fi, members in enumerate(coset_members) for cid in range(len(members))]
     offset = base.n + np.cumsum([0] + [len(m) for m in coset_members])
     vertices = np.arange(base.n)
     cone_edges = [
-        np.column_stack([vertices, start + np.asarray(ids), np.ones(base.n, dtype=np.int64)])
-        for start, ids in zip(offset, coset_of)
+        np.column_stack([vertices, start + ids, np.ones(base.n, dtype=np.int64)])
+        for start, (ids, _) in zip(offset, cosets)
     ]
     graph = MetricGraph(
         base.n + len(cones),
@@ -602,7 +736,7 @@ def estimate_delta_4point(
             continue
         verts = np.sort(block)
         pos[verts] = np.arange(len(verts))
-        arcs = g._arcs(verts)
+        arcs = _arcs(g._indptr, verts)
         u = np.repeat(np.arange(len(verts)), g._indptr[verts + 1] - g._indptr[verts])
         v = pos[g._nbr[arcs]]
         up = v > u

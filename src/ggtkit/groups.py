@@ -40,11 +40,24 @@ class LengthLowerBound:
     value: int
 
 
-def _as_int_tuple(seq: Iterable[int], what: str) -> tuple[int, ...]:
+def _as_int_tuple(seq: Iterable[str], what: str) -> tuple[int, ...]:
+    """Integers parsed from the text fields of an element."""
     try:
         out = tuple(int(v) for v in seq)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a sequence of integers") from exc
+    return out
+
+
+def _int_entries(seq: Iterable[int], what: str) -> tuple[int, ...]:
+    """A list of integers from a group spec: floats, booleans and numeric
+    strings are refused, never truncated."""
+    try:
+        out = tuple(seq)
+    except TypeError:
+        out = None
+    if out is None or any(type(v) is not int for v in out):
+        raise ConfigError(f"{what} must be a sequence of integers")
     return out
 
 
@@ -80,6 +93,10 @@ def cyclic_reduce(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
 
 class GroupModel:
     """Common interface of the five exact group models."""
+
+    # every relator has even length, so word length mod 2 is a homomorphism
+    # and no Cayley edge joins two elements of one sphere
+    even_relators = False
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -157,7 +174,7 @@ class Ball:
         self.model, self.radius = model, 0
         self.elements, self.index, self.lengths = [e], {e: 0}, [0]
         self.parents, self.parent_gen = [-1], [-1]
-        self.nbr = np.empty((0, len(model.generator_elements())), dtype=np.int32)
+        self.nbr = self._table = np.empty((0, len(model.generator_elements())), dtype=np.int32)
 
     def __len__(self):
         return len(self.elements)
@@ -185,9 +202,24 @@ class Ball:
         return self
 
     def neighbour_table(self) -> np.ndarray:
-        """``nbr`` with a row for every element: the last sphere, which the
-        BFS has not expanded, is multiplied out here, without growing."""
-        return np.concatenate([self.nbr, self._expand(None, grow=False)])
+        """``nbr`` with a row for every element, read-only and kept until the
+        ball grows.  The last sphere, which the BFS has not expanded, is
+        multiplied out, unless the model has even relators: then every
+        neighbour of a last-sphere element u lies one sphere in, or outside
+        the ball, and v * s = u gives u * s^-1 = v, so its rows are the
+        transpose of the previous sphere's rows, with no products."""
+        if len(self._table) != len(self.elements):
+            start, k = len(self.nbr), self.nbr.shape[1]
+            if self.model.even_relators:
+                last = np.full((len(self.elements) - start, k), -1, dtype=np.int32)
+                v, s = np.nonzero(self.nbr >= start)
+                # generators are listed as s_1..s_m, then their inverses
+                last[self.nbr[v, s] - start, (s + k // 2) % k] = v
+            else:
+                last = self._expand(None, grow=False)
+            self._table = np.concatenate([self.nbr, last])
+            self._table.flags.writeable = False
+        return self._table
 
     def _expand(self, cap: Optional[int], grow: bool) -> np.ndarray:
         """Neighbour rows of the unexpanded elements.  With ``grow`` a
@@ -223,6 +255,8 @@ _LETTERS = string.ascii_lowercase
 
 class FreeGroup(GroupModel):
     """Free group of given rank; elements are freely reduced words."""
+
+    even_relators = True
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -312,6 +346,8 @@ class FreeGroup(GroupModel):
 class FreeAbelian(GroupModel):
     """Z^rank with the standard basis; word length is the l1 norm."""
 
+    even_relators = True
+
     def __init__(self, rank: int):
         if rank < 1:
             raise ConfigError("free abelian rank must be positive")
@@ -395,7 +431,7 @@ class TwoStepNilpotent(GroupModel):
             raise ConfigError("two-step nilpotent model needs m >= 1 and n >= 1")
         self.m = m
         self.n = n
-        C = tuple(tuple(_as_int_tuple(vec, "structure constant") for vec in row) for row in structure)
+        C = tuple(tuple(_int_entries(vec, "structure constant") for vec in row) for row in structure)
         if len(C) != m or any(len(row) != m for row in C):
             raise ConfigError(f"structure constants must form an {m}x{m} array")
         for i in range(m):
@@ -537,7 +573,7 @@ class FiniteGroup(GroupModel):
         generators: Optional[Iterable[int]] = None,
         label: Optional[str] = None,
     ):
-        tbl = tuple(_as_int_tuple(row, "table row") for row in table)
+        tbl = tuple(_int_entries(row, "table row") for row in table)
         order = len(tbl)
         if order < 1 or any(len(row) != order for row in tbl):
             raise ConfigError("multiplication table must be square and nonempty")
@@ -561,12 +597,19 @@ class FiniteGroup(GroupModel):
         self.table = tbl
         self.inv_table = tuple(inv)
         self.names = tuple(names) if names is not None else None
-        if self.names is not None and len(self.names) != order:
-            raise ConfigError("names must match the group order")
+        if self.names is not None:
+            if len(self.names) != order:
+                raise ConfigError("names must match the group order")
+            # parse_element strips its text and reads a name before an index
+            plain = all(isinstance(x, str) and x == x.strip() for x in self.names)
+            if not plain or len(set(self.names)) != order:
+                raise ConfigError("names must be distinct strings without surrounding whitespace")
+        if label is not None and not isinstance(label, str):
+            raise ConfigError("label must be a string")
         if generators is None:
             gens = tuple(range(1, order))
         else:
-            gens = _as_int_tuple(generators, "generators")
+            gens = _int_entries(generators, "generators")
             if any(g <= 0 or g >= order for g in gens):
                 raise ConfigError("generator indices must be nonzero elements")
         self.gens = gens

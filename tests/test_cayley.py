@@ -160,6 +160,58 @@ def test_factor_coned_distances_match_networkx():
     _assert_rows_match_networkx(coned.graph, range(0, coned.graph.n, 5))
 
 
+def _assert_rows_match_plain_bfs_and_scipy(graph, sources):
+    """Rows equal the level BFS over the graph's own arcs, with no apex
+    eliminated, and scipy's shortest paths over its edge list."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    sources = list(sources)
+    u, v, w = np.array(graph.edges, dtype=np.int64).reshape(-1, 3).T
+    matrix = sparse.coo_matrix((w, (u, v)), shape=(graph.n, graph.n)).tocsr()
+    ref = csgraph.shortest_path(matrix, directed=False, indices=sources)
+    for s, want in zip(sources, ref):
+        plain = cayley._level_bfs(graph.n, graph._indptr, graph._nbr, graph._wt, graph._weights, [s], 0)
+        want = np.where(np.isinf(want), -1, want).astype(np.int64)
+        assert graph.distances_from(s).tolist() == plain.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_rows_match_plain_bfs_and_scipy_on_random_graphs(g):
+    _assert_rows_match_plain_bfs_and_scipy(g, range(g.n))
+
+
+# name -> (ball, cones, whether the apexes are eliminated)
+_APEX_CASES = {
+    "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))], True),
+    "F2 r=4 <a>,<b>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,)), CyclicSubgroup((2,))], True),
+    "Z2*Z3 r=4 factors": (
+        lambda: ball(FreeProduct([cyclic_group(2), cyclic_group(3)]), 4),
+        [FactorSubgroup(0), FactorSubgroup(1)],
+        True,
+    ),
+    # wide cosets: the shortcuts would outnumber the arcs
+    "Z^2 r=6 <(1,0)>": (lambda: ball(FreeAbelian(2), 6), [CyclicSubgroup((1, 0))], False),
+}
+
+
+@pytest.mark.parametrize("name", list(_APEX_CASES))
+def test_coned_rows_with_apexes_eliminated_match_plain_bfs_and_scipy(name):
+    make, cones, eliminated = _APEX_CASES[name]
+    coned = coned_off(make(), cones)
+    g = coned.graph
+    assert (g._reduced is not None) == eliminated
+    # ball sources, and cone-vertex sources of every factor
+    sources = [*range(0, coned.cone_start, 7), *range(coned.cone_start, g.n, 3), g.n - 1]
+    _assert_rows_match_plain_bfs_and_scipy(g, sources)
+
+
+def test_disconnected_graph_with_an_apex_rejected():
+    # vertex 2 is an apex (all its arcs have the least weight, 1)
+    with pytest.raises(DomainError, match="connected"):
+        MetricGraph(5, [(0, 1, 2), (0, 2, 1), (1, 2, 1), (3, 4, 2)])
+
+
 def test_disconnected_graph_rejected():
     with pytest.raises(DomainError):
         MetricGraph(4, [(0, 1, 2), (2, 3, 1)])
@@ -356,6 +408,78 @@ def test_coned_off_by_coset_key_equals_generic_scan(name, text):
     assert keyed.cones == [(0, cid) for cid in range(max(ids) + 1)]
     cone_edges = {(i, len(b) + cid, 1) for i, cid in enumerate(ids)}
     assert keyed.graph.edges == sorted(set(_oracle_cayley_edges(b)) | cone_edges)
+
+
+def _oracle_cosets(b, oracle):
+    """The per-element coset builder that the table's chains replaced: one
+    key per element, cosets numbered in ball order, then consecutive
+    members of each coset checked with ``contains``."""
+    model, elems = b.model, b.elements
+    key_to_id: dict = {}
+    ids = [key_to_id.setdefault(oracle.coset_key(model, e), len(key_to_id)) for e in elems]
+    members: list[list[int]] = [[] for _ in key_to_id]
+    for i, cid in enumerate(ids):
+        members[cid].append(i)
+    for group in members:
+        for i, j in zip(group, group[1:]):
+            assert oracle.contains(model, model.multiply(model.inverse(elems[i]), elems[j]))
+    return ids, members
+
+
+# beyond the cyclic cases: in Z^2 r=4, (0,-4)*(1,0) leaves the ball on the way
+# to (0,-4)*(1,1), so the chains of <(1,1)> break and merge by key; (3,2),
+# aaaab and (1,1)|0 lie outside their balls, so no chain joins two elements
+_CHAIN_CASES = [(functools.partial(_case_ball, name), name, text) for name, text in _CYCLIC_PARAMS] + [
+    (functools.partial(ball, FreeAbelian(2), 4), "Z^2 r=4", "1,1"),
+    (functools.partial(ball, FreeAbelian(2), 4), "Z^2 r=4", "3,2"),
+    (functools.partial(ball, FreeGroup(2), 3), "F2 r=3", "aaaab"),
+    (functools.partial(ball, heisenberg_group(), 1), "Heisenberg r=1", "1,1|0"),
+]
+
+
+@pytest.mark.parametrize(
+    "make,text", [(make, text) for make, _, text in _CHAIN_CASES],
+    ids=[f"{name}-{text}" for _, name, text in _CHAIN_CASES],
+)
+def test_coned_off_matches_per_element_builder(make, text):
+    b = make()
+    oracle = CyclicSubgroup(b.model.parse_element(text), "H")
+    coned = coned_off(b, [oracle])
+    ids, members = _oracle_cosets(b, oracle)
+    assert coned.coset_of == [ids]
+    assert coned.coset_members == [members]
+    assert coned.cones == [(0, cid) for cid in range(len(members))]
+    cone_edges = {(i, len(b) + cid, 1) for i, cid in enumerate(ids)}
+    assert coned.graph.edges == sorted(set(_oracle_cayley_edges(b)) | cone_edges)
+
+
+class _CountingKey(CyclicSubgroup):
+    def coset_key(self, model, elem):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().coset_key(model, elem)
+
+
+def test_coset_key_is_called_once_per_chain(f2, monkeypatch):
+    monkeypatch.setattr(cayley, "REP_VERIFY_LIMIT", 0)  # no split checks, which call it again
+    # each coset of <a> meets an F2 ball in one chain
+    oracle = _CountingKey((1,))
+    coned = coned_off(ball(f2, 5), [oracle])
+    assert oracle.calls == len(coned.cones) == 3**5
+    # (0,-4) and (1,-3) lie in one coset of <(1,1)> but in two chains
+    oracle = _CountingKey((1, 1))
+    coned = coned_off(ball(FreeAbelian(2), 4), [oracle])
+    assert oracle.calls > len(coned.cones)
+    assert coned.coset_of[0][coned.ball.index[(0, -4)]] == coned.coset_of[0][coned.ball.index[(1, -3)]]
+
+
+def test_cone_vertex_is_the_position_in_cones(f2):
+    coned = coned_off(ball(f2, 3), [CyclicSubgroup((1,)), CyclicSubgroup((2,))])
+    assert {fi for fi, _ in coned.cones} == {0, 1}
+    for pos, (fi, cid) in enumerate(coned.cones):
+        assert coned.cone_vertex(fi, cid) == coned.cone_start + pos
+    for fi, cid in [(2, 0), (-1, 0), (0, -1), (0, len(coned.coset_members[0]))]:
+        with pytest.raises(DomainError):
+            coned.cone_vertex(fi, cid)
 
 
 # -- four-point condition ------------------------------------------------------
@@ -683,22 +807,60 @@ def test_neighbour_table_matches_products(name):
         assert _oracle_cayley_edges(b) == cayley_graph(b).edges
 
 
-def test_cayley_graph_multiplies_only_the_last_sphere(f2, monkeypatch):
-    b = ball(f2, 6)
-    sphere = sum(1 for length in b.lengths if length == 6)
-    assert sphere == 972
+def _count_multiplies(monkeypatch, cls):
     calls = []
-    multiply = FreeGroup.multiply
+    multiply = cls.multiply
 
     def counting(self, x, y):
         calls.append(1)
         return multiply(self, x, y)
 
-    monkeypatch.setattr(FreeGroup, "multiply", counting)
+    monkeypatch.setattr(cls, "multiply", counting)
+    return calls
+
+
+def test_cayley_graph_multiplies_only_the_last_sphere(f2, monkeypatch):
+    # with even relators the last sphere is the transpose of the one before
+    # it, so no product at all
+    for model, radius, sphere in [(f2, 6, 972), (FreeAbelian(2), 6, 24)]:
+        b = ball(model, radius)
+        assert sum(1 for length in b.lengths if length == radius) == sphere
+        calls = _count_multiplies(monkeypatch, type(model))
+        g = cayley_graph(b)
+        assert len(calls) == 0
+        monkeypatch.undo()
+        assert g.edges == _oracle_cayley_edges(b)
+    # otherwise the last sphere is multiplied out, once per ball: coned_off
+    # reads the same table
+    heis = heisenberg_group()
+    b = ball(heis, 3)
+    sphere = sum(1 for length in b.lengths if length == 3)
+    calls = _count_multiplies(monkeypatch, TwoStepNilpotent)
     g = cayley_graph(b)
-    assert len(calls) <= sphere * len(f2.generator_elements())
+    assert len(calls) == sphere * len(heis.generator_elements())
+    assert b.neighbour_table() is b.neighbour_table()
+    assert len(calls) == sphere * len(heis.generator_elements())
     monkeypatch.undo()
     assert g.edges == _oracle_cayley_edges(b)
+
+
+@pytest.mark.parametrize("model", [FreeGroup(2), FreeGroup(3), FreeAbelian(2), FreeAbelian(3)], ids=repr)
+def test_even_relators_leave_no_edge_inside_a_sphere(model):
+    assert model.even_relators
+    b = ball(model, 4)
+    lengths = np.array(b.lengths)
+    u, v, _ = np.array(cayley_graph(b).edges).T
+    assert (lengths[u] != lengths[v]).all()
+
+
+def test_heisenberg_has_an_edge_inside_a_sphere():
+    # the relator [a,b]c^-1 has odd length, so the transpose would miss edges
+    model = heisenberg_group()
+    assert not model.even_relators
+    b = ball(model, 3)
+    lengths = np.array(b.lengths)
+    u, v, _ = np.array(cayley_graph(b).edges).T
+    assert (lengths[u] == lengths[v]).any()
 
 
 @pytest.mark.parametrize("h", [(1,), (1, 2), (2, 1, -2)])

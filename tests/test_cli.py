@@ -355,6 +355,18 @@ MALFORMED = {
             ('{"type":"finite","table":[[0,1],[1,0]],"names":5}', ["'finite'", "'names'"]),
             ('{"type":"finite","table":[[0,1],[1,0]],"generators":5}', ["'finite'", "'generators'"]),
             ('{"type":"finite","table":[[0,1],[1,0]],"generators":["a"]}', ["generators"]),
+            # spec integers are never truncated or converted
+            ('{"type":"two_step_nilpotent","m":2,"n":1,"C":[[[0],[-1.7]],[[1.2],[0]]]}',
+             ["structure constant"]),
+            ('{"type":"two_step_nilpotent","m":2,"n":1,"C":[[[0],["-1"]],[[1],[0]]]}',
+             ["structure constant"]),
+            ('{"type":"finite","table":[[0,true],[true,0]]}', ["table row"]),
+            ('{"type":"finite","table":[[0,1],[1,0.0]]}', ["table row"]),
+            ('{"type":"finite","table":[[0,1],[1,0]],"generators":[1.0]}', ["generators"]),
+            ('{"type":"finite","table":[[0,1],[1,0]],"names":[1,2]}', ["names"]),
+            ('{"type":"finite","table":[[0,1],[1,0]],"names":["e","e"]}', ["names"]),
+            ('{"type":"finite","table":[[0,1],[1,0]],"names":["e"," x"]}', ["names"]),
+            ('{"type":"finite","table":[[0,1],[1,0]],"label":3}', ["label"]),
             ('{"type":"free_product","factors":5}', ["'free_product'", "'factors'"]),
         ]
     },

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ggtkit.cayley import ball
 from ggtkit.errors import ConfigError, ModelMismatch
 from ggtkit.groups import (
+    BUILTIN_GROUPS,
     FiniteGroup,
     FreeAbelian,
     FreeGroup,
@@ -224,6 +225,28 @@ def test_element_string_round_trip(f2, heis, s3, z2z3_product):
     for model, elems in cases:
         for e in elems:
             assert model.parse_element(model.element_str(e)) == e
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*BUILTIN_GROUPS, {"type": "finite", "table": [[0, 1], [1, 0]], "names": ["1", "0"], "label": "Z2"}],
+    ids=str,
+)
+def test_named_group_elements_round_trip(spec):
+    model = model_from_dict(spec)
+    for a in range(model.order):
+        assert model.parse_element(model.element_str(a)) == a
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"names": [1, 2]}, {"names": ["e", "e"]}, {"names": ["e", "x "]}, {"label": 2},
+     {"generators": [True]}, {"generators": [1.0]}],
+    ids=str,
+)
+def test_finite_group_spec_fields_are_checked(kwargs):
+    with pytest.raises(ConfigError):
+        FiniteGroup([[0, 1], [1, 0]], **kwargs)
 
 
 # -- spec-level invariants ---------------------------------------------------
