@@ -41,49 +41,71 @@ def ball(model: GroupModel, radius: int, *, cap: int = DEFAULT_BALL_CAP) -> Ball
 # metric graphs
 
 
-def _arcs(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Indices of the arcs out of the given vertices, vertex by vertex, in
-    CSR arrays with row pointers ``indptr``."""
-    start = indptr[vertices]
-    count = indptr[vertices + 1] - start
-    offset = np.cumsum(count) - count
-    return np.arange(int(count.sum())) + np.repeat(start - offset, count)
+def _arcs(stop: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Indices of the arcs out of some vertices, vertex by vertex, in CSR
+    arrays where those vertices' arcs end before ``stop`` and number
+    ``count``."""
+    arcs = np.repeat(stop - np.cumsum(count), count)
+    arcs += np.arange(len(arcs))
+    return arcs
 
 
-def _level_bfs(n, indptr, nbr, wt, weights, seeds, d0: int) -> np.ndarray:
-    """Distances (int64, -1 unreached) from seed vertices at distance d0 in
-    CSR arrays with positive integer weights.
+_LANE_BLOCK = 1 << 16  # entries per distance array when rows run as lanes of one sweep
+
+
+def _level_bfs(csr, seeds, lanes: int = 1) -> np.ndarray:
+    """Distances (int64, -1 unreached) in ``lanes`` independent copies of a
+    graph with positive integer weights, as one flat array: vertex v of lane
+    i is entry i·n + v.  ``csr`` is (indptr, deg, nbr, wt, weights) and the
+    ``seeds``, flat ids, lie at distance 0.
 
     Level-synchronous BFS: the unreached vertices queued at the least
     pending level d have distance d, and each arc of weight w out of them
-    queues its head at d + w.  One mask collects a level's queue without
-    duplicates.
+    queues its head at d + w.  A level costs only its queue and the arcs out
+    of it: a head is queued only while unreached, and repeated heads are
+    dropped by a stamp (each head writes its position, and the heads that
+    read their own position back are kept).  With one weight the next level
+    is always d + w, so no pending levels are kept.
     """
-    dist = np.full(n, -1, dtype=np.int64)
-    mark = np.zeros(n, dtype=bool)
-    levels = {d0: [np.asarray(seeds)]}
-    while levels:
-        d = min(levels)
-        mark[np.concatenate(levels.pop(d))] = True
-        mark &= dist < 0
-        frontier = np.flatnonzero(mark)
-        mark[frontier] = False
+    indptr, deg, nbr, wt, weights = csr
+    n, stop = len(deg), indptr[1:]
+    dist = np.full(lanes * n, -1, dtype=np.int64)
+    stamp = np.empty(lanes * n, dtype=np.int64)
+    heads, d, pending = np.asarray(seeds, dtype=np.int64), 0, {}
+    while True:
+        pos = np.arange(len(heads))
+        stamp[heads] = pos
+        frontier = heads[stamp[heads] == pos]
         dist[frontier] = d
-        arcs = _arcs(indptr, frontier)
-        arcs = arcs[dist[nbr[arcs]] < 0]
+        v = frontier % n if lanes > 1 else frontier
+        count = deg[v]
+        arcs = _arcs(stop[v], count)
+        heads = nbr[arcs]
+        if lanes > 1:
+            heads += np.repeat(frontier - v, count)
+        open_ = dist[heads] < 0
+        if len(weights) == 1:
+            heads, d = heads[open_], d + weights[0]
+            if not len(heads):
+                return dist
+            continue
         for w in weights:
-            head = nbr[arcs if len(weights) == 1 else arcs[wt[arcs] == w]]
-            if len(head):
-                levels.setdefault(d + w, []).append(head)
-    return dist
+            queued = heads[open_ & (wt[arcs] == w)]
+            if len(queued):
+                pending.setdefault(d + w, []).append(queued)
+        if not pending:
+            return dist
+        d = min(pending)
+        heads = np.concatenate(pending.pop(d))
+        heads = heads[dist[heads] < 0]  # some were reached at a lower level since queued
 
 
 class MetricGraph:
     """Undirected weighted graph; weights are positive ints (scaled x2).
 
-    Adjacency is held once, as CSR arrays: the neighbours of vertex u are
-    ``_nbr[_indptr[u]:_indptr[u + 1]]``, in increasing order, with weights
-    ``_wt`` alongside.  ``edges`` may list an edge more than once, in either
+    Adjacency is held once, as CSR arrays: the ``_deg[u]`` neighbours of
+    vertex u are ``_nbr[_indptr[u]:_indptr[u + 1]]``, in increasing order,
+    with weights ``_wt`` alongside.  ``edges`` may list an edge more than once, in either
     direction, but always with the same weight.
     """
 
@@ -91,9 +113,18 @@ class MetricGraph:
         self.n = n
         u, v, w = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        _, first, group = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+        # one stable sort groups the copies of an edge, each group led by
+        # its first copy in input order
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        ws = w[order]
+        conflict = np.empty(len(w), dtype=bool)
+        conflict[order] = ws != ws[first][np.cumsum(first) - 1]
         bad = (lo < 0) | (hi >= n) | (u == v)
-        failing = bad | (w < 1) | (w != w[first][group])
+        failing = bad | (w < 1) | conflict
         if failing.any():  # report the first failing edge, in input order
             i = int(failing.argmax())
             if bad[i]:
@@ -101,23 +132,32 @@ class MetricGraph:
             if w[i] < 1:
                 raise DomainError("edge weights must be >= 1")
             raise DomainError(f"conflicting weights for edge {(int(lo[i]), int(hi[i]))}")
-        lo, hi, w = lo[first], hi[first], w[first]
+        keep = order[first]
+        lo, hi, w = lo[keep], hi[keep], w[keep]
         self.ball_radius = ball_radius
         tail = np.concatenate([lo, hi])
         head = np.concatenate([hi, lo])
-        order = np.lexsort((head, tail))
+        order = np.argsort(tail * n + head, kind="stable")
         self._nbr = head[order]
         self._wt = np.concatenate([w, w])[order]
+        self._deg = np.bincount(tail, minlength=n)
         self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tail, minlength=n), out=self._indptr[1:])
+        np.cumsum(self._deg, out=self._indptr[1:])
         self._weights = np.unique(w).tolist()
+        self._csr = self._indptr, self._deg, self._nbr, self._wt, self._weights
         self._dist_cache: dict[int, np.ndarray] = {}
         if n > 0 and self.distances_from(0).min() < 0:
             raise DomainError("metric graph must be connected")
 
+    def _vertex(self, v) -> int:
+        """v as a Python int, or DomainError unless it is an integer in [0, n)."""
+        if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < self.n:
+            return int(v)
+        raise DomainError(f"no vertex {v!r} in a graph of {self.n} vertices")
+
     def _edge_array(self) -> np.ndarray:
         """(u, v, w) rows with u < v, sorted, read off the CSR arrays."""
-        tail = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        tail = np.repeat(np.arange(self.n), self._deg)
         up = self._nbr > tail
         return np.column_stack([tail[up], self._nbr[up], self._wt[up]])
 
@@ -126,37 +166,52 @@ class MetricGraph:
         return list(map(tuple, self._edge_array().tolist()))
 
     def edge_weight(self, u: int, v: int) -> Optional[int]:
+        u, v = self._vertex(u), self._vertex(v)
         lo, hi = self._indptr[u], self._indptr[u + 1]
         k = lo + np.searchsorted(self._nbr[lo:hi], v)
         return int(self._wt[k]) if k < hi and self._nbr[k] == v else None
 
+    def _rows(self, sources: np.ndarray) -> np.ndarray:
+        """Distance rows (int64, -1 unreached) from the given vertices, one
+        lane each of one ``_level_bfs``.
+
+        Over the graph, or over ``_reduced`` when it has cone apexes: then
+        an apex source seeds its lane from its neighbours, which all lie at
+        distance w from it, and each apex h reads its distance back as the
+        least d(u) + w(u, h) over its neighbours u.
+        """
+        k, n = len(sources), self.n
+        lane = np.arange(k) * n
+        red = self._reduced
+        if red is None:
+            return _level_bfs(self._csr, lane + sources, k).reshape(k, n)
+        csr, is_apex, apex, heads, seg, w = red
+        at = is_apex[sources]
+        hub = sources[at]
+        count = self._deg[hub]
+        seeds = np.concatenate([
+            lane[~at] + sources[~at],
+            np.repeat(lane[at], count) + self._nbr[_arcs(self._indptr[hub + 1], count)],
+        ])
+        dist = _level_bfs(csr, seeds, k).reshape(k, n)
+        dist[at] = np.where(dist[at] < 0, -1, dist[at] + w)  # lanes seeded at distance w
+        # as uint64, -1 is the largest value: an unreached neighbour never
+        # gives the least, and an apex with none reached reads -1 back
+        near = np.take(dist, heads, axis=1).view(np.uint64)
+        d = np.minimum.reduceat(near, seg, axis=1).view(np.int64)
+        dist[:, apex] = np.where(d < 0, -1, d + w)
+        dist[np.arange(k), sources] = 0  # an apex source read back 2w
+        return dist
+
     def distances_from(self, source: int) -> np.ndarray:
         """Scaled shortest-path distances from one vertex, as a read-only
         int32 array (int64 only for distances past 2^31 - 1), cached; -1
-        marks an unreachable vertex.
-
-        A level BFS (``_level_bfs``) over the graph, or over ``_reduced``
-        when it has cone apexes: then an apex source seeds the BFS from its
-        neighbours, and each apex h reads its distance back as the least
-        d(u) + w(u, h) over its neighbours u.
-        """
+        marks an unreachable vertex.  One lane of ``_rows``."""
+        source = self._vertex(source)
         got = self._dist_cache.get(source)
         if got is not None:
             return got
-        red = self._reduced
-        if red is None:
-            dist = _level_bfs(self.n, self._indptr, self._nbr, self._wt, self._weights, [source], 0)
-        else:
-            csr, is_apex, apex, heads, seg, w = red
-            if is_apex[source]:
-                seeds = self._nbr[self._indptr[source]:self._indptr[source + 1]]
-                dist = _level_bfs(self.n, *csr, seeds, w)
-            else:
-                dist = _level_bfs(self.n, *csr, [source], 0)
-            near, far = dist[heads], np.iinfo(np.int64).max
-            d = np.minimum.reduceat(np.where(near < 0, far, near), seg)
-            dist[apex] = np.where(d == far, -1, d + w)
-            dist[source] = 0  # an apex source read back 2w
+        dist = self._rows(np.array([source]))[0]
         row = dist.astype(np.int32) if dist.max(initial=0) < 2**31 else dist
         row.flags.writeable = False
         self._dist_cache[source] = row
@@ -171,14 +226,16 @@ class MetricGraph:
         of whose neighbours is such a vertex, so no two apexes are adjacent
         and a shortest path through an apex h enters and leaves it by
         non-apex neighbours u, v: each h becomes the shortcut arcs u -> v of
-        weight 2w, and loses its own arcs.  Returns the reduced CSR arrays
-        and weights, the apex mask and ids, the heads of the apexes' arcs
-        with each apex's first position among them, and w.
+        weight 2w, and loses its own arcs.  A shortcut beside an arc u -> v
+        of weight at most 2w (u and u·h, for a cone of <h> with h a
+        generator) is left out, found by searching the sorted arc keys
+        u·n + v.  Returns the reduced CSR arrays (as ``_level_bfs`` takes
+        them), the apex mask and ids, the heads of the apexes' arcs with
+        each apex's first position among them, and w.
         """
         if len(self._weights) < 2:  # every vertex touches another of least weight
             return None
-        indptr, nbr, wt, w = self._indptr, self._nbr, self._wt, self._weights[0]
-        deg = np.diff(indptr)
+        indptr, deg, nbr, wt, w = self._indptr, self._deg, self._nbr, self._wt, self._weights[0]
         tail = np.repeat(np.arange(self.n), deg)
         light = (np.bincount(tail[wt != w], minlength=self.n) == 0) & (deg > 0)
         is_apex = light & (np.bincount(tail[light[nbr]], minlength=self.n) == 0)
@@ -186,24 +243,29 @@ class MetricGraph:
         d = deg[apex]
         if not len(apex) or int((d * (d - 1)).sum()) > len(nbr):
             return None
-        arcs = _arcs(indptr, apex)
+        arcs = _arcs(indptr[apex + 1], d)
         # every ordered pair (a, b) of distinct arcs of one apex
         per = np.repeat(d, d)
         a = np.repeat(arcs, per)
         b = np.repeat(np.repeat(indptr[apex], d) - (np.cumsum(per) - per), per) + np.arange(len(a))
         a, b = a[a != b], b[a != b]
+        key, pair = tail * self.n + nbr, nbr[a] * self.n + nbr[b]
+        at = np.minimum(np.searchsorted(key, pair), len(key) - 1)
+        new = (key[at] != pair) | (wt[at] > 2 * w)
+        a, b = a[new], b[new]
         own = ~(is_apex[tail] | is_apex[nbr])
         tails = np.concatenate([tail[own], nbr[a]])
         order = np.argsort(tails, kind="stable")
         heads = np.concatenate([nbr[own], nbr[b]])[order]
         wts = np.concatenate([wt[own], np.full(len(a), 2 * w)])[order]
+        count = np.bincount(tails, minlength=self.n)
         ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=self.n), out=ptr[1:])
-        csr = ptr, heads, wts, np.unique(wts).tolist()
+        np.cumsum(count, out=ptr[1:])
+        csr = ptr, count, heads, wts, np.unique(wts).tolist()
         return csr, is_apex, apex, nbr[arcs], np.cumsum(d) - d, w
 
     def distance_scaled(self, u: int, v: int) -> int:
-        d = int(self.distances_from(u)[v])
+        d = int(self.distances_from(u)[self._vertex(v)])
         if d < 0:
             raise DomainError("vertices are disconnected")  # defensive; balls are connected
         return d
@@ -212,9 +274,18 @@ class MetricGraph:
         return Fraction(self.distance_scaled(u, v), SCALE)
 
     def distance_matrix_scaled(self, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
-        verts = list(range(self.n)) if vertices is None else list(vertices)
-        rows = [self.distances_from(u)[verts] for u in verts]
-        return np.array(rows, dtype=np.int64).reshape(len(verts), len(verts))
+        """Scaled distances between the given vertices (all by default), as
+        an int64 matrix.  The rows run as lanes of ``_rows``, at most
+        ``_LANE_BLOCK`` entries at a time, and are not cached."""
+        if vertices is None:
+            verts = np.arange(self.n)
+        else:
+            verts = np.array([self._vertex(v) for v in vertices], dtype=np.int64)
+        out = np.empty((len(verts), len(verts)), dtype=np.int64)
+        step = max(1, _LANE_BLOCK // max(self.n, 1))
+        for i in range(0, len(verts), step):
+            out[i:i + step] = self._rows(verts[i:i + step])[:, verts]
+        return out
 
     @cached_property
     def blocks(self) -> list[list[int]]:
@@ -663,10 +734,13 @@ def _four_point_max_defect(D: np.ndarray) -> int:
     The defect is invariant under permuting the four points and is 0 when
     two of them coincide (triangle inequality), so it suffices to take
     x < y < z, w: each 4-set is visited twice instead of 12 times.  For one
-    y the x are swept in blocks of at most ``_SWEEP_BLOCK`` entries.
+    y the x are swept in blocks of at most ``_SWEEP_BLOCK`` entries, in the
+    narrowest of int16, int32 and int64 that holds 6·max(D), the bound on
+    every partial sum of the defect.
     """
     n = D.shape[0]
-    dtype = np.int32 if 6 * int(D.max(initial=0)) < 2**31 else np.int64
+    top = 6 * int(D.max(initial=0))
+    dtype = np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
     D = np.asarray(D, dtype=dtype)
     best = 0
     for y in range(1, n - 2):
@@ -736,8 +810,9 @@ def estimate_delta_4point(
             continue
         verts = np.sort(block)
         pos[verts] = np.arange(len(verts))
-        arcs = _arcs(g._indptr, verts)
-        u = np.repeat(np.arange(len(verts)), g._indptr[verts + 1] - g._indptr[verts])
+        count = g._deg[verts]
+        arcs = _arcs(g._indptr[verts + 1], count)
+        u = np.repeat(np.arange(len(verts)), count)
         v = pos[g._nbr[arcs]]
         up = v > u
         piece = MetricGraph(len(verts), np.column_stack([u[up], v[up], g._wt[arcs][up]]))

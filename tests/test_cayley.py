@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -160,19 +161,56 @@ def test_factor_coned_distances_match_networkx():
     _assert_rows_match_networkx(coned.graph, range(0, coned.graph.n, 5))
 
 
-def _assert_rows_match_plain_bfs_and_scipy(graph, sources):
-    """Rows equal the level BFS over the graph's own arcs, with no apex
-    eliminated, and scipy's shortest paths over its edge list."""
+def _mask_level_bfs(n, indptr, nbr, wt, weights, seeds, d0):
+    """The mask-based level BFS that the frontier-sized ``_level_bfs``
+    replaced, kept as an oracle: each level marks its queue in an n-vertex
+    mask, clears the reached vertices and collects the rest with
+    ``flatnonzero``, two passes over all n vertices."""
+    dist = np.full(n, -1, dtype=np.int64)
+    mark = np.zeros(n, dtype=bool)
+    levels = {d0: [np.asarray(seeds)]}
+    while levels:
+        d = min(levels)
+        mark[np.concatenate(levels.pop(d))] = True
+        mark &= dist < 0
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
+        dist[frontier] = d
+        start = indptr[frontier]
+        count = indptr[frontier + 1] - start
+        arcs = np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
+        arcs = arcs[dist[nbr[arcs]] < 0]
+        for w in weights:
+            head = nbr[arcs if len(weights) == 1 else arcs[wt[arcs] == w]]
+            if len(head):
+                levels.setdefault(d + w, []).append(head)
+    return dist
+
+
+def _scipy_distances(graph, sources):
+    """scipy's shortest paths over the graph's edge list, -1 unreached."""
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     sparse = pytest.importorskip("scipy.sparse")
-    sources = list(sources)
     u, v, w = np.array(graph.edges, dtype=np.int64).reshape(-1, 3).T
     matrix = sparse.coo_matrix((w, (u, v)), shape=(graph.n, graph.n)).tocsr()
-    ref = csgraph.shortest_path(matrix, directed=False, indices=sources)
+    ref = csgraph.shortest_path(matrix, directed=False, indices=list(sources))
+    return np.where(np.isinf(ref), -1, ref).astype(np.int64).reshape(len(sources), graph.n)
+
+
+def _assert_rows_match_plain_bfs_and_scipy(graph, sources):
+    """Rows equal the mask-based level BFS over the graph's own arcs, with
+    no apex eliminated, scipy's shortest paths over its edge list, and the
+    lane BFS over the graph's own arcs, one source at a time and all
+    sources as lanes of one sweep."""
+    sources = list(sources)
+    ref = _scipy_distances(graph, sources)
+    n, k = graph.n, len(sources)
+    lanes = cayley._level_bfs(graph._csr, np.arange(k) * n + sources, k).reshape(k, n)
+    assert lanes.tolist() == ref.tolist()
     for s, want in zip(sources, ref):
-        plain = cayley._level_bfs(graph.n, graph._indptr, graph._nbr, graph._wt, graph._weights, [s], 0)
-        want = np.where(np.isinf(want), -1, want).astype(np.int64)
-        assert graph.distances_from(s).tolist() == plain.tolist() == want.tolist()
+        oracle = _mask_level_bfs(n, graph._indptr, graph._nbr, graph._wt, graph._weights, [s], 0)
+        lane = cayley._level_bfs(graph._csr, [s])
+        assert graph.distances_from(s).tolist() == oracle.tolist() == lane.tolist() == want.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,9 +239,92 @@ def test_coned_rows_with_apexes_eliminated_match_plain_bfs_and_scipy(name):
     coned = coned_off(make(), cones)
     g = coned.graph
     assert (g._reduced is not None) == eliminated
+    if eliminated:  # no shortcut runs beside an arc, so no two arcs join one pair
+        _, count, heads, _, _ = g._reduced[0]
+        tails = np.repeat(np.arange(g.n), count)
+        assert len(set(zip(tails.tolist(), heads.tolist()))) == len(heads)
     # ball sources, and cone-vertex sources of every factor
     sources = [*range(0, coned.cone_start, 7), *range(coned.cone_start, g.n, 3), g.n - 1]
     _assert_rows_match_plain_bfs_and_scipy(g, sources)
+
+
+def _assert_matrix_matches_scipy_and_rows(graph, vertices):
+    """The many-source matrix equals scipy's shortest paths and the rows
+    of ``distances_from``, which it neither reads nor fills."""
+    verts = list(range(graph.n)) if vertices is None else list(vertices)
+    cached = set(graph._dist_cache)
+    D = graph.distance_matrix_scaled(vertices)
+    assert set(graph._dist_cache) == cached
+    assert D.dtype == np.int64 and D.shape == (len(verts), len(verts))
+    if verts:
+        assert D.tolist() == _scipy_distances(graph, verts)[:, verts].tolist()
+    assert D.tolist() == [graph.distances_from(v)[verts].tolist() for v in verts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_distance_matrix_matches_scipy_and_rows_on_random_graphs(g, data):
+    _assert_matrix_matches_scipy_and_rows(g, None)
+    picks = data.draw(st.lists(st.integers(0, g.n - 1), max_size=12))
+    _assert_matrix_matches_scipy_and_rows(g, picks)
+
+
+_MATRIX_CASES = {
+    "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))]),
+    "F2 r=4 <ab>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))]),
+    "Z2*Z3 r=4 factors": (
+        lambda: ball(FreeProduct([cyclic_group(2), cyclic_group(3)]), 4),
+        [FactorSubgroup(0), FactorSubgroup(1)],
+    ),
+    # wide cosets: no apex is eliminated
+    "Z^2*Z r=3 factors": (
+        lambda: ball(FreeProduct([FreeAbelian(2), FreeAbelian(1)]), 3),
+        [FactorSubgroup(0), FactorSubgroup(1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("lanes", ["default", "one row", "ragged"])
+@pytest.mark.parametrize("name", list(_MATRIX_CASES))
+def test_coned_distance_matrix_matches_scipy_and_rows(name, lanes, monkeypatch):
+    make, cones = _MATRIX_CASES[name]
+    coned = coned_off(make(), cones)
+    g = coned.graph
+    # ball and cone vertices, with repeats; 52 vertices, not a multiple of 3
+    verts = [*range(0, coned.cone_start, 9), *range(coned.cone_start, g.n, 7)]
+    verts = (verts * 3)[:50] + [g.n - 1, 0]
+    assert len(verts) % 3 and max(verts[:50]) >= coned.cone_start
+    assert g._reduced is None or g._reduced[1][verts].any()  # eliminated apexes among them
+    if lanes == "one row":
+        monkeypatch.setattr(cayley, "_LANE_BLOCK", 1)
+    elif lanes == "ragged":
+        monkeypatch.setattr(cayley, "_LANE_BLOCK", 3 * g.n)  # three lanes a sweep
+    _assert_matrix_matches_scipy_and_rows(g, verts)
+    _assert_matrix_matches_scipy_and_rows(g, [])
+
+
+def test_vertices_outside_the_graph_rejected():
+    g = MetricGraph(3, [(0, 1, 2), (1, 2, 2)])  # the path 0-1-2
+    calls = [
+        (g.distances_from, (-1,), -1),
+        (g.distances_from, (3,), 3),
+        (g.distance, (-1, 0), -1),
+        (g.distance_scaled, (0, 3), 3),
+        (g.edge_weight, (-1, 1), -1),
+        (g.edge_weight, (0, 7), 7),
+        (g.edge_weight, (5, 0), 5),
+        (g.distance_matrix_scaled, ([0, 3],), 3),
+        (g.distance_matrix_scaled, ([1, -1],), -1),
+        (g.distances_from, (1.0,), 1.0),
+        (g.edge_weight, (0, True), True),
+        (g.distance_matrix_scaled, (["1"],), "1"),
+    ]
+    for fn, args, bad in calls:
+        with pytest.raises(DomainError, match=re.escape(f"no vertex {bad!r} in a graph of 3 vertices")):
+            fn(*args)
+    assert list(g._dist_cache) == [0]  # only the connectivity row
+    assert g.distances_from(np.int64(2)).tolist() == [4, 2, 0]
+    assert g.edge_weight(np.int32(2), 1) == 2 and g.edge_weight(0, 2) is None
 
 
 def test_disconnected_graph_with_an_apex_rejected():
@@ -542,6 +663,67 @@ def test_reduced_sweep_matches_brute_force_on_random_metrics(g):
     assert _four_point_max_defect(D) == expected
     # large distances take the int64 path
     assert _four_point_max_defect(D * 10**9) == expected * 10**9
+
+
+class _DtypeSpy:
+    """Stands in for numpy inside ``cayley`` and records the dtype that
+    each ``asarray`` call asks for."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def asarray(self, a, dtype=None):
+        self.dtypes.append(np.dtype(dtype))
+        return np.asarray(a, dtype=dtype)
+
+
+def _random_metric(rng, n):
+    """Shortest paths of a complete graph with random weights in 1..9."""
+    W = rng.integers(1, 10, size=(n, n))
+    W = np.minimum(W, W.T)
+    np.fill_diagonal(W, 0)
+    for k in range(n):
+        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    return W
+
+
+@pytest.mark.parametrize(
+    "top,dtype",
+    [(2**15 - 2, np.int16), (2**15 + 4, np.int32), (2**31 + 4, np.int64)],
+)
+def test_sweep_dtype_rule_matches_brute_force_at_its_bounds(top, dtype, monkeypatch):
+    spy = _DtypeSpy()
+    monkeypatch.setattr(cayley, "np", spy)
+    rng = np.random.default_rng(top)
+    for n in (4, 5, 6, 7, 7, 7):
+        D0 = _random_metric(rng, n)
+        # k·D0 plus c off the diagonal is still a metric, with 6·max = top
+        k, c = divmod(top // 6, int(D0.max()))
+        D = k * D0 + c * (1 - np.eye(n, dtype=np.int64))
+        assert 6 * int(D.max()) == top
+        spy.dtypes.clear()
+        assert _four_point_max_defect(D) == _brute_force_defect(D.tolist())
+        assert spy.dtypes == [np.dtype(dtype)]
+
+
+def test_exhaustive_delta_on_z2_makes_two_rows(monkeypatch):
+    sources = []
+    row = MetricGraph.distances_from
+
+    def counted(self, source):
+        sources.append(source)
+        return row(self, source)
+
+    monkeypatch.setattr(MetricGraph, "distances_from", counted)
+    g = cayley_graph(ball(FreeAbelian(2), 6))
+    assert max(map(len, g.blocks)) == 81
+    assert estimate_delta_4point(g, exhaustive=True) == 6
+    # the connectivity rows of the graph and of its block; the block's
+    # matrix is one many-source sweep
+    assert sources == [0, 0]
 
 
 @st.composite
