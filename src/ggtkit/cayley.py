@@ -416,8 +416,10 @@ def _periodic_cyclic(model: GroupModel, pre: Element, core: Element):
     are among x, x c and x c^-1, the same from any member; the others end
     in c or c^-1 only as x c or x c^-1 written out, longer than x.  So the
     least of the three by (length, payload) names the coset.  elem is in
-    <h> exactly when p^-1 elem p is c^k or c^-k as written."""
+    <h> exactly when p^-1 elem p is c^k or c^-k as written; those two
+    words are built once per k."""
     pre_inv, inv, n = model.inverse(pre), model.inverse(core), len(core)
+    powers: dict = {}  # k -> (c^k, c^-k)
 
     def key(elem):
         x = model.multiply(elem, pre) if pre else elem
@@ -430,7 +432,12 @@ def _periodic_cyclic(model: GroupModel, pre: Element, core: Element):
     def contains(elem):
         y = model.multiply(pre_inv, model.multiply(elem, pre)) if pre else elem
         k, rem = divmod(len(y), n)
-        return not rem and y in (core * k, inv * k)
+        if rem:
+            return False
+        pair = powers.get(k)
+        if pair is None:
+            pair = powers[k] = core * k, inv * k
+        return y in pair
 
     return key, contains
 
@@ -646,34 +653,51 @@ def _cosets(b: Ball, oracle) -> tuple[np.ndarray, list[list[int]]]:
     ``REP_VERIFY_LIMIT`` cosets the key is also checked to split no coset:
     it must agree across one join of each chain, and no two coset
     representatives may lie in one coset.
+
+    When the Cayley graph is a tree (``model.tree``) and h lies in the
+    ball, each chain is a whole coset met with the ball, so past
+    ``REP_VERIFY_LIMIT`` chains no key is needed.  For h = e both are
+    single elements.  Otherwise walking h's reduced word from x is a path
+    with no backtracking, so it is the geodesic from x to xh, and a ball of
+    a tree holds the geodesic between any two of its points: x and xh are
+    joined whenever both lie in the ball.  And h != e acts on the tree as a
+    translation along an axis, so k -> |g h^k| is non-increasing, then
+    non-decreasing: the k with g h^k in the ball form an interval, whose
+    consecutive members are joined.
     """
     model, elements, n, table = b.model, b.elements, len(b), b.neighbour_table()
+    h = oracle.generator
     t = np.arange(n)
-    for s in _word(b, oracle.generator):
+    for s in _word(b, h):
         t[t >= 0] = table[t[t >= 0], s]
     u = np.flatnonzero((t >= 0) & (t != np.arange(n)))  # an empty word joins nothing
     v = t[u]
     least = _least_members(n, u, v)
-    chains = np.flatnonzero(least == np.arange(n)).tolist()
-    keys = [oracle.coset_key(model, elements[r]) for r in chains]
-    key_to_id: dict = {}
-    last: list[int] = []  # per coset, its latest chain
-    chain_ids = []
-    for r, key in zip(chains, keys):
-        cid = key_to_id.setdefault(key, len(key_to_id))
-        if cid < len(last):
-            diff = model.multiply(model.inverse(elements[last[cid]]), elements[r])
-            if not oracle.contains(model, diff):
-                raise OracleInconsistency(
-                    f"{oracle.label}: coset key groups non-equivalent elements"
-                )
-            last[cid] = r
-        else:
-            last.append(r)
-        chain_ids.append(cid)
-    ids = np.empty(n, dtype=np.int64)
-    ids[chains] = chain_ids
-    ids = ids[least]
+    is_chain = least == np.arange(n)
+    chains = np.flatnonzero(is_chain).tolist()
+    if model.tree and len(chains) > REP_VERIFY_LIMIT and h in b.index:
+        ids = (np.cumsum(is_chain) - 1)[least]
+        keys = None
+    else:
+        keys = [oracle.coset_key(model, elements[r]) for r in chains]
+        key_to_id: dict = {}
+        last: list[int] = []  # per coset, its latest chain
+        chain_ids = []
+        for r, key in zip(chains, keys):
+            cid = key_to_id.setdefault(key, len(key_to_id))
+            if cid < len(last):
+                diff = model.multiply(model.inverse(elements[last[cid]]), elements[r])
+                if not oracle.contains(model, diff):
+                    raise OracleInconsistency(
+                        f"{oracle.label}: coset key groups non-equivalent elements"
+                    )
+                last[cid] = r
+            else:
+                last.append(r)
+            chain_ids.append(cid)
+        ids = np.empty(n, dtype=np.int64)
+        ids[chains] = chain_ids
+        ids = ids[least]
     order = np.argsort(ids, kind="stable").tolist()
     ends = np.cumsum(np.bincount(ids)).tolist()
     members = [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
@@ -835,7 +859,7 @@ class GraphPath:
 
 def path_from_vertices(graph, vertices) -> GraphPath:
     g = graph.graph if isinstance(graph, ConedOffGraph) else graph
-    verts = tuple(vertices)
+    verts = tuple(g._vertex(v) for v in vertices)
     if not verts:
         raise DomainError("a path needs at least one vertex")
     total = 0

@@ -97,6 +97,9 @@ class GroupModel:
     # every relator has even length, so word length mod 2 is a homomorphism
     # and no Cayley edge joins two elements of one sphere
     even_relators = False
+    # the Cayley graph on the standard generators is a tree: in a BFS from
+    # e, an element's only neighbour in the ball so far is its parent
+    tree = False
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -225,6 +228,8 @@ class Ball:
         """Neighbour rows of the unexpanded elements.  With ``grow`` a
         product outside the ball joins it as part of the next sphere;
         without, it is recorded as -1."""
+        if grow and self.model.tree:
+            return self._expand_tree(cap)
         model, elements, index = self.model, self.elements, self.index
         gens = model.generator_elements()
         dist = self.radius + 1
@@ -245,6 +250,37 @@ class Ball:
                 rows.append(vi)
         return np.array(rows, dtype=np.int32).reshape(stop - start, len(gens))
 
+    def _expand_tree(self, cap: Optional[int]) -> np.ndarray:
+        """``_expand`` with ``grow`` when the Cayley graph is a tree.  The
+        one neighbour of u in the ball so far is its parent, reached by the
+        inverse of ``parent_gen[u]`` (generators are listed as s_1..s_m,
+        then their inverses), and every other product is new: so the sphere
+        is known in size before any product, and is made with no lookup."""
+        elements, gens = self.elements, self.model.generator_elements()
+        start, stop, k = len(self.nbr), len(self.elements), len(gens)
+        back = np.array(self.parent_gen[start:stop])
+        inward = back >= 0  # every element but e
+        back[inward] = (back[inward] + k // 2) % k  # the generator back to the parent
+        out = np.ones((stop - start, k), dtype=bool)
+        out[inward, back[inward]] = False
+        new = int(out.sum())
+        if cap is not None and stop + new > cap:
+            raise ResourceCapError(f"ball size cap {cap} exceeded at radius {self.radius + 1}")
+        rows = np.empty(out.shape, dtype=np.int32)
+        rows[out] = np.arange(stop, stop + new)
+        rows[~out] = np.array(self.parents[start:stop])[inward]
+        multiply = self.model.multiply
+        elements += [
+            multiply(u, s)
+            for u, b in zip(elements[start:stop], back.tolist())
+            for gi, s in enumerate(gens) if gi != b
+        ]
+        self.parents += np.repeat(np.arange(start, stop), out.sum(axis=1)).tolist()
+        self.parent_gen += np.nonzero(out)[1].tolist()
+        self.lengths += [self.radius + 1] * new
+        self.index.update(zip(elements[stop:], range(stop, stop + new)))
+        return rows
+
 
 # ---------------------------------------------------------------------------
 # free group
@@ -256,7 +292,7 @@ _LETTERS = string.ascii_lowercase
 class FreeGroup(GroupModel):
     """Free group of given rank; elements are freely reduced words."""
 
-    even_relators = True
+    even_relators = tree = True
 
     def __init__(self, rank: int):
         if rank < 1:

@@ -35,6 +35,7 @@ from ggtkit.groups import (
     FreeProduct,
     TwoStepNilpotent,
     cyclic_group,
+    cyclic_reduce,
     heisenberg_group,
     symmetric_group_3,
 )
@@ -582,15 +583,81 @@ class _CountingKey(CyclicSubgroup):
 
 def test_coset_key_is_called_once_per_chain(f2, monkeypatch):
     monkeypatch.setattr(cayley, "REP_VERIFY_LIMIT", 0)  # no split checks, which call it again
-    # each coset of <a> meets an F2 ball in one chain
+    # each coset of <a> meets an F2 ball in one chain, so a tree needs no key
     oracle = _CountingKey((1,))
     coned = coned_off(ball(f2, 5), [oracle])
-    assert oracle.calls == len(coned.cones) == 3**5
+    assert getattr(oracle, "calls", 0) == 0
+    assert len(coned.cones) == 3**5
     # (0,-4) and (1,-3) lie in one coset of <(1,1)> but in two chains
     oracle = _CountingKey((1, 1))
     coned = coned_off(ball(FreeAbelian(2), 4), [oracle])
     assert oracle.calls > len(coned.cones)
     assert coned.coset_of[0][coned.ball.index[(0, -4)]] == coned.coset_of[0][coned.ball.index[(1, -3)]]
+
+
+@pytest.mark.parametrize("limit", [cayley.REP_VERIFY_LIMIT, 0], ids=["default-limit", "limit-0"])
+@pytest.mark.parametrize("radius", [3, 6])
+@pytest.mark.parametrize("text", ["e", "a", "ab", "baB", "aa"])
+def test_tree_cosets_without_keys_match_per_element_builder(f2, monkeypatch, text, radius, limit):
+    monkeypatch.setattr(cayley, "REP_VERIFY_LIMIT", limit)
+    b = ball(f2, radius)
+    oracle = _CountingKey(f2.parse_element(text))
+    coned = coned_off(b, [oracle])
+    # past the limit no check needs a key, and each chain is a coset
+    if len(coned.cones) > limit:
+        assert getattr(oracle, "calls", 0) == 0
+    ids, members = _oracle_cosets(b, CyclicSubgroup(oracle.generator))
+    assert coned.coset_of == [ids]
+    assert coned.coset_members == [members]
+
+
+def test_tree_cosets_of_a_generator_outside_the_ball_are_keyed(f2):
+    # |a^7| = 7 > 6, so no chain joins two elements, yet a^-4 and a^3 share a coset
+    b = ball(f2, 6)
+    oracle = _CountingKey((1,) * 7)
+    coned = coned_off(b, [oracle])
+    assert oracle.calls == len(b) > cayley.REP_VERIFY_LIMIT
+    ids, members = _oracle_cosets(b, CyclicSubgroup(oracle.generator))
+    assert coned.coset_of == [ids]
+    assert coned.coset_members == [members]
+    assert ids[b.index[(-1,) * 4]] == ids[b.index[(1,) * 3]]
+
+
+def _contains_by_building_powers(model, pre, core, elem):
+    """The membership test of ``_periodic_cyclic`` with c^k and c^-k built
+    on every call."""
+    y = model.multiply(model.inverse(pre), model.multiply(elem, pre)) if pre else elem
+    k, rem = divmod(len(y), len(core))
+    return not rem and y in (core * k, model.inverse(core) * k)
+
+
+_PERIODIC_CASES = [
+    (FreeGroup(2), 5, ["a", "B", "ab", "aB", "aa", "baB", "abAB", "bbaBB"]),
+    (FreeGroup(3), 4, ["c", "abc", "Cac", "acAC", "bcb"]),
+    (FreeProduct([cyclic_group(2), cyclic_group(3)]), 6, ["0:g*1:g", "0:g*1:g2", "0:g*1:g*0:g*1:g2"]),
+    # a third factor lets a core of two syllables be conjugated
+    (FreeProduct([cyclic_group(2), cyclic_group(3), FreeGroup(1)]), 4, ["2:a*0:g*1:g*2:A", "0:g*2:aa"]),
+]
+
+
+@pytest.mark.parametrize(
+    "model,radius,text",
+    [(m, r, t) for m, r, texts in _PERIODIC_CASES for t in texts],
+    ids=[f"{m!r}-{t}" for m, _, texts in _PERIODIC_CASES for t in texts],
+)
+def test_periodic_contains_matches_built_powers(model, radius, text):
+    h = model.parse_element(text)
+    if isinstance(model, FreeGroup):
+        pre, core = cyclic_reduce(h)
+    else:
+        pre, core = model.cyclic_syllable_reduce(h)
+        assert len(core) > 1  # the periodic case, not a single syllable
+    oracle = CyclicSubgroup(h)
+    elems = ball(model, radius).elements
+    expect = [_contains_by_building_powers(model, pre, core, e) for e in elems]
+    assert any(expect)
+    for _ in range(2):  # the second pass reads the powers built by the first
+        assert [oracle.contains(model, e) for e in elems] == expect
 
 
 def test_cone_vertex_is_the_position_in_cones(f2):
@@ -857,6 +924,13 @@ def test_quasi_geodesic_matches_subpath_oracle(z2):
                 if span > k * d + k or d > k * span + k:
                     expect = False
         assert is_quasi_geodesic(path, k, g) == expect
+
+
+@pytest.mark.parametrize("vertices", [[7], [-1], [True], [0, 1, 2, 3]])
+def test_path_from_vertices_checks_every_vertex(vertices):
+    g = MetricGraph(3, [(0, 1, 2), (1, 2, 2)])
+    with pytest.raises(DomainError):
+        path_from_vertices(g, vertices)
 
 
 def test_quasi_geodesic_requires_k_at_least_one(f2):

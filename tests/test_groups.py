@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggtkit.cayley import ball
-from ggtkit.errors import ConfigError, ModelMismatch
+from ggtkit.cayley import ball, cayley_graph
+from ggtkit.errors import ConfigError, ModelMismatch, ResourceCapError
 from ggtkit.groups import (
     BUILTIN_GROUPS,
     FiniteGroup,
@@ -321,3 +321,45 @@ def test_memo_ball_is_freed_with_its_model():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- the tree BFS --------------------------------------------------------------
+
+
+def _ball_state(b):
+    table = b.neighbour_table()
+    return (
+        b.elements, b.index, b.parents, b.parent_gen, b.lengths, b.nbr.tolist(), table.tolist(),
+        [b.verify_parent(i) for i in range(len(b))],
+    )
+
+
+@pytest.mark.parametrize("radius", range(7))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_tree_ball_equals_generic_bfs(monkeypatch, rank, radius):
+    tree = _ball_state(ball(FreeGroup(rank), radius))
+    assert all(tree[-1])
+    monkeypatch.setattr(FreeGroup, "tree", False)
+    assert _ball_state(ball(FreeGroup(rank), radius)) == tree
+
+
+@pytest.mark.parametrize("tree", [True, False])
+def test_tree_ball_cap_matches_generic_bfs(monkeypatch, f2, tree):
+    monkeypatch.setattr(FreeGroup, "tree", tree)
+    with pytest.raises(ResourceCapError, match=r"^ball size cap 50 exceeded at radius 3$"):
+        ball(f2, 6, cap=50)
+    assert len(ball(f2, 4, cap=161)) == 161  # the exact size does not raise
+    with pytest.raises(ResourceCapError, match=r"^ball size cap 161 exceeded at radius 5$"):
+        ball(f2, 6, cap=161)
+
+
+@pytest.mark.parametrize("name", ["f2", "z2", "heis", "s3", "z2z3_product"])
+def test_tree_flag_marks_exactly_the_tree_cayley_graphs(monkeypatch, request, name):
+    model = request.getfixturevalue(name)
+    flag = type(model).tree
+    monkeypatch.setattr(type(model), "tree", False)  # the generic BFS, which assumes nothing
+    b = ball(model, 3)
+    # the tree BFS also needs one arc per generator, so an involution among
+    # the generators (as in Z2, whose graph is one edge) does not count
+    arcs = int((b.neighbour_table() >= 0).sum())
+    assert flag is (cayley_graph(b).summary()["edges"] == len(b) - 1 and arcs == 2 * (len(b) - 1))
