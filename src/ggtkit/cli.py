@@ -36,7 +36,7 @@ from .conjugacy import (
     conjugacy_entry,
     profile_conjugacy_bound,
 )
-from .errors import ConfigError, GgtError, ResourceCapError
+from .errors import ConfigError, DomainError, GgtError, ResourceCapError
 from .groups import FreeProduct, model_from_dict
 from .homology import (
     chain_identities,
@@ -255,6 +255,8 @@ def _cmd_conj_solve(args):
     u = model.parse_element(args.u)
     v = model.parse_element(args.v)
     solver = choose_solver(model, args.solver)
+    if args.radius < 0:  # for every solver and pair, as in `profile`
+        raise DomainError("radius must be >= 0")
     if solver is None:
         solver = "brute"
         result = brute_force_conjugator(model, u, v, args.radius, ball_cap=args.cap_ball)
@@ -300,7 +302,6 @@ def _cmd_profile(args):
                 (r.min_conjugator_length for r in result.records), default=0
             ),
         },
-        warnings=result.notes,
     )
 
 

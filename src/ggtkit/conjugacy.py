@@ -1,27 +1,28 @@
 """Conjugacy deciders and conjugator-length machinery.
 
-Solvers never overclaim: a negative answer carries a model-specific
-certificate (abelianization mismatch, cyclic-word inequality, unsolvable
-central system, distinct least class elements in a finite group);
-everything else at bounded search radius is reported Unknown.  Every
-returned witness g is re-verified by exact multiplication (g^-1 u g = v)
-before it leaves the module, with a word length its solver certifies: the
-BFS depth of the ball scan, the reduced word length in free groups, and
-the base l1 norm in two-step nilpotent groups.  The free and nilpotent
-witnesses have least length.
+Every model class has a complete conjugacy key: two elements are conjugate
+exactly when their keys are equal.  Solvers never overclaim: the ball scan
+refutes a pair by unequal keys, the exact deciders by their own tests
+(cyclic words that are not rotations, unequal base parts, an unsolvable
+central system); a pair with equal keys and no witness at bounded search
+radius is reported Unknown.  Every returned witness g is re-verified by
+exact multiplication (g^-1 u g = v) before it leaves the module, with a
+word length its solver certifies: the BFS depth of the ball scan, the
+reduced word length in free groups, and the base l1 norm in two-step
+nilpotent groups.  The free and nilpotent witnesses have least length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cayley import Ball, ball
 from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, DEFAULT_RADIUS_CAP, FIT_MAX_DEGREE
 from .errors import DomainError, ResourceCapError, UnsupportedCase
-from .exactla import solve_integer_system
+from .exactla import smith_normal_form, solve_integer_system
 from .groups import (
     Element,
     FiniteGroup,
@@ -73,21 +74,6 @@ def verified_conjugate(model: GroupModel, u: Element, v: Element, g: Element, le
     return ConjugacyResult(CONJUGATE, witness=g, witness_length=length)
 
 
-def _exponent_sums(rank: int, word) -> tuple:
-    sums = [0] * rank
-    for letter in word:
-        sums[abs(letter) - 1] += 1 if letter > 0 else -1
-    return tuple(sums)
-
-
-def _free_certificate(model: FreeGroup, u: Element, v: Element) -> Optional[str]:
-    if _exponent_sums(model.rank, u) != _exponent_sums(model.rank, v):
-        return "abelianization mismatch: exponent sums differ"
-    if len(cyclic_reduce(u)[1]) != len(cyclic_reduce(v)[1]):
-        return "cyclic reduction lengths differ"
-    return None
-
-
 def brute_force_conjugator(
     model: GroupModel,
     u: Element,
@@ -97,14 +83,17 @@ def brute_force_conjugator(
     ball_cap: int = DEFAULT_BALL_CAP,
     search_ball: Optional[Ball] = None,
 ) -> ConjugacyResult:
-    """Scan the ball in BFS order for the first (hence shortest) conjugator."""
+    """Scan the ball in BFS order for the first (hence shortest) conjugator,
+    after refuting a pair whose complete conjugacy keys differ."""
     model.validate_element(u)
     model.validate_element(v)
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
     if u == v:
         return verified_conjugate(model, u, v, model.identity(), 0)
-    certificate = conjugacy_entry(model).certificate(model, u, v)
-    if certificate is not None:
-        return ConjugacyResult(NOT_CONJUGATE, certificate=certificate)
+    key = conjugacy_entry(model).key
+    if key(model, u) != key(model, v):
+        return ConjugacyResult(NOT_CONJUGATE, certificate="the conjugacy keys differ")
     sb = search_ball if search_ball is not None else ball(model, radius, cap=ball_cap)
     for gi, g in enumerate(sb.elements):
         if model.conjugate(g, u) == v:  # the scan condition is the exact verification
@@ -193,12 +182,13 @@ def nilpotent_conjugator(model: TwoStepNilpotent, u: Element, v: Element) -> Con
     conjugator.  The search raises ResourceCapError once its spheres hold
     more than DEFAULT_BALL_CAP lattice points.
     """
-    entry = _fitting_entry(model, "nilpotent")
+    _fitting_entry(model, "nilpotent")
     model.validate_element(u)
     model.validate_element(v)
-    certificate = entry.certificate(model, u, v)  # the base parts differ
-    if certificate is not None:
-        return ConjugacyResult(NOT_CONJUGATE, certificate=certificate)
+    if u[0] != v[0]:
+        return ConjugacyResult(
+            NOT_CONJUGATE, certificate="abelianization mismatch: conjugation fixes the base image"
+        )
     A, rhs = nilpotent_central_system(model, u, v)
     z0, _ = solve_integer_system(A, rhs)
     if z0 is None:
@@ -242,14 +232,47 @@ def free_group_conjugacy(model: FreeGroup, u: Element, v: Element) -> ConjugacyR
     return verified_conjugate(model, u, v, g, len(g))  # a reduced word
 
 
+def _least_rotation(word: tuple) -> tuple:
+    """The least cyclic rotation of a word (of letters or syllables)."""
+    return min((word[k:] + word[:k] for k in range(len(word))), default=word)
+
+
 def _free_key(model: FreeGroup, u: Element):
-    core = cyclic_reduce(u)[1]
-    return min((core[k:] + core[:k] for k in range(len(core))), default=core)
+    return _least_rotation(cyclic_reduce(u)[1])
+
+
+def _nilpotent_key(model: TwoStepNilpotent, u: Element):
+    """The class of u = (x, c) is {(x, c + A z) : z in Z^m}, with A the
+    matrix of nilpotent_central_system, which depends on x alone.  With
+    U A V = D in Smith normal form, c + A Z^m is read off U c modulo the
+    diagonal: (U c)_i mod d_i where d_i != 0, and (U c)_i otherwise."""
+    x, c = u
+    U, D, _ = smith_normal_form(nilpotent_central_system(model, u, u)[0])
+    key = []
+    for i, row in enumerate(U):
+        r = sum(a * b for a, b in zip(row, c))
+        d = D[i][i] if i < model.m else 0
+        key.append(r % d if d else r)
+    return x, tuple(key)
 
 
 def _finite_key(model: FiniteGroup, u: Element):
     """The least element of u's conjugacy class."""
     return min(model.conjugate(h, u) for h in range(model.order))
+
+
+def _product_key(model: FreeProduct, u: Element):
+    """u = p core p^-1 by cyclic syllable reduction.  The cyclically reduced
+    conjugates of a core of >= 2 syllables are exactly its cyclic
+    rotations (Magnus-Karrass-Solitar, Thm 4.2), so it keys by the least
+    one; a single syllable (i, a) keys by i and factor i's key of a, and e
+    by the empty core."""
+    core = model.cyclic_syllable_reduce(u)[1]
+    if len(core) == 1:
+        (i, a), = core
+        factor = model.factors[i]
+        return i, conjugacy_entry(factor).key(factor, a)
+    return _least_rotation(core)
 
 
 def _period_root(word: tuple) -> tuple:
@@ -294,84 +317,60 @@ def _product_centralizer(model: FreeProduct, h: Element) -> list:
     return [model.multiply(model.multiply(prefix, r), inv) for r in roots]
 
 
-def _no_centralizer(model: GroupModel, h: Element) -> list:
-    raise UnsupportedCase(f"no exact centralizer for {model!r}")
-
-
 @dataclass(frozen=True)
 class ConjugacyEntry:
     """What the solvers and the profiler know of conjugacy in one model class.
 
-    ``key(model, u)`` is an invariant of u's conjugacy class; ``complete``:
-    equal keys also imply conjugacy.  ``certificate(model, u, v)`` is a cheap
-    proof that u and v are not conjugate, or None.  ``decide(model, u, v)``
-    is the exact decider that ``--solver <solver>`` names; ``minimal``: its
-    witnesses have least length (free and two-step nilpotent groups), so
-    the profiler builds no search ball for the model.
+    ``key(model, u)`` is a complete invariant of u's conjugacy class: u and
+    v are conjugate exactly when their keys are equal.
     ``centralizer(model, h)`` lists generators of the centralizer of h != e.
+    ``decide(model, u, v)`` is the exact decider that ``--solver <solver>``
+    names; its witnesses have least length, so the profiler builds no
+    search ball for a model whose entry has one.
     """
 
     key: Callable
-    complete: bool = False
-    certificate: Callable = lambda model, u, v: None
+    centralizer: Callable
     solver: Optional[str] = None
     decide: Optional[Callable] = None
-    minimal: bool = False
-    centralizer: Callable = _no_centralizer
 
 
-# No invariant and no decider: every element shares one key.
-_GENERIC = ConjugacyEntry(key=lambda model, u: None)
-
-# One entry per model class; ``brute`` names the ball scan, which takes any model.
+# One entry per model class; ``--solver brute`` names the ball scan, not an entry.
 CONJUGACY = {
     FreeGroup: ConjugacyEntry(
         key=_free_key,  # the least rotation of the cyclic core
-        complete=True,
-        certificate=_free_certificate,
+        centralizer=_free_centralizer,
         solver="free",
         decide=free_group_conjugacy,
-        minimal=True,
-        centralizer=_free_centralizer,
     ),
     TwoStepNilpotent: ConjugacyEntry(
-        key=lambda model, u: u[0],  # conjugation fixes the base part
-        certificate=lambda model, u, v: (
-            None if u[0] == v[0] else "abelianization mismatch: conjugation fixes the base image"
-        ),
+        key=_nilpotent_key,
+        centralizer=_nilpotent_centralizer,
         solver="nilpotent",
         decide=nilpotent_conjugator,
-        minimal=True,
-        centralizer=_nilpotent_centralizer,
     ),
     FreeAbelian: ConjugacyEntry(
-        key=lambda model, u: u,
-        complete=True,
-        certificate=lambda model, u, v: None if u == v else "abelian group: conjugacy is equality",
+        key=lambda model, u: u,  # conjugacy is equality
         centralizer=lambda model, h: model.positive_generators(),
     ),
-    FiniteGroup: ConjugacyEntry(
-        key=_finite_key,
-        complete=True,
-        certificate=lambda model, u, v: (
-            None if _finite_key(model, u) == _finite_key(model, v)
-            else "finite group: the least elements of the two conjugacy classes differ"
-        ),
-        centralizer=_finite_centralizer,
-    ),
-    FreeProduct: replace(_GENERIC, centralizer=_product_centralizer),
+    FiniteGroup: ConjugacyEntry(key=_finite_key, centralizer=_finite_centralizer),
+    FreeProduct: ConjugacyEntry(key=_product_key, centralizer=_product_centralizer),
 }
 
 
 def conjugacy_entry(model: GroupModel) -> ConjugacyEntry:
-    """The entry of the model's class; a class outside the table is generic."""
-    return CONJUGACY.get(type(model), _GENERIC)
+    """The entry of the model's class; a class outside the table raises
+    UnsupportedCase."""
+    entry = CONJUGACY.get(type(model))
+    if entry is None:
+        raise UnsupportedCase(f"no conjugacy entry for {model!r}")
+    return entry
 
 
 def _fitting_entry(model: GroupModel, solver: str) -> ConjugacyEntry:
     """The model's entry, if its exact decider is the one ``solver`` names."""
-    entry = CONJUGACY.get(type(model), _GENERIC)
-    if entry.solver != solver:
+    entry = CONJUGACY.get(type(model))
+    if entry is None or entry.solver != solver:
         raise UnsupportedCase(f"solver {solver!r} does not apply to {model!r}")
     return entry
 
@@ -457,8 +456,7 @@ class ProfileResult:
     search_radius: int
     records: list
     fit: ProfileFit
-    unknown_pairs: list  # (u, v) solver says conjugate, no witness in search radius
-    notes: list
+    unknown_pairs: list  # (u, v) with equal keys, no witness in search radius
 
     def csv_rows(self) -> list:
         rows = [("input_length", "u", "v", "min_conj_length", "class_rep")]
@@ -493,7 +491,8 @@ def _scan_chunk(model, base: Ball, keys: list, buckets: dict, conjugators: list)
 
 
 def _exact_solver_for(model: GroupModel):
-    """The exact decider of the model's entry, bound to the model, or None."""
+    """The exact decider of the model's entry, bound to the model, or None.
+    A function of its own, so that perfbench's tracer can time the exact tail."""
     decide = conjugacy_entry(model).decide
     return None if decide is None else lambda u, v: decide(model, u, v)
 
@@ -526,55 +525,50 @@ def profile_conjugacy_bound(
 ) -> ProfileResult:
     """Minimal conjugator lengths for every conjugate pair in the ball.
 
-    Only pairs with equal conjugacy keys are examined.  A model whose
-    decider gives minimal witnesses (free and two-step nilpotent groups)
-    takes each pair's witness from it and keeps it when it lies within the
-    search radius (that of the given search ball, else 2*radius + slack);
-    no search ball is built.  Other models scan the search ball in BFS
-    order.  Conjugate pairs beyond the search radius, or missed by the
-    scan, are reported as unknown when a complete key or the exact decider
-    shows them conjugate, so nothing is dropped silently.
-    ``solver='brute'`` scans the whole search ball over all pairs, with no
-    keys or decider: the oracle.  A solver that does not fit the model
-    raises UnsupportedCase.
+    Only pairs with equal conjugacy keys are examined, and every key is
+    complete, so these are exactly the conjugate pairs.  A model whose
+    entry has a decider (free and two-step nilpotent groups) takes each
+    pair's least-length witness from it and keeps it when it lies within
+    the search radius (that of the given search ball, else
+    2*radius + slack); no search ball is built.  Other models scan the
+    search ball in BFS order.  Pairs beyond the search radius are reported
+    as unknown, so nothing is dropped silently.  ``solver='brute'`` scans
+    the whole search ball over all pairs and consults no entry: the
+    oracle.  A solver that does not fit the model raises UnsupportedCase.
     """
     choose_solver(model, solver)  # UnsupportedCase when the solver does not fit
     search_radius = search_ball.radius if search_ball is not None else 2 * radius + slack
     if search_radius < 0:
         raise DomainError("radius must be >= 0")
     brute = solver == "brute"
-    entry = conjugacy_entry(model)
-    notes: list[str] = []
     b = base_ball if base_ball is not None else ball(model, radius, cap=ball_cap)
-    keys = [None if brute else entry.key(model, u) for u in b.elements]
+    if brute:
+        keys, exact = [None] * len(b.elements), None
+    else:
+        key = conjugacy_entry(model).key
+        keys, exact = [key(model, u) for u in b.elements], _exact_solver_for(model)
     buckets: dict = {}
     for vi, v in enumerate(b.elements):
         buckets.setdefault(keys[vi], {})[v] = vi
 
-    exact = None if brute else _exact_solver_for(model)
-    if exact is not None and entry.minimal:
-        found = {}  # the decider's witnesses are minimal: no scan
-    else:
+    if exact is None:
         sb = search_ball if search_ball is not None else ball(model, search_radius, cap=ball_cap)
         found = _scan_chunk(model, b, keys, buckets, list(zip(sb.lengths, sb.elements)))
-    unknown_pairs = []
-    if exact is not None or (entry.complete and not brute):
-        for ui, u in enumerate(b.elements):
-            for v, vi in buckets[keys[ui]].items():
-                if (ui, vi) in found:
-                    continue
-                res = None if exact is None else exact(u, v)  # None: equal complete keys
-                if res is not None and not res.is_conjugate:
-                    continue
-                if entry.minimal and res.witness_length <= search_radius:
+    else:
+        found = {}  # the decider's witnesses have least length: no scan
+    unknown_pairs = []  # the brute oracle has no keys, so it reports none
+    for ui, u in enumerate(() if brute else b.elements):
+        for v, vi in buckets[keys[ui]].items():
+            if (ui, vi) in found:
+                continue
+            if exact is not None:
+                res = exact(u, v)
+                if not res.is_conjugate:
+                    raise DomainError("internal error: a decider refutes a pair with equal keys")
+                if res.witness_length <= search_radius:
                     found[ui, vi] = (res.witness_length, res.witness)
-                else:
-                    unknown_pairs.append((u, v))
-    elif not brute:
-        notes.append(
-            "no exact solver for this model: pairs beyond the search radius "
-            "are undetectable and are not reported"
-        )
+                    continue
+            unknown_pairs.append((u, v))
 
     # connected components of the found pairs = conjugacy classes in the ball
     parent = list(range(len(b.elements)))
@@ -605,4 +599,4 @@ def profile_conjugacy_bound(
     records.sort(key=lambda r: (r.input_length, b.index[r.u], b.index[r.v]))
 
     fit = fit_dominating_bound(records)
-    return ProfileResult(model, radius, search_radius, records, fit, unknown_pairs, notes)
+    return ProfileResult(model, radius, search_radius, records, fit, unknown_pairs)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ggtkit.cli import SOLVERS, run
+from ggtkit.cayley import ball
+from ggtkit.cli import SOLVERS, _load_group, run
+from ggtkit.conjugacy import conjugacy_entry
 from ggtkit.groups import heisenberg_group
 
 
@@ -447,15 +449,36 @@ def test_negative_search_radius_is_one_domain_error(capsys):
     assert errors == ["ggtkit: error: radius must be >= 0\n"] * len(GROUP_PER_CLASS)
 
 
+def test_negative_conj_solve_radius_is_one_domain_error(capsys):
+    # u = v, a pair with unequal keys and a conjugate pair u != v (Z^2 and
+    # Z2 have none), under the model's own solver and the ball scan: every
+    # one fails alike, before any shortcut
+    for group in GROUP_PER_CLASS:
+        model = _load_group(group)
+        key = conjugacy_entry(model).key
+        elems = ball(model, 3).elements
+        u = elems[1]
+        pairs = [(u, u), next((u, v) for v in elems if key(model, v) != key(model, u))]
+        pairs += [(u, v) for v in elems if v != u and key(model, v) == key(model, u)][:1]
+        for a, b in pairs:
+            for solver in ("auto", "brute"):
+                argv = ["conj", "solve", "--group", group, "--u", model.element_str(a),
+                        "--v", model.element_str(b), "--solver", solver, "--radius", "-1"]
+                assert run_cli(capsys, argv) == (1, "", "ggtkit: error: radius must be >= 0\n")
+
+
 # Exit code, stdout and (on failure) stderr of `conj solve` and `profile`
 # over all five model classes, recorded before the conjugacy table replaced
 # the per-class branches.  The intended changes since: `profile` on F2 at
-# radius 1, slack -5 exits 1 (it exited 0 with 5 unknown pairs), and `conj
-# solve` on non-conjugate finite-group pairs (entries 11 and 12) reports the
-# finite group's key certificate with no search radius, instead of
-# "exhausted finite group".  The last entry, `conj solve --solver nilpotent`
-# on an m=3, n=1 group whose central system has a rank-2 kernel, pins the
-# brute-force minimum `0,0,-1|0` (length 1).
+# radius 1, slack -5 exits 1 (it exited 0 with 5 unknown pairs); `conj
+# solve --solver brute` refutes every pair with unequal complete keys, with
+# no search radius and the one certificate "the conjugacy keys differ"
+# (entries 8, 11 and 12 had per-class texts; entry 16, Z2*Z3 `0:g` vs
+# `1:g`, was unknown); and free-product profiles (entries 30, 32 and 39)
+# have keys, so they carry no "no exact solver" warning.  The last entry,
+# `conj solve --solver nilpotent` on an m=3, n=1 group whose central
+# system has a rank-2 kernel, pins the brute-force minimum `0,0,-1|0`
+# (length 1).
 GOLDEN = json.loads((Path(__file__).parent / "golden_conj_profile.json").read_text())
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from ggtkit.conjugacy import (
     profile_conjugacy_bound,
 )
 from ggtkit import cayley, conjugacy
-from ggtkit.errors import ResourceCapError, UnsupportedCase
+from ggtkit.errors import DomainError, ResourceCapError, UnsupportedCase
 from ggtkit.groups import (
     FiniteGroup,
     FreeAbelian,
@@ -52,11 +53,25 @@ def test_brute_force_finds_shortest_witness():
 
 
 def test_brute_force_certificates():
-    res = brute_force_conjugator(HEIS, ((1, 0), (0,)), ((0, 1), (0,)), 3)
-    assert res.status == "not_conjugate"
-    assert "abelianization" in res.certificate
-    res = brute_force_conjugator(F2, (1,), (1, 1), 2)
-    assert res.status == "not_conjugate"
+    # every model class refutes by its complete key, with one text and no scan
+    for model, u, v in [
+        (HEIS, ((1, 0), (0,)), ((0, 1), (0,))),
+        (HEIS, ((2, 0), (0,)), ((2, 0), (1,))),  # equal base parts, c mod 2 differs
+        (F2, (1,), (1, 1)),
+        (FreeAbelian(2), (1, 0), (0, 1)),
+        (FreeProduct([cyclic_group(2), cyclic_group(3)]), ((0, 1),), ((1, 1),)),
+    ]:
+        res = brute_force_conjugator(model, u, v, 3)
+        assert (res.status, res.certificate, res.searched_radius) == (
+            "not_conjugate", "the conjugacy keys differ", None
+        )
+
+
+def test_brute_force_negative_radius_fails_before_any_shortcut():
+    # u = v, unequal keys and a pair that needs the scan fail alike
+    for u, v in [((1,), (1,)), ((1,), (2,)), ((1, 2), (2, 1))]:
+        with pytest.raises(DomainError, match="radius must be >= 0"):
+            brute_force_conjugator(F2, u, v, -1)
 
 
 def test_brute_force_identity_pair():
@@ -78,11 +93,11 @@ def test_brute_force_exhausts_finite_group():
     # the complete key of finite groups decides the pair before any scan
     res = brute_force_conjugator(z4, 1, 3, 0)
     assert (res.status, res.searched_radius) == ("not_conjugate", None)
-    assert res.certificate == "finite group: the least elements of the two conjugacy classes differ"
+    assert res.certificate == "the conjugacy keys differ"
 
 
 def test_brute_force_refutes_every_finite_pair_at_radius_0():
-    # the least class elements certify every non-conjugate pair, so only
+    # the complete keys certify every non-conjugate pair, so only
     # conjugate pairs can stay unknown at a radius short of the group
     for model in (symmetric_group_3(), cyclic_group(6)):
         for u in range(model.order):
@@ -127,12 +142,15 @@ def test_bounded_conjugacy_linear_bound_agrees_on_conjugate_pairs():
 
 def test_theory_backed_upgrade():
     # same exponent sums and cyclic lengths, but not rotations: never
-    # conjugate.  An exhausted bounded search has no certificate, so it stays
-    # unknown; only the exact solver says not conjugate.
+    # conjugate.  The bounded search refutes the pair by its complete key
+    # before any scan, and the exact solver by its rotation test.
     u, v = (1, 1, 2, 2), (1, 2, 1, 2)
     plain = bounded_conjugacy(F2, u, v, Const(1))
-    assert plain.status == "unknown"
-    assert free_group_conjugacy(F2, u, v).status == "not_conjugate"
+    assert (plain.status, plain.certificate) == ("not_conjugate", "the conjugacy keys differ")
+    exact = free_group_conjugacy(F2, u, v)
+    assert (exact.status, exact.certificate) == (
+        "not_conjugate", "cyclic words are not rotations of each other"
+    )
 
 
 # -- nilpotent solver --------------------------------------------------------------
@@ -154,6 +172,17 @@ def test_nilpotent_central_elements_never_conjugate():
     res = nilpotent_conjugator(HEIS, ((0, 0), (1,)), ((0, 0), (2,)))
     assert res.status == "not_conjugate"
     assert "unsolvable" in res.certificate
+
+
+def test_nilpotent_decider_computes_no_keys(monkeypatch):
+    # the decider keeps its own base test and one solve per pair
+    def no_key(model, u):
+        raise AssertionError("the decider computed a key")
+
+    monkeypatch.setitem(CONJUGACY, TwoStepNilpotent, replace(CONJUGACY[TwoStepNilpotent], key=no_key))
+    res = nilpotent_conjugator(HEIS, ((1, 0), (0,)), ((0, 1), (0,)))
+    assert res.certificate == "abelianization mismatch: conjugation fixes the base image"
+    assert nilpotent_conjugator(HEIS, ((1, 0), (0,)), ((1, 0), (5,))).is_conjugate
 
 
 def test_nilpotent_witness_is_minimal_with_a_rank_2_kernel():
@@ -696,33 +725,56 @@ def test_profile_search_radius_is_the_given_ball_radius(model, radius):
     assert given.unknown_pairs == slack_one.unknown_pairs
 
 
-# (model, radius, complete): a complete key holds exactly on conjugate pairs
+def _random_nilpotent(seed, m=3, n=2):
+    """A two-step model with seeded structure constants in [-2, 2]."""
+    rng = random.Random(seed)
+    C = [[(0,) * n for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            C[i][j] = tuple(rng.randint(-2, 2) for _ in range(n))
+            C[j][i] = tuple(-x for x in C[i][j])
+    return TwoStepNilpotent(m, n, C)
+
+
+Z2, Z3, Z6 = cyclic_group(2), cyclic_group(3), cyclic_group(6)
+
+# (model, radius, oracle radius): keys are complete, so equal keys hold
+# exactly on conjugate pairs.  The oracle is _conjugacy_decider (None), or
+# for free products the brute-force pairs within the oracle radius; at each
+# radius below, every pair with equal keys is found there, so both
+# directions are checked.
 KEY_CASES = [
-    pytest.param(F2, 3, True, id="F2-r3"),
-    pytest.param(FreeAbelian(2), 2, True, id="Z2-r2"),
-    pytest.param(symmetric_group_3(), 6, True, id="S3"),
-    pytest.param(cyclic_group(4), 4, True, id="Z4"),
-    pytest.param(HEIS, 2, False, id="Heisenberg-r2"),
-    pytest.param(_m3_nilpotent(), 2, False, id="nilpotent-m3-r2"),
-    pytest.param(FreeProduct([cyclic_group(2), cyclic_group(3)]), 3, False, id="Z2*Z3-r3"),
+    pytest.param(F2, 3, None, id="F2-r3"),
+    pytest.param(FreeAbelian(2), 2, None, id="Z2-r2"),
+    pytest.param(symmetric_group_3(), 6, None, id="S3"),
+    pytest.param(cyclic_group(4), 4, None, id="Z4"),
+    pytest.param(HEIS, 3, None, id="Heisenberg-r3"),
+    pytest.param(_m3_nilpotent(), 2, None, id="nilpotent-m3-r2"),
+    pytest.param(_m3n1_nilpotent(), 2, None, id="nilpotent-m3n1-r2"),
+    pytest.param(_random_nilpotent(1), 2, None, id="nilpotent-random-r2"),
+    pytest.param(FreeProduct([Z2, Z3]), 3, 8, id="Z2*Z3-r3"),
+    pytest.param(FreeProduct([FreeAbelian(1), Z3]), 2, 7, id="Z*Z3-r2"),
+    pytest.param(FreeProduct([F2, Z6]), 2, 4, id="F2*Z6-r2"),
+    pytest.param(FreeProduct([HEIS, Z2]), 2, 4, id="Heisenberg*Z2-r2"),
+    pytest.param(FreeProduct([symmetric_group_3(), Z2]), 2, 7, id="S3*Z2-r2"),
+    pytest.param(FreeProduct([FreeProduct([Z2, Z3]), FreeAbelian(1)]), 2, 6, id="(Z2*Z3)*Z-r2"),
 ]
 
 
-@pytest.mark.parametrize("model,radius,complete", KEY_CASES)
-def test_conjugacy_key_is_invariant_and_complete_where_claimed(model, radius, complete):
-    entry = conjugacy_entry(model)
-    assert entry.complete == complete
+@pytest.mark.parametrize("model,radius,oracle_radius", KEY_CASES)
+def test_conjugacy_key_is_invariant_and_complete_where_claimed(model, radius, oracle_radius):
+    # every entry claims a complete key
+    key = conjugacy_entry(model).key
     base = ball(model, radius)
-    key = {u: entry.key(model, u) for u in base.elements}
-    if complete:
+    keys = [key(model, u) for u in base.elements]
+    if oracle_radius is None:
         conjugate = _conjugacy_decider(model, base)
-        for u in base.elements:
-            for v in base.elements:
-                assert (key[u] == key[v]) == conjugate(u, v)
     else:
-        for u in base.elements:
-            for s in model.generator_elements():
-                assert entry.key(model, model.conjugate(s, u)) == key[u]
+        pairs = _oracle_pairs(model, base, ball(model, oracle_radius))
+        conjugate = lambda u, v: (base.index[u], base.index[v]) in pairs  # noqa: E731
+    for ui, u in enumerate(base.elements):
+        for vi, v in enumerate(base.elements):
+            assert (keys[ui] == keys[vi]) == conjugate(u, v)
 
 
 def test_every_exported_model_class_has_an_entry():
@@ -733,9 +785,11 @@ def test_every_exported_model_class_has_an_entry():
         if isinstance(obj, type) and issubclass(obj, GroupModel) and obj is not GroupModel
     ]
     assert len(classes) == 5
-    assert all(cls in CONJUGACY for cls in classes)
-    assert all(CONJUGACY[cls].centralizer is not conjugacy._no_centralizer for cls in classes)
-    assert set(cayley.CYCLIC) == set(classes)
+    assert set(CONJUGACY) == set(cayley.CYCLIC) == set(classes)
+    assert [f.name for f in fields(conjugacy.ConjugacyEntry)] == ["key", "centralizer", "solver", "decide"]
+    # the deciders return least-length witnesses, so they are the free and
+    # two-step nilpotent ones
+    assert {cls for cls in classes if CONJUGACY[cls].decide} == {FreeGroup, TwoStepNilpotent}
 
 
 def test_model_class_outside_the_tables_is_unsupported():
@@ -743,30 +797,63 @@ def test_model_class_outside_the_tables_is_unsupported():
         pass
 
     model = Renamed(2)
+    with pytest.raises(UnsupportedCase, match="no conjugacy entry"):
+        conjugacy_entry(model)
     with pytest.raises(UnsupportedCase):
         centralizer_generators(model, (1,))
+    with pytest.raises(UnsupportedCase):
+        brute_force_conjugator(model, (1,), (2,), 1)
+    # the oracle consults no entry
+    assert profile_conjugacy_bound(model, 1, "brute").unknown_pairs == []
     with pytest.raises(UnsupportedCase):
         cayley.CyclicSubgroup((1,)).contains(model, (1,))
 
 
-@pytest.mark.parametrize(
-    "model,radius",
-    [
-        (FreeProduct([cyclic_group(2), cyclic_group(3)]), 3),
-        (FreeProduct([FreeAbelian(1), cyclic_group(3)]), 2),
-    ],
-    ids=["Z2*Z3-r3", "Z*Z3-r2"],
-)
-def test_free_product_profile_matches_brute_force_oracle(model, radius):
-    # one shared key, no exact solver: the whole search ball
-    entry = conjugacy_entry(model)
+def test_profile_fails_loudly_when_a_decider_refutes_equal_keys(monkeypatch):
+    # a key coarser than the classes (the base part alone) buckets e with
+    # the central elements of the ball, which the decider refutes
+    monkeypatch.setitem(
+        CONJUGACY, TwoStepNilpotent, replace(CONJUGACY[TwoStepNilpotent], key=lambda model, u: u[0])
+    )
+    with pytest.raises(DomainError, match="internal error"):
+        profile_conjugacy_bound(HEIS, 1)
+
+
+# (model, radius, slack, oracle radius); a negative slack leaves conjugate
+# pairs beyond the search radius, each found by the oracle within the
+# oracle radius
+PRODUCT_PROFILE_CASES = [
+    pytest.param(FreeProduct([Z2, Z3]), 3, 2, 8, id="Z2*Z3-r3"),
+    pytest.param(FreeProduct([FreeAbelian(1), Z3]), 2, 2, 6, id="Z*Z3-r2"),
+    pytest.param(FreeProduct([F2, Z6]), 2, 0, 4, id="F2*Z6-r2"),
+    pytest.param(FreeProduct([Z2, Z3]), 5, -8, 6, id="Z2*Z3-r5-search2"),  # 4 pairs need length 3
+]
+
+
+@pytest.mark.parametrize("model,radius,slack,oracle_radius", PRODUCT_PROFILE_CASES)
+def test_free_product_profile_matches_brute_force_oracle(model, radius, slack, oracle_radius):
+    # class-exact keys: keyed buckets, the early-stopping scan, and every
+    # conjugate pair beyond the search radius reported as unknown
+    key = conjugacy_entry(model).key
     base = ball(model, radius)
-    assert len({entry.key(model, u) for u in base.elements}) == 1
-    expect = _oracle_records(base, _oracle_pairs(model, base, ball(model, 2 * radius + 2)))
-    fast = profile_conjugacy_bound(model, radius)
+    keys = [key(model, u) for u in base.elements]
+    oracle = _oracle_pairs(model, base, ball(model, 2 * radius + slack))
+    expect = _oracle_records(base, oracle)
+    fast = profile_conjugacy_bound(model, radius, slack=slack)
     assert _summary(fast) == expect
-    assert fast.unknown_pairs == []
-    assert any("no exact solver" in note for note in fast.notes)
+    expect_unknown = [
+        (u, v)
+        for ui, u in enumerate(base.elements)
+        for vi, v in enumerate(base.elements)
+        if keys[ui] == keys[vi] and (ui, vi) not in oracle
+    ]
+    assert fast.unknown_pairs == expect_unknown
+    assert bool(expect_unknown) == (slack < 0)
+    deep = _oracle_pairs(model, base, ball(model, oracle_radius))
+    assert all((base.index[u], base.index[v]) in deep for u, v in fast.unknown_pairs)
+    assert all(keys[ui] == keys[vi] for ui, vi in deep)
+    assert "notes" not in vars(fast)  # nothing is left out unreported
     for rec in fast.records:
         assert model.conjugate(rec.witness, rec.u) == rec.v
-    assert _summary(profile_conjugacy_bound(model, radius, "brute")) == expect
+    brute = profile_conjugacy_bound(model, radius, "brute", slack=slack)
+    assert _summary(brute) == expect and brute.unknown_pairs == []
