@@ -54,10 +54,11 @@ _LANE_BLOCK = 1 << 16  # entries per distance array when rows run as lanes of on
 
 
 def _level_bfs(csr, seeds, lanes: int = 1) -> np.ndarray:
-    """Distances (int64, -1 unreached) in ``lanes`` independent copies of a
-    graph with positive integer weights, as one flat array: vertex v of lane
-    i is entry i·n + v.  ``csr`` is (indptr, deg, nbr, wt, weights) and the
-    ``seeds``, flat ids, lie at distance 0.
+    """Distances (-1 unreached) in ``lanes`` independent copies of a graph
+    with positive integer weights, as one flat array: vertex v of lane i is
+    entry i·n + v.  ``csr`` is (indptr, deg, nbr, wt, weights) and the
+    ``seeds``, flat ids, lie at distance 0.  The array is int32 when every
+    distance, at most (n - 1)·max weight, fits, and int64 otherwise.
 
     Level-synchronous BFS: the unreached vertices queued at the least
     pending level d have distance d, and each arc of weight w out of them
@@ -69,7 +70,8 @@ def _level_bfs(csr, seeds, lanes: int = 1) -> np.ndarray:
     """
     indptr, deg, nbr, wt, weights = csr
     n, stop = len(deg), indptr[1:]
-    dist = np.full(lanes * n, -1, dtype=np.int64)
+    wide = (n - 1) * max(weights, default=0) >= 2**31
+    dist = np.full(lanes * n, -1, dtype=np.int64 if wide else np.int32)
     stamp = np.empty(lanes * n, dtype=np.int64)
     heads, d, pending = np.asarray(seeds, dtype=np.int64), 0, {}
     while True:
@@ -172,8 +174,8 @@ class MetricGraph:
         return int(self._wt[k]) if k < hi and self._nbr[k] == v else None
 
     def _rows(self, sources: np.ndarray) -> np.ndarray:
-        """Distance rows (int64, -1 unreached) from the given vertices, one
-        lane each of one ``_level_bfs``.
+        """Distance rows (-1 unreached, dtype as ``_level_bfs`` chose it)
+        from the given vertices, one lane each of one ``_level_bfs``.
 
         Over the graph, or over ``_reduced`` when it has cone apexes: then
         an apex source seeds its lane from its neighbours, which all lie at
@@ -195,24 +197,24 @@ class MetricGraph:
         ])
         dist = _level_bfs(csr, seeds, k).reshape(k, n)
         dist[at] = np.where(dist[at] < 0, -1, dist[at] + w)  # lanes seeded at distance w
-        # as uint64, -1 is the largest value: an unreached neighbour never
+        # unsigned, -1 is the largest value: an unreached neighbour never
         # gives the least, and an apex with none reached reads -1 back
-        near = np.take(dist, heads, axis=1).view(np.uint64)
-        d = np.minimum.reduceat(near, seg, axis=1).view(np.int64)
+        unsigned = np.uint32 if dist.dtype == np.int32 else np.uint64
+        near = np.take(dist, heads, axis=1).view(unsigned)
+        d = np.minimum.reduceat(near, seg, axis=1).view(dist.dtype)
         dist[:, apex] = np.where(d < 0, -1, d + w)
         dist[np.arange(k), sources] = 0  # an apex source read back 2w
         return dist
 
     def distances_from(self, source: int) -> np.ndarray:
         """Scaled shortest-path distances from one vertex, as a read-only
-        int32 array (int64 only for distances past 2^31 - 1), cached; -1
-        marks an unreachable vertex.  One lane of ``_rows``."""
+        int32 array (int64 only when (n - 1)·max weight reaches 2^31),
+        cached; -1 marks an unreachable vertex.  One lane of ``_rows``."""
         source = self._vertex(source)
         got = self._dist_cache.get(source)
         if got is not None:
             return got
-        dist = self._rows(np.array([source]))[0]
-        row = dist.astype(np.int32) if dist.max(initial=0) < 2**31 else dist
+        row = self._rows(np.array([source]))[0]
         row.flags.writeable = False
         self._dist_cache[source] = row
         return row

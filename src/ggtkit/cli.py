@@ -39,8 +39,8 @@ from .conjugacy import (
 from .errors import ConfigError, DomainError, GgtError, ResourceCapError
 from .groups import FreeProduct, model_from_dict
 from .homology import (
+    centralizer_slices,
     chain_identities,
-    cyclic_quotient,
     hochschild_slice,
     homology_dims,
     require_finite,
@@ -346,8 +346,8 @@ def _cmd_homology(args):
     if n_max is None:
         n_max = 3 if model.order <= 6 else 2
     slice_ = hochschild_slice(model, n_max, basis_cap=args.cap_basis)
-    hh = homology_dims(slice_)
-    hc = homology_dims(cyclic_quotient(slice_))
+    hh_slice, hc_slice = centralizer_slices(slice_)
+    hh, hc = homology_dims(hh_slice), homology_dims(hc_slice)
     results = {
         "n_max": n_max,
         "hochschild": hh.as_dict(),

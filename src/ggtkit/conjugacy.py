@@ -499,10 +499,16 @@ def _exact_solver_for(model: GroupModel):
 
 def fit_dominating_bound(records: Sequence[ProfileRecord]) -> ProfileFit:
     """Least degree d <= FIT_MAX_DEGREE with min_length <= A (1 + input_length)^d
-    for all records and minimized A <= DEFAULT_FIT_CAP."""
+    for all records and minimized A <= DEFAULT_FIT_CAP.
+
+    The denominator depends on the input length alone, so only the longest
+    minimal conjugator at each input length can reach the maximum."""
+    longest: dict = {}
+    for r in records:
+        longest[r.input_length] = max(longest.get(r.input_length, 0), r.min_conjugator_length)
     per_degree = {
         d: max(
-            (Fraction(r.min_conjugator_length, (1 + r.input_length) ** d) for r in records),
+            (Fraction(m, (1 + n) ** d) for n, m in longest.items()),
             default=Fraction(0),
         )
         for d in range(FIT_MAX_DEGREE + 1)

@@ -1,7 +1,8 @@
 """Exact Hochschild and cyclic complexes of C[G] for finite G, the
-conjugacy-class splitting of their bases, the simplicial comparison maps
-behind that splitting, and subadditivity checks for the simplicial weight
-functions on ball-truncated models.
+conjugacy-class splitting of their bases, the centralizer subcomplexes that
+carry each class's homology, the simplicial comparison maps behind that
+splitting, and subadditivity checks for the simplicial weight functions on
+ball-truncated models.
 
 Everything here is fraction-free exact arithmetic; no floating point.
 """
@@ -26,7 +27,11 @@ from .groups import FiniteGroup, GroupModel, exact_length
 class ConjClass:
     representative: int
     members: tuple
-    centralizer_order: int
+    centralizer: tuple  # the elements that commute with the representative
+
+    @property
+    def centralizer_order(self) -> int:
+        return len(self.centralizer)
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,8 @@ def conj_classes(model: FiniteGroup) -> ConjClassTable:
         cid = len(classes)
         for m in orbit:
             class_of[m] = cid
-        centralizer_order = sum(1 for h in range(order) if model.commutes(h, g))
-        classes.append(ConjClass(g, tuple(orbit), centralizer_order))
+        centralizer = tuple(h for h in range(order) if model.commutes(h, g))
+        classes.append(ConjClass(g, tuple(orbit), centralizer))
     return ConjClassTable(model, tuple(classes), tuple(class_of))
 
 
@@ -81,8 +86,10 @@ class TupleBasis:
     ``blocks[c]`` lists the basis tuples of class c in tuple-index order, and
     ``where`` sends a tuple to (class, position, sign): the basis vector it
     equals, up to that sign.  A Hochschild tuple is its own basis vector.  A
-    cyclic tuple equals the least rotation of its orbit up to sign, and the
-    tuples of dead orbits are absent.
+    cyclic tuple equals the least rotation of its orbit up to sign.  A tuple
+    that is zero in the complex, a degenerate one of a normalized complex or
+    one of a dead cyclic orbit, maps to None; a tuple outside the complex is
+    absent.
     """
 
     blocks: tuple
@@ -133,7 +140,8 @@ def _cyclic_bases(hochschild: list) -> list:
                     continue
                 orbit, cur, sign = [], t, 1
                 while True:
-                    if hh.where[cur][0] != c:
+                    hit = hh.where.get(cur)
+                    if hit is None or hit[0] != c:
                         raise PartitionViolation(f"rotating {t} left class {c}")
                     orbit.append((cur, sign))
                     cur = (cur[-1],) + cur[:-1]
@@ -141,9 +149,9 @@ def _cyclic_bases(hochschild: list) -> list:
                     if cur == t:
                         break
                 seen.update(u for u, _ in orbit)
+                for u, s in orbit:
+                    where[u] = (c, len(blocks[c]), s) if sign == 1 else None
                 if sign == 1:
-                    for u, s in orbit:
-                        where[u] = (c, len(blocks[c]), s)
                     blocks[c].append(t)
         bases.append(TupleBasis(blocks, where))
     return bases
@@ -177,15 +185,19 @@ def _assemble(model: FiniteGroup, faces, source: list, target: TupleBasis, c: in
     """Matrix from the class-c tuples ``source`` to class c of ``target``.
 
     ``faces(model, t)`` yields the signed tuples that make up the image of
-    t; each lands on the basis vector ``target.where`` names for it.  A face
-    in another class raises PartitionViolation.
+    t; each lands on the basis vector ``target.where`` names for it, or is
+    dropped where it names None.  A face outside the target, or in another
+    class, raises PartitionViolation.
     """
     acc: dict = {}
     for j, t in enumerate(source):
         for face, sign in faces(model, t):
-            hit = target.where.get(face)
+            try:
+                hit = target.where[face]
+            except KeyError:
+                raise PartitionViolation(f"{t} in class {c} has the face {face} outside the complex") from None
             if hit is None:
-                continue  # a dead cyclic orbit
+                continue  # a degenerate tuple or a dead cyclic orbit
             cls, i, s = hit
             if cls != c:
                 raise PartitionViolation(f"{t} in class {c} has the face {face} in class {cls}")
@@ -293,6 +305,66 @@ def cyclic_quotient(hochschild: ComplexSlice) -> ComplexSlice:
 
 
 # ---------------------------------------------------------------------------
+# centralizer subcomplexes
+
+
+def centralizer_slices(hochschild: ComplexSlice) -> tuple:
+    """The Hochschild and cyclic complexes that give a Hochschild slice's
+    homology class by class, on its centralizer subcomplexes.
+
+    For class c with representative x and Z = C_G(x), the tuples
+    S_x(n) = {(g_0,..,g_n) in Z^(n+1) : g_0...g_n = x} are closed under the
+    faces of b and under rotation, since g_n x g_n^-1 = x.  So S_x is a
+    cyclic submodule of the class-c block, and its inclusion induces
+    isomorphisms on HH (Burghelea, Comment. Math. Helv. 1985; Brown,
+    Cohomology of Groups, III.6.2), hence on HC by the SBI sequence and the
+    five lemma.  S_x is read off the slice's class-c tuples; it is the whole
+    block when x is central.
+
+    The Hochschild complex is S_x normalized (Loday, Cyclic Homology,
+    1.1.14): the tuples with some g_i = e for i >= 1 are zero.  In the
+    coordinates (g_1,..,g_n) it is the normalized bar complex of Z, which
+    does not depend on x, so classes with one centralizer share one block,
+    built for the first of them.  The cyclic complex is the cyclic quotient
+    of S_x.  A face or rotation that leaves S_x raises PartitionViolation.
+    """
+    if hochschild.kind != "hochschild":
+        raise DomainError("centralizer complexes are taken of a Hochschild slice")
+    model, table = hochschild.model, hochschild.class_table
+    classes = table.classes
+    sx = []
+    for basis in hochschild.bases:
+        blocks = []
+        for cls, block in zip(classes, basis.blocks):
+            if len(cls.members) > 1 or len(cls.centralizer) < model.order:  # x is not central
+                z, x = frozenset(cls.centralizer), cls.representative
+                block = [t for t in block if z.issuperset(t) and _product(model, t) == x]
+            blocks.append(block)
+        where = {t: (c, i, 1) for c, block in enumerate(blocks) for i, t in enumerate(block)}
+        sx.append(TupleBasis(tuple(blocks), where))
+    first: dict = {}  # centralizer -> the first class with it
+    share = [first.setdefault(cls.centralizer, c) for c, cls in enumerate(classes)]
+    normalized = []
+    for basis in sx:
+        blocks = [[] for _ in classes]
+        where = {}
+        for c in first.values():
+            for t in basis.blocks[c]:
+                if 0 in t[1:]:
+                    where[t] = None
+                else:
+                    where[t] = (c, len(blocks[c]), 1)
+                    blocks[c].append(t)
+        normalized.append(TupleBasis(tuple(blocks[s] for s in share), where))
+    boundaries = {}
+    for n in range(1, len(normalized)):
+        built = {c: hochschild_boundary(model, n, normalized, c) for c in first.values()}
+        boundaries[n] = [built[s] for s in share]
+    hh = ComplexSlice(model, "hochschild", table, normalized, boundaries)
+    return hh, cyclic_quotient(ComplexSlice(model, "hochschild", table, sx, {}))
+
+
+# ---------------------------------------------------------------------------
 # homology dimensions
 
 
@@ -316,12 +388,19 @@ def homology_dims(slice_: ComplexSlice) -> HomologyDims:
     The boundaries are block-diagonal over conjugacy classes (each block
     was built from faces checked to stay in their class), so the totals are
     the sums of the class dimensions.  Degrees 0..n_max-1 (the top degree
-    needs the next boundary).
+    needs the next boundary).  A block that several classes share, as the
+    centralizer complexes of classes with one centralizer do, is ranked
+    once.
     """
     top = slice_.n_max
+    rank: dict = {}  # id of a block -> its rank
+    for blocks in slice_.boundaries.values():
+        for m in blocks:
+            if id(m) not in rank:
+                rank[id(m)] = m.rank()
     per_class = {}
     for c in range(len(slice_.class_table)):
-        ranks = [0] + [slice_.boundaries[n][c].rank() for n in range(1, top + 1)] + [0]
+        ranks = [0] + [rank[id(slice_.boundaries[n][c])] for n in range(1, top + 1)] + [0]
         per_class[c] = tuple(
             len(slice_.bases[n].blocks[c]) - ranks[n] - ranks[n + 1] for n in range(top)
         )

@@ -881,6 +881,25 @@ def test_rows_past_int32_take_the_int64_path():
         assert row.tolist() == [want[v] for v in range(4)]
 
 
+@pytest.mark.parametrize("w,dtype", [(2**31 - 1, np.int32), (2**31, np.int64)], ids=["int32", "int64"])
+def test_row_dtype_follows_the_distance_bound(w, dtype):
+    # (n - 1)·max weight bounds every distance: here the one edge's weight
+    g = MetricGraph(2, [(0, 1, w)])
+    assert cayley._level_bfs(g._csr, [0]).dtype == dtype
+    row = g.distances_from(1)
+    assert row.dtype == dtype and row.tolist() == [w, 0]
+
+
+def test_coned_rows_with_apexes_are_int32():
+    # the apex read-back runs on uint32/int32 views
+    coned = coned_off(ball(FreeGroup(2), 4), [CyclicSubgroup((1,))])
+    g = coned.graph
+    sources = np.array([0, coned.cone_start, g.n - 1])
+    rows = g._rows(sources)
+    assert g._reduced is not None and rows.dtype == np.int32
+    assert rows.tolist() == _scipy_distances(g, sources.tolist()).tolist()
+
+
 def test_delta_sampled_mode_deterministic(f2):
     g = cayley_graph(ball(f2, 4))
     d1 = estimate_delta_4point(g, exhaustive=False, sample_vertices=24, seed=3)

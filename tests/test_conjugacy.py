@@ -556,6 +556,20 @@ def test_fit_prefers_smallest_degree():
     assert fit.constant == Fraction(5, 6)
 
 
+@pytest.mark.parametrize(
+    "model,radius", [(F2, 3), (FreeAbelian(2), 4), (HEIS, 3)], ids=["F2-r3", "Z2-r4", "Heisenberg-r3"]
+)
+def test_fit_matches_the_per_record_maximum(model, radius):
+    # the oracle: one Fraction per record and degree
+    records = profile_conjugacy_bound(model, radius).records
+    fit = fit_dominating_bound(records)
+    assert fit.per_degree == {
+        d: max(Fraction(r.min_conjugator_length, (1 + r.input_length) ** d) for r in records)
+        for d in range(conjugacy.FIT_MAX_DEGREE + 1)
+    }
+    assert fit_dominating_bound([]).per_degree == {d: 0 for d in fit.per_degree}
+
+
 # -- profiler against an independent oracle -------------------------------------------------
 
 

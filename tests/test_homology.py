@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from ggtkit.homology import (
     _b_faces,
     _B_faces,
     _hochschild_bases,
+    centralizer_slices,
     chain_identities,
     conj_classes,
     connes_B,
@@ -281,6 +283,8 @@ def test_chain_identities_need_a_hochschild_slice():
         chain_identities(cyclic)
     with pytest.raises(DomainError):
         cyclic_quotient(cyclic)
+    with pytest.raises(DomainError):
+        centralizer_slices(cyclic)
 
 
 def test_z2_rank_b1_gives_hh0():
@@ -412,6 +416,64 @@ def test_partition_violation_detected(monkeypatch):
         hochschild_slice(S3, 2)
     with pytest.raises(PartitionViolation):
         cyclic_quotient(hh)
+
+
+# -- centralizer subcomplexes ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS + ORDER_EIGHT)
+def test_centralizer_complexes_match_the_class_blocks(name, G, nclasses):
+    # the oracle: the whole class blocks of the slice and of its cyclic quotient
+    for n_max in range(1, 5):
+        sl = hochschild_slice(G, n_max, basis_cap=G.order ** (n_max + 1))
+        hh, hc = centralizer_slices(sl)
+        assert homology_dims(hh) == homology_dims(sl)
+        assert homology_dims(hc) == homology_dims(cyclic_quotient(sl))
+
+
+def test_centralizer_complexes_s3_degree_five():
+    # closed form: class c contributes H_*(C_G(x); C), which is C in degree 0
+    hh, hc = centralizer_slices(hochschild_slice(S3, 5, basis_cap=6**6))
+    assert set(homology_dims(hh).per_class.values()) == {(1, 0, 0, 0, 0)}
+    assert set(homology_dims(hc).per_class.values()) == {(1, 0, 1, 0, 1)}
+    # (|C_G(x)| - 1)^n normalized tuples: centralizers of order 6, 2 and 3
+    assert [len(b) for b in hh.bases[5].blocks] == [5**5, 1**5, 2**5]
+
+
+@pytest.mark.parametrize("G,centralizers", [(cyclic_group(6), 1), (S3, 3)], ids=["Z6", "S3"])
+def test_classes_with_one_centralizer_rank_one_bar_complex(monkeypatch, G, centralizers):
+    sl = hochschild_slice(G, 3)
+    hh, hc = centralizer_slices(sl)
+    for n in (1, 2, 3):
+        assert len({id(m) for m in hh.boundaries[n]}) == centralizers
+    ranked = []
+    original = SparseRationalMatrix.rank
+    monkeypatch.setattr(SparseRationalMatrix, "rank", lambda m: ranked.append(m) or original(m))
+    assert set(homology_dims(hh).per_class.values()) == {(1, 0, 0)}
+    assert len(ranked) == 3 * centralizers
+    if centralizers == 1:  # abelian: every S_x is its whole class block
+        assert hc.bases == cyclic_quotient(sl).bases
+
+
+def test_sabotaged_centralizer_detected():
+    sl = hochschild_slice(S3, 3)
+    table = sl.class_table
+    e, t23, t12 = (S3.names.index(x) for x in ("e", "(23)", "(12)"))
+    assert [cls.representative for cls in table.classes] == [e, t23, S3.names.index("(123)")]
+
+    def sabotaged(c, centralizer):
+        classes = list(table.classes)
+        classes[c] = replace(classes[c], centralizer=centralizer)
+        return replace(sl, class_table=replace(table, classes=tuple(classes)))
+
+    # not a subgroup, and (12) does not commute with (23): a face of the
+    # normalized S_x leaves it
+    with pytest.raises(PartitionViolation, match="outside the complex"):
+        centralizer_slices(sabotaged(1, (e, t23, t12)))
+    # the 3-cycles given the identity's centralizer share its Hochschild
+    # block, so the rotation check of the cyclic quotient must catch it
+    with pytest.raises(PartitionViolation, match="left class 2"):
+        centralizer_slices(sabotaged(2, table.classes[0].centralizer))
 
 
 def test_cli_homology_builds_the_tuple_bases_once(monkeypatch, capsys):
