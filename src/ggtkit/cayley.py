@@ -1,6 +1,5 @@
 """Finite metric graphs from Cayley balls, coned-off graphs relative to
-subgroup families, four-point hyperbolicity estimation, and quasi-geodesic
-predicates.
+subgroup families, and four-point hyperbolicity estimation.
 
 All edge weights are stored doubled so that cone half-edges stay integral;
 every reported distance is a halved rational.
@@ -166,12 +165,6 @@ class MetricGraph:
     @property
     def edges(self) -> list[tuple[int, int, int]]:
         return list(map(tuple, self._edge_array().tolist()))
-
-    def edge_weight(self, u: int, v: int) -> Optional[int]:
-        u, v = self._vertex(u), self._vertex(v)
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        k = lo + np.searchsorted(self._nbr[lo:hi], v)
-        return int(self._wt[k]) if k < hi and self._nbr[k] == v else None
 
     def _rows(self, sources: np.ndarray) -> np.ndarray:
         """Distance rows (-1 unreached, dtype as ``_level_bfs`` chose it)
@@ -345,16 +338,20 @@ class MetricGraph:
         }
 
 
-def cayley_graph(b: Ball) -> MetricGraph:
-    """Cayley graph restricted to a ball: edge (u, u*s) of weight 2 per
-    generator s whenever both endpoints lie in the ball, read off the ball's
-    neighbour table (generators are closed under inverses, so u < v suffices)."""
+def _ball_edges(b: Ball) -> np.ndarray:
+    """Edges (u, u*s) of weight 2 per generator s whenever both endpoints
+    lie in the ball, read off the ball's neighbour table (generators are
+    closed under inverses, so u < v suffices)."""
     nbr = b.neighbour_table()
     u = np.repeat(np.arange(len(b)), nbr.shape[1])
     v = nbr.ravel()
     up = v > u
-    edges = np.column_stack([u[up], v[up], np.full(int(up.sum()), SCALE)])
-    return MetricGraph(len(b), edges, ball_radius=b.radius)
+    return np.column_stack([u[up], v[up], np.full(int(up.sum()), SCALE)])
+
+
+def cayley_graph(b: Ball) -> MetricGraph:
+    """Cayley graph restricted to a ball."""
+    return MetricGraph(len(b), _ball_edges(b), ball_radius=b.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -545,28 +542,20 @@ class FactorSubgroup(SubgroupOracle):
 class ConedOffGraph:
     """Cayley ball plus one cone vertex per (factor, left coset) meeting it.
 
-    Cone edges have weight 1 (true length 1/2); base edges keep weight 2.
-    Vertices 0..base.n-1 are ball elements, the rest are cone vertices.
+    Cone edges have weight 1 (true length 1/2); ball edges keep weight 2.
+    Vertices 0..len(ball)-1 are ball elements, the rest are cone vertices,
+    numbered factor by factor, each factor's by coset id.
     """
 
     ball: Ball
-    base: MetricGraph
     graph: MetricGraph
-    factors: list
     cones: list  # (factor_index, coset_id) per cone vertex, in vertex order
     coset_of: list  # per factor: list of coset ids per ball element
     coset_members: list  # per factor: list of member index lists per coset
 
     @property
     def cone_start(self) -> int:
-        return self.base.n
-
-    def cone_vertex(self, factor_index: int, coset_id: int) -> int:
-        """Cones are numbered factor by factor, each factor's by coset id."""
-        sizes = [len(m) for m in self.coset_members]
-        if not (0 <= factor_index < len(sizes) and 0 <= coset_id < sizes[factor_index]):
-            raise DomainError(f"no cone for coset {coset_id} of factor {factor_index}")
-        return self.cone_start + sum(sizes[:factor_index]) + coset_id
+        return len(self.ball)
 
     def distance(self, u: int, v: int) -> Fraction:
         return self.graph.distance(u, v)
@@ -726,25 +715,23 @@ def coned_off(b: Ball, factors) -> ConedOffGraph:
     if not oracles:
         raise DomainError("at least one subgroup factor is required")
     _check_factor_consistency(b, oracles)
-    base = cayley_graph(b)
     cosets = [_cosets(b, oracle) for oracle in oracles]
     coset_of = [ids.tolist() for ids, _ in cosets]
     coset_members = [members for _, members in cosets]
 
-    # cone vertex of (factor fi, coset cid) is base.n + offset[fi] + cid
+    # cone vertex of (factor fi, coset cid) is offset[fi] + cid
+    n = len(b)
     cones = [(fi, cid) for fi, members in enumerate(coset_members) for cid in range(len(members))]
-    offset = base.n + np.cumsum([0] + [len(m) for m in coset_members])
-    vertices = np.arange(base.n)
+    offset = n + np.cumsum([0] + [len(m) for m in coset_members])
+    vertices = np.arange(n)
     cone_edges = [
-        np.column_stack([vertices, start + ids, np.ones(base.n, dtype=np.int64)])
+        np.column_stack([vertices, start + ids, np.ones(n, dtype=np.int64)])
         for start, (ids, _) in zip(offset, cosets)
     ]
     graph = MetricGraph(
-        base.n + len(cones),
-        np.concatenate([base._edge_array(), *cone_edges]),
-        ball_radius=b.radius,
+        n + len(cones), np.concatenate([_ball_edges(b), *cone_edges]), ball_radius=b.radius
     )
-    return ConedOffGraph(b, base, graph, oracles, cones, coset_of, coset_members)
+    return ConedOffGraph(b, graph, cones, coset_of, coset_members)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +786,7 @@ def exhaustive_fits(graph: MetricGraph, cap: int = DEFAULT_EXHAUSTIVE_QUADRUPLE_
 
 
 def estimate_delta_4point(
-    graph,
+    graph: MetricGraph,
     *,
     exhaustive: Optional[bool] = None,
     sample_vertices: int = 64,
@@ -816,9 +803,8 @@ def estimate_delta_4point(
     Otherwise exhaustive over a seeded random vertex sample of the whole
     graph, which yields a certified lower bound.
     """
-    g = graph.graph if isinstance(graph, ConedOffGraph) else graph
     if exhaustive is not False:
-        fits = exhaustive_fits(g, exhaustive_cap)
+        fits = exhaustive_fits(graph, exhaustive_cap)
         if exhaustive and not fits:
             raise ResourceCapError(
                 f"exhaustive quadruple scan capped at {exhaustive_cap} vertices over its blocks"
@@ -826,141 +812,22 @@ def estimate_delta_4point(
         exhaustive = fits
     if not exhaustive:
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(g.n, size=min(g.n, sample_vertices), replace=False)
+        chosen = rng.choice(graph.n, size=min(graph.n, sample_vertices), replace=False)
         verts = sorted(int(v) for v in chosen)
-        return Fraction(_four_point_max_defect(g.distance_matrix_scaled(verts)), 2 * SCALE)
+        return Fraction(_four_point_max_defect(graph.distance_matrix_scaled(verts)), 2 * SCALE)
     defect = 0
-    pos = np.full(g.n, -1)
-    for block in g.blocks:
+    pos = np.full(graph.n, -1)
+    for block in graph.blocks:
         if len(block) < 4:  # a quadruple with a repeated point has defect 0
             continue
         verts = np.sort(block)
         pos[verts] = np.arange(len(verts))
-        count = g._deg[verts]
-        arcs = _arcs(g._indptr[verts + 1], count)
+        count = graph._deg[verts]
+        arcs = _arcs(graph._indptr[verts + 1], count)
         u = np.repeat(np.arange(len(verts)), count)
-        v = pos[g._nbr[arcs]]
+        v = pos[graph._nbr[arcs]]
         up = v > u
-        piece = MetricGraph(len(verts), np.column_stack([u[up], v[up], g._wt[arcs][up]]))
+        piece = MetricGraph(len(verts), np.column_stack([u[up], v[up], graph._wt[arcs][up]]))
         defect = max(defect, _four_point_max_defect(piece.distance_matrix_scaled()))
         pos[verts] = -1
     return Fraction(defect, 2 * SCALE)
-
-
-# ---------------------------------------------------------------------------
-# paths, quasi-geodesics, coset penetration
-
-
-@dataclass(frozen=True)
-class GraphPath:
-    """Vertex path; weight is the scaled sum of traversed edge weights."""
-
-    vertices: tuple
-    weight: int
-
-
-def path_from_vertices(graph, vertices) -> GraphPath:
-    g = graph.graph if isinstance(graph, ConedOffGraph) else graph
-    verts = tuple(g._vertex(v) for v in vertices)
-    if not verts:
-        raise DomainError("a path needs at least one vertex")
-    total = 0
-    for u, v in zip(verts, verts[1:]):
-        w = g.edge_weight(u, v)
-        if w is None:
-            raise DomainError(f"vertices {u} and {v} are not adjacent")
-        total += w
-    return GraphPath(verts, total)
-
-
-def is_quasi_geodesic(path: GraphPath, k, graph) -> bool:
-    """Symmetric (k, k) quasi-geodesic test over every subpath.
-
-    For arc-length positions s < t:  |t - s| <= k d(p(s), p(t)) + k  and
-    d(p(s), p(t)) <= k |t - s| + k.
-    """
-    k = Fraction(k)
-    if k < 1:
-        raise DomainError("quasi-geodesic constant must be >= 1")
-    g = graph.graph if isinstance(graph, ConedOffGraph) else graph
-    pos = [0]
-    for u, v in zip(path.vertices, path.vertices[1:]):
-        w = g.edge_weight(u, v)
-        if w is None:
-            raise DomainError(f"path edge ({u},{v}) missing from graph")
-        pos.append(pos[-1] + w)
-    n = len(path.vertices)
-    for i in range(n):
-        di = g.distances_from(path.vertices[i])
-        for j in range(i + 1, n):
-            span = pos[j] - pos[i]  # scaled
-            d = int(di[path.vertices[j]])  # scaled
-            if span > k * d + 2 * k or d > k * span + 2 * k:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class PenetrationRecord:
-    factor: int
-    coset: int
-    entry_vertex: Optional[int]
-    exit_vertex: Optional[int]
-    gamma_distance: Optional[Fraction]
-    start_position: int
-
-
-def penetration_report(path: GraphPath, coned: ConedOffGraph) -> list[PenetrationRecord]:
-    """Ordered list of cosets the path penetrates.
-
-    A penetration is a maximal stretch of >= 2 consecutive path positions
-    whose vertices all lie in (or cone over) one coset of one factor.  The
-    gamma distance is measured between the first and last base vertices of
-    the stretch in the un-coned graph.
-    """
-    cone_start = coned.cone_start
-    records = []
-    for fi in range(len(coned.factors)):
-        membership = []
-        for v in path.vertices:
-            if v >= cone_start:
-                cf, cid = coned.cones[v - cone_start]
-                membership.append(cid if cf == fi else None)
-            else:
-                membership.append(coned.coset_of[fi][v])
-        i = 0
-        n = len(membership)
-        while i < n:
-            cid = membership[i]
-            if cid is None:
-                i += 1
-                continue
-            j = i
-            while j + 1 < n and membership[j + 1] == cid:
-                j += 1
-            if j > i:
-                base_positions = [
-                    p for p in range(i, j + 1) if path.vertices[p] < cone_start
-                ]
-                entry = path.vertices[base_positions[0]] if base_positions else None
-                exit_ = path.vertices[base_positions[-1]] if base_positions else None
-                gamma = (
-                    coned.base.distance(entry, exit_)
-                    if entry is not None and exit_ is not None
-                    else None
-                )
-                records.append(PenetrationRecord(fi, cid, entry, exit_, gamma, i))
-            i = j + 1
-    records.sort(key=lambda r: (r.start_position, r.factor, r.coset))
-    return records
-
-
-def has_backtracking(path: GraphPath, coned: ConedOffGraph) -> bool:
-    """True when the path re-enters a coset it previously exited."""
-    seen = set()
-    for rec in penetration_report(path, coned):
-        key = (rec.factor, rec.coset)
-        if key in seen:
-            return True
-        seen.add(key)
-    return False

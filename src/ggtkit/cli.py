@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -345,6 +346,8 @@ def _cmd_homology(args):
     n_max = args.nmax
     if n_max is None:
         n_max = 3 if model.order <= 6 else 2
+    if n_max < 1:  # H_n needs b_(n+1), so degree 0 needs n_max = 1
+        raise DomainError(f"--nmax must be >= 1, got {n_max}")
     slice_ = hochschild_slice(model, n_max, basis_cap=args.cap_basis)
     hh_slice, hc_slice = centralizer_slices(slice_)
     hh, hc = homology_dims(hh_slice), homology_dims(hc_slice)
@@ -375,6 +378,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ggtkit",

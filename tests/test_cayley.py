@@ -1,4 +1,4 @@
-"""Balls, Cayley graphs, coned-off graphs, hyperbolicity, penetration."""
+"""Balls, Cayley graphs, coned-off graphs, hyperbolicity."""
 
 from __future__ import annotations
 
@@ -23,10 +23,6 @@ from ggtkit.cayley import (
     coned_off,
     estimate_delta_4point,
     exhaustive_fits,
-    has_backtracking,
-    is_quasi_geodesic,
-    path_from_vertices,
-    penetration_report,
 )
 from ggtkit.errors import DomainError, OracleInconsistency, ResourceCapError
 from ggtkit.groups import (
@@ -144,10 +140,6 @@ def _assert_rows_match_networkx(graph, sources):
 @given(connected_graphs())
 def test_distances_and_edge_weights_match_networkx_on_random_graphs(g):
     _assert_rows_match_networkx(g, range(g.n))
-    weights = {(u, v): w for u, v, w in g.edges}
-    for u in range(g.n):
-        for v in range(g.n):
-            assert g.edge_weight(u, v) == weights.get((min(u, v), max(u, v)))
 
 
 @pytest.mark.parametrize("h", [(1,), (1, 2)])
@@ -311,13 +303,9 @@ def test_vertices_outside_the_graph_rejected():
         (g.distances_from, (3,), 3),
         (g.distance, (-1, 0), -1),
         (g.distance_scaled, (0, 3), 3),
-        (g.edge_weight, (-1, 1), -1),
-        (g.edge_weight, (0, 7), 7),
-        (g.edge_weight, (5, 0), 5),
         (g.distance_matrix_scaled, ([0, 3],), 3),
         (g.distance_matrix_scaled, ([1, -1],), -1),
         (g.distances_from, (1.0,), 1.0),
-        (g.edge_weight, (0, True), True),
         (g.distance_matrix_scaled, (["1"],), "1"),
     ]
     for fn, args, bad in calls:
@@ -325,7 +313,6 @@ def test_vertices_outside_the_graph_rejected():
             fn(*args)
     assert list(g._dist_cache) == [0]  # only the connectivity row
     assert g.distances_from(np.int64(2)).tolist() == [4, 2, 0]
-    assert g.edge_weight(np.int32(2), 1) == 2 and g.edge_weight(0, 2) is None
 
 
 def test_disconnected_graph_with_an_apex_rejected():
@@ -360,10 +347,24 @@ def test_coned_off_f2_cyclic_a(f2):
 def test_coned_distance_never_exceeds_cayley(f2):
     b = ball(f2, 3)
     coned = coned_off(b, [CyclicSubgroup((1,), label="<a>")])
-    base = coned.base
+    base = cayley_graph(b)
     for i in range(0, len(b), 5):
         for j in range(0, len(b), 7):
             assert coned.distance(i, j) <= base.distance(i, j)
+
+
+def test_coned_off_builds_one_metric_graph(f2, monkeypatch):
+    built = []
+
+    class Counting(MetricGraph):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cayley, "MetricGraph", Counting)
+    coned = coned_off(ball(f2, 3), [CyclicSubgroup((1,)), CyclicSubgroup((2,))])
+    assert built == [coned.graph.n]
+    assert coned.cone_start == len(coned.ball) == coned.graph.n - len(coned.cones)
 
 
 def test_coned_cone_count_matches_membership_oracle():
@@ -660,16 +661,6 @@ def test_periodic_contains_matches_built_powers(model, radius, text):
         assert [oracle.contains(model, e) for e in elems] == expect
 
 
-def test_cone_vertex_is_the_position_in_cones(f2):
-    coned = coned_off(ball(f2, 3), [CyclicSubgroup((1,)), CyclicSubgroup((2,))])
-    assert {fi for fi, _ in coned.cones} == {0, 1}
-    for pos, (fi, cid) in enumerate(coned.cones):
-        assert coned.cone_vertex(fi, cid) == coned.cone_start + pos
-    for fi, cid in [(2, 0), (-1, 0), (0, -1), (0, len(coned.coset_members[0]))]:
-        with pytest.raises(DomainError):
-            coned.cone_vertex(fi, cid)
-
-
 # -- four-point condition ------------------------------------------------------
 
 
@@ -908,111 +899,6 @@ def test_delta_sampled_mode_deterministic(f2):
     assert "blocks" not in vars(g)  # the sampled mode never splits the graph
 
 
-# -- quasi-geodesics -----------------------------------------------------------
-
-
-def test_geodesics_are_1_quasi_geodesics(f2):
-    b = ball(f2, 3)
-    g = cayley_graph(b)
-    path = path_from_vertices(g, [b.index[()], b.index[(1,)], b.index[(1, 2)]])
-    assert is_quasi_geodesic(path, 1, g)
-
-
-def test_backtracking_path_fails_lower_bound(f2):
-    b = ball(f2, 3)
-    g = cayley_graph(b)
-    path = path_from_vertices(g, [b.index[()], b.index[(1,)], b.index[()], b.index[(1,)]])
-    assert not is_quasi_geodesic(path, 1, g)
-
-
-def test_quasi_geodesic_matches_subpath_oracle(z2):
-    b = ball(z2, 3)
-    g = cayley_graph(b)
-    spiral = [(0, 0), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
-    path = path_from_vertices(g, [b.index[v] for v in spiral])
-    for k in (Fraction(1), Fraction(3), Fraction(5)):
-        # O(n^2) oracle, written independently of the library routine
-        pos = [0]
-        for u, v in zip(path.vertices, path.vertices[1:]):
-            pos.append(pos[-1] + g.edge_weight(u, v))
-        expect = True
-        for i in range(len(path.vertices)):
-            for j in range(i + 1, len(path.vertices)):
-                span = Fraction(pos[j] - pos[i], 2)
-                d = Fraction(g.distance_scaled(path.vertices[i], path.vertices[j]), 2)
-                if span > k * d + k or d > k * span + k:
-                    expect = False
-        assert is_quasi_geodesic(path, k, g) == expect
-
-
-@pytest.mark.parametrize("vertices", [[7], [-1], [True], [0, 1, 2, 3]])
-def test_path_from_vertices_checks_every_vertex(vertices):
-    g = MetricGraph(3, [(0, 1, 2), (1, 2, 2)])
-    with pytest.raises(DomainError):
-        path_from_vertices(g, vertices)
-
-
-def test_quasi_geodesic_requires_k_at_least_one(f2):
-    b = ball(f2, 2)
-    g = cayley_graph(b)
-    path = path_from_vertices(g, [0, 1])
-    with pytest.raises(DomainError):
-        is_quasi_geodesic(path, Fraction(1, 2), g)
-
-
-# -- penetration ---------------------------------------------------------------
-
-
-def test_penetration_through_cone(f2):
-    b = ball(f2, 4)
-    coned = coned_off(b, [CyclicSubgroup((1,), label="<a>")])
-    e = b.index[()]
-    a4 = b.index[(1, 1, 1, 1)]
-    cone = coned.cone_vertex(0, coned.coset_of[0][e])
-    path = path_from_vertices(coned, [e, cone, a4])
-    recs = penetration_report(path, coned)
-    assert len(recs) == 1
-    assert recs[0].entry_vertex == e and recs[0].exit_vertex == a4
-    assert recs[0].gamma_distance == 4
-
-
-def test_penetration_empty_for_transverse_geodesic(f2):
-    b = ball(f2, 4)
-    coned = coned_off(b, [CyclicSubgroup((1,), label="<a>")])
-    path = path_from_vertices(coned, [b.index[()], b.index[(2,)], b.index[(2, 1, 1)]][:2])
-    assert penetration_report(path, coned) == []
-
-
-def test_penetration_reports_differ_exactly_on_detoured_coset(f2):
-    b = ball(f2, 4)
-    coned = coned_off(b, [CyclicSubgroup((1,), label="<a>")])
-    e = b.index[()]
-    a1 = b.index[(1,)]
-    b1 = b.index[(2,)]
-    cone_h = coned.cone_vertex(0, coned.coset_of[0][e])
-    direct = path_from_vertices(coned, [e, b1])
-    detour = path_from_vertices(coned, [e, a1, cone_h, e, b1])
-    cos_h = coned.coset_of[0][e]
-    r_direct = penetration_report(direct, coned)
-    r_detour = penetration_report(detour, coned)
-    assert all(r.coset != cos_h for r in r_direct)
-    assert [r.coset for r in r_detour] == [cos_h]
-
-
-def test_backtracking_detection(f2):
-    b = ball(f2, 4)
-    coned = coned_off(b, [CyclicSubgroup((1,), label="<a>")])
-    e = b.index[()]
-    a1 = b.index[(1,)]
-    b1 = b.index[(2,)]
-    cone_e = coned.cone_vertex(0, coned.coset_of[0][e])
-    # leave the identity coset and come back through its cone
-    loop = path_from_vertices(coned, [a1, cone_e, e, b1, e, cone_e, a1])
-    assert has_backtracking(loop, coned)
-    straight = path_from_vertices(coned, [e, cone_e, a1])
-    assert not has_backtracking(straight, coned)
-
-
 def test_graph_csv_and_summary(f2):
     g = cayley_graph(ball(f2, 1))
     rows = g.edges
@@ -1142,7 +1028,6 @@ def test_heisenberg_has_an_edge_inside_a_sphere():
 def test_coned_f2_edges_match_oracle(f2_ball5, h):
     coned = coned_off(f2_ball5, [CyclicSubgroup(h)])
     assert coned.graph.edges == _oracle_coned_edges(coned)
-    assert coned.base.edges == _oracle_cayley_edges(f2_ball5)
 
 
 @pytest.mark.parametrize(

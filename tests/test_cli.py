@@ -30,6 +30,15 @@ def test_homology_dims_payload(capsys):
     assert payload["results"]["identities"]["b2b3"] == "0"
 
 
+def test_runs_in_one_process_share_no_parsed_values(capsys):
+    # the parser is built once per process; a repeatable flag's values
+    # from one run must not reach the next
+    argv = ["bounds", "theorem", "--lu", "2", "--lv", "3"]
+    reports = [run_cli(capsys, argv + extra)[1] for extra in (["--q", "x", "--q", "x"], [], [])]
+    assert [json.loads(out)["inputs"]["q"] for out in reports] == [["x", "x"], [], []]
+    assert reports[1] == reports[2]
+
+
 def test_bounds_eval_payload(capsys):
     code, out, _ = run_cli(capsys, ["bounds", "eval", "--k", "1", "--delta", "1"])
     assert code == 0
@@ -391,9 +400,10 @@ def test_malformed_value_is_a_config_error(capsys, argv):
     [
         BASE_ARGV["bounds theorem"] + ["--c", "-1"],
         BASE_ARGV["bounds theorem"] + ["--q", "(1+x)^-1"],
+        ["homology", "--group", "Z2", "--nmax", "0"],
         ["homology", "--group", "Z2", "--nmax", "-1"],
     ],
-    ids=["c-negative", "q-negative-exponent", "nmax-negative"],
+    ids=["c-negative", "q-negative-exponent", "nmax-zero", "nmax-negative"],
 )
 def test_value_outside_the_domain_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, argv)
