@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .config import DEFAULT_DELTA_MIN
 from .errors import DegenerateDelta, DomainError
 from .rdalgebra import BoundingFunction, Poly
 
@@ -79,34 +78,18 @@ def n_tilde(k: Number, delta: Number) -> float:
         (d log2(2k^3+6k^2+3k+2) + d log2[d log2(2k^3+6k^2+3k+2)] + 1)(k^2+1)
             + (2k^3+3k)/2
 
-    Undefined at delta = 0 (the inner logarithm); see n_tilde_floored.
+    Undefined at delta = 0 (the inner logarithm).
     """
     k = float(k)
     d = float(delta)
     if k < 1:
         raise DomainError("quasi-geodesic constant k must be >= 1")
     if d <= 0:
-        raise DegenerateDelta("n_tilde needs delta > 0; use n_tilde_floored")
+        raise DegenerateDelta("n_tilde needs delta > 0")
     poly = 2 * k**3 + 6 * k**2 + 3 * k + 2
     t1 = d * math.log2(poly)
     t2 = d * math.log2(t1)
     return (t1 + t2 + 1) * (k**2 + 1) + (2 * k**3 + 3 * k) / 2
-
-
-def n_tilde_floored(k: Number, delta: Number) -> float:
-    """n_tilde with delta floored at DEFAULT_DELTA_MIN (1/4)."""
-    return n_tilde(k, max(Fraction(delta), DEFAULT_DELTA_MIN))
-
-
-def neighborhood_n(k: Number, R: Number, delta: Number) -> float:
-    """N(k, R) = n_tilde(k) + R + 2 delta.
-
-    The direct quadrilateral argument overshoots to R + 4 delta; the
-    tighter stated constant is used and reports carry both (CORRIDOR_NOTE).
-    """
-    if float(R) < 0:
-        raise DomainError("R must be >= 0")
-    return n_tilde(k, delta) + float(R) + 2 * float(delta)
 
 
 CORRIDOR_NOTE = (
@@ -180,15 +163,6 @@ def bcp_epsilon(k: Number, consts: PresentationConstants) -> BcpChain:
         N_alt_4delta=nt + 4 * d,
         constants=consts.as_dict(),
     )
-
-
-def hyperbolic_conjugator_bound(lu: Number, lv: Number, consts: PresentationConstants) -> Fraction:
-    """Relative-length bound K_h (lu + lv) for a conjugator of two
-    hyperbolic elements of the given lengths."""
-    lu, lv = Fraction(lu), Fraction(lv)
-    if lu < 0 or lv < 0:
-        raise DomainError("lengths must be >= 0")
-    return consts.resolved_K_h() * (lu + lv)
 
 
 def parabolic_coset_bound(lu: Number, consts: PresentationConstants) -> Fraction:

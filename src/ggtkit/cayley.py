@@ -549,7 +549,6 @@ class ConedOffGraph:
 
     ball: Ball
     graph: MetricGraph
-    cones: list  # (factor_index, coset_id) per cone vertex, in vertex order
     coset_of: list  # per factor: list of coset ids per ball element
     coset_members: list  # per factor: list of member index lists per coset
 
@@ -562,7 +561,7 @@ class ConedOffGraph:
 
     def summary(self) -> dict:
         out = self.graph.summary()
-        out["cone_vertices"] = len(self.cones)
+        out["cone_vertices"] = self.graph.n - len(self.ball)
         out["cosets_per_factor"] = [len(m) for m in self.coset_members]
         return out
 
@@ -721,17 +720,15 @@ def coned_off(b: Ball, factors) -> ConedOffGraph:
 
     # cone vertex of (factor fi, coset cid) is offset[fi] + cid
     n = len(b)
-    cones = [(fi, cid) for fi, members in enumerate(coset_members) for cid in range(len(members))]
     offset = n + np.cumsum([0] + [len(m) for m in coset_members])
     vertices = np.arange(n)
     cone_edges = [
         np.column_stack([vertices, start + ids, np.ones(n, dtype=np.int64)])
         for start, (ids, _) in zip(offset, cosets)
     ]
-    graph = MetricGraph(
-        n + len(cones), np.concatenate([_ball_edges(b), *cone_edges]), ball_radius=b.radius
-    )
-    return ConedOffGraph(b, graph, cones, coset_of, coset_members)
+    n_cones = sum(len(m) for m in coset_members)
+    graph = MetricGraph(n + n_cones, np.concatenate([_ball_edges(b), *cone_edges]), ball_radius=b.radius)
+    return ConedOffGraph(b, graph, coset_of, coset_members)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .groups import FreeProduct, model_from_dict
 from .homology import (
     centralizer_slices,
     chain_identities,
-    hochschild_slice,
     homology_dims,
     require_finite,
 )
@@ -348,14 +347,13 @@ def _cmd_homology(args):
         n_max = 3 if model.order <= 6 else 2
     if n_max < 1:  # H_n needs b_(n+1), so degree 0 needs n_max = 1
         raise DomainError(f"--nmax must be >= 1, got {n_max}")
-    slice_ = hochschild_slice(model, n_max, basis_cap=args.cap_basis)
-    hh_slice, hc_slice = centralizer_slices(slice_)
+    sx, hh_slice, hc_slice = centralizer_slices(model, n_max, basis_cap=args.cap_basis)
     hh, hc = homology_dims(hh_slice), homology_dims(hc_slice)
     results = {
         "n_max": n_max,
         "hochschild": hh.as_dict(),
         "cyclic": hc.as_dict(),
-        "identities": chain_identities(slice_),
+        "identities": chain_identities(sx, hh_slice, hc_slice),
     }
     if not args.split:
         for kind in ("hochschild", "cyclic"):

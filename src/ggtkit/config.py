@@ -7,7 +7,6 @@ from fractions import Fraction
 DEFAULT_BALL_CAP = 10**6
 DEFAULT_BASIS_CAP = 10**4
 DEFAULT_RADIUS_CAP = 64
-DEFAULT_DELTA_MIN = Fraction(1, 4)
 # Dominating-constant ceiling and largest degree of the conjugacy-bound
 # profiler fit.  A fit of degree d is accepted only when every record
 # satisfies min_length <= A * (1 + input_length)**d with A <= this cap.

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cayley import Ball, ball
-from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, DEFAULT_RADIUS_CAP, FIT_MAX_DEGREE
+from .config import DEFAULT_BALL_CAP, DEFAULT_FIT_CAP, FIT_MAX_DEGREE
 from .errors import DomainError, ResourceCapError, UnsupportedCase
 from .exactla import smith_normal_form, solve_integer_system
 from .groups import (
@@ -32,9 +32,7 @@ from .groups import (
     GroupModel,
     TwoStepNilpotent,
     cyclic_reduce,
-    exact_length,
 )
-from .rdalgebra import BoundingFunction
 
 CONJUGATE = "conjugate"
 NOT_CONJUGATE = "not_conjugate"
@@ -101,21 +99,6 @@ def brute_force_conjugator(
                 CONJUGATE, witness=g, witness_length=sb.lengths[gi], searched_radius=sb.radius
             )
     return ConjugacyResult(UNKNOWN, searched_radius=sb.radius)
-
-
-def bounded_conjugacy(
-    model: GroupModel,
-    u: Element,
-    v: Element,
-    bound: BoundingFunction,
-    *,
-    length_cap: int = DEFAULT_RADIUS_CAP,
-    ball_cap: int = DEFAULT_BALL_CAP,
-) -> ConjugacyResult:
-    """Brute-force search out to radius bound(L(u) + L(v))."""
-    total = exact_length(model, u, length_cap) + exact_length(model, v, length_cap)
-    radius = int(math.ceil(bound(total)))
-    return brute_force_conjugator(model, u, v, radius, ball_cap=ball_cap)
 
 
 def nilpotent_central_system(

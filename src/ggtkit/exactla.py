@@ -118,41 +118,6 @@ class SparseRationalMatrix:
         return rank
 
 
-def bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in rows if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        prow = m[rank]
-        for r in range(rank + 1, len(m)):
-            row = m[r]
-            f = row[col]
-            if f:
-                row[col:] = [(p * row[j] - f * prow[j]) // prev for j in range(col, ncols)]
-            elif prev != 1 or p != 1:
-                row[col:] = [(p * row[j]) // prev for j in range(col, ncols)]
-        prev = p
-        rank += 1
-        col += 1
-    return rank
-
-
 def _det_int(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix, fraction-free."""
     n = len(rows)

@@ -958,12 +958,6 @@ def inverse(model: GroupModel, a: Element) -> Element:
     return model.inverse(a)
 
 
-def word_length(model: GroupModel, a: Element, radius_cap: int = DEFAULT_RADIUS_CAP):
-    """Exact word length, or a LengthLowerBound when outside the cap."""
-    model.validate_element(a)
-    return model.word_length(a, radius_cap)
-
-
 def exact_length(model: GroupModel, a: Element, radius_cap: int = DEFAULT_RADIUS_CAP) -> int:
     got = model.word_length(a, radius_cap)
     if isinstance(got, LengthLowerBound):
@@ -971,9 +965,3 @@ def exact_length(model: GroupModel, a: Element, radius_cap: int = DEFAULT_RADIUS
             f"element has word length >= {got.value}, beyond the cap {radius_cap}"
         )
     return got
-
-
-def is_torsion(model: GroupModel, a: Element) -> Optional[int]:
-    """Order of a when finite, None when infinite; the identity has order 1."""
-    model.validate_element(a)
-    return model.torsion_order(a)

@@ -1,23 +1,18 @@
-"""Exact Hochschild and cyclic complexes of C[G] for finite G, the
-conjugacy-class splitting of their bases, the centralizer subcomplexes that
-carry each class's homology, the simplicial comparison maps behind that
-splitting, and subadditivity checks for the simplicial weight functions on
-ball-truncated models.
+"""Exact Hochschild and cyclic complexes of C[G] for finite G, split by
+conjugacy class, and the centralizer subcomplexes that carry each class's
+homology.
 
 Everything here is fraction-free exact arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
 
-from .cayley import ball
 from .config import DEFAULT_BASIS_CAP
 from .errors import ConfigError, DomainError, PartitionViolation, ResourceCapError
 from .exactla import SparseRationalMatrix
-from .groups import FiniteGroup, GroupModel, exact_length
+from .groups import FiniteGroup, GroupModel
 
 # ---------------------------------------------------------------------------
 # conjugacy classes of a finite group
@@ -72,13 +67,6 @@ def conj_classes(model: FiniteGroup) -> ConjClassTable:
 # tuple bases
 
 
-def _product(model: FiniteGroup, t: tuple) -> int:
-    p = 0
-    for g in t:
-        p = model.multiply(p, g)
-    return p
-
-
 @dataclass(frozen=True)
 class TupleBasis:
     """The basis of one degree, split by conjugacy class.
@@ -94,31 +82,6 @@ class TupleBasis:
 
     blocks: tuple
     where: dict
-
-
-def _hochschild_bases(model: FiniteGroup, n_max: int, class_of: Optional[tuple], basis_cap: int) -> list:
-    """Tuple bases of degrees 0..n_max, split by ``class_of`` of the tuple
-    product.  All of one class when ``class_of`` is None."""
-    require_finite(model)
-    if n_max < 0:
-        raise DomainError("degree must be >= 0")
-    o, dim = model.order, model.order ** (n_max + 1)
-    class_of = class_of or (0,) * o
-    if dim > basis_cap:
-        raise ResourceCapError(f"basis of degree {n_max} has {dim} tuples, over cap {basis_cap}")
-    tuples, products = [()], [0]
-    bases = []
-    for _ in range(n_max + 1):
-        tuples = [t + (g,) for t in tuples for g in range(o)]
-        products = [model.multiply(p, g) for p in products for g in range(o)]
-        blocks = tuple([] for _ in range(max(class_of) + 1))
-        where = {}
-        for t, p in zip(tuples, products):
-            c = class_of[p]
-            where[t] = (c, len(blocks[c]), 1)
-            blocks[c].append(t)
-        bases.append(TupleBasis(blocks, where))
-    return bases
 
 
 def _cyclic_bases(hochschild: list) -> list:
@@ -177,10 +140,6 @@ def _B_faces(model: FiniteGroup, t: tuple):
         yield (rotated[0], 0) + rotated[1:], sign
 
 
-def _tau_faces(model: FiniteGroup, t: tuple):
-    yield (t[-1],) + t[:-1], (-1) ** (len(t) - 1)
-
-
 def _assemble(model: FiniteGroup, faces, source: list, target: TupleBasis, c: int) -> SparseRationalMatrix:
     """Matrix from the class-c tuples ``source`` to class c of ``target``.
 
@@ -207,50 +166,31 @@ def _assemble(model: FiniteGroup, faces, source: list, target: TupleBasis, c: in
     return out
 
 
-def hochschild_boundary(
-    model: FiniteGroup, n: int, bases: Optional[list] = None, c: int = 0, *, basis_cap: int = DEFAULT_BASIS_CAP
-) -> SparseRationalMatrix:
-    """Matrix of b_n : C_n -> C_(n-1).
+def hochschild_boundary(model: FiniteGroup, n: int, bases: list, c: int) -> SparseRationalMatrix:
+    """Class-c block of b_n : C_n -> C_(n-1), from bases[n] to bases[n-1]
+    (``bases`` maps degree -> TupleBasis).
 
     b(g_0,..,g_n) merges adjacent entries with alternating signs and closes
-    up with (-1)^n (g_n g_0, g_1,..,g_(n-1)).  Given ``bases`` (degree ->
-    TupleBasis), the block of class c from bases[n] to bases[n-1]; without,
-    the whole matrix on the tuple bases.
+    up with (-1)^n (g_n g_0, g_1,..,g_(n-1)).
     """
     if n < 1:
         raise DomainError("the boundary map needs degree >= 1")
-    if bases is None:
-        bases = _hochschild_bases(model, n, None, basis_cap)
     return _assemble(model, _b_faces, bases[n].blocks[c], bases[n - 1], c)
 
 
-def connes_B(
-    model: FiniteGroup, n: int, bases: Optional[list] = None, c: int = 0, *, basis_cap: int = DEFAULT_BASIS_CAP
-) -> SparseRationalMatrix:
-    """Matrix of the degree +1 operator B_n = (1 - tau) s N : C_n -> C_(n+1),
-    which expands on tuples to
+def connes_B(model: FiniteGroup, n: int, bases: list, c: int) -> SparseRationalMatrix:
+    """Class-c block of the degree +1 operator B_n = (1 - tau) s N :
+    C_n -> C_(n+1), which expands on tuples to
 
         B(g_0,..,g_n) = sum_i (-1)^(n i) (1, g_i,..,g_n, g_0,..,g_(i-1))
                       + sum_i (-1)^(n i) (g_i, 1, g_(i+1),..,g_n, g_0,..,g_(i-1))
 
     The sign of the degenerate sum is forced: with a minus there, B^2 = 0
-    fails already over Z/2 (exact check in the test suite).  ``bases`` and
-    c select a class block as in ``hochschild_boundary``.
+    fails already over Z/2 (exact check in the test suite).
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
-    if bases is None:
-        bases = _hochschild_bases(model, n + 1, None, basis_cap)
     return _assemble(model, _B_faces, bases[n].blocks[c], bases[n + 1], c)
-
-
-def tau_matrix(
-    model: FiniteGroup, n: int, bases: Optional[list] = None, c: int = 0, *, basis_cap: int = DEFAULT_BASIS_CAP
-) -> SparseRationalMatrix:
-    """The signed cyclic rotation (-1)^n (g_n, g_0,..,g_(n-1)) on C_n."""
-    if bases is None:
-        bases = _hochschild_bases(model, n, None, basis_cap)
-    return _assemble(model, _tau_faces, bases[n].blocks[c], bases[n], c)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +225,6 @@ def _split_slice(model: FiniteGroup, kind: str, table: ConjClassTable, bases: li
     return ComplexSlice(model, kind, table, bases, boundaries)
 
 
-def hochschild_slice(model: FiniteGroup, n_max: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> ComplexSlice:
-    """Hochschild complex in degrees <= n_max, split by the conjugacy class
-    of the tuple product."""
-    table = conj_classes(model)
-    bases = _hochschild_bases(model, n_max, table.class_of, basis_cap)
-    return _split_slice(model, "hochschild", table, bases)
-
-
 def cyclic_quotient(hochschild: ComplexSlice) -> ComplexSlice:
     """Quotient complex of coinvariants C_n / im(1 - tau_n) of a Hochschild
     slice, split by conjugacy class, on the slice's class table and tuple
@@ -308,40 +240,59 @@ def cyclic_quotient(hochschild: ComplexSlice) -> ComplexSlice:
 # centralizer subcomplexes
 
 
-def centralizer_slices(hochschild: ComplexSlice) -> tuple:
-    """The Hochschild and cyclic complexes that give a Hochschild slice's
-    homology class by class, on its centralizer subcomplexes.
+def _centralizer_tuples(model: FiniteGroup, cls: ConjClass, n_max: int) -> list:
+    """S_x(0..n_max) for the class representative x, each in tuple-index
+    order: for every tail (g_1,..,g_n) in Z^n, g_0 = x (g_1...g_n)^-1."""
+    x, z = cls.representative, cls.centralizer
+    tails, products = [()], [0]
+    blocks = []
+    for n in range(n_max + 1):
+        if n:
+            tails = [t + (g,) for t in tails for g in z]
+            products = [model.multiply(p, g) for p in products for g in z]
+        blocks.append(sorted((model.multiply(x, model.inverse(p)),) + t for t, p in zip(tails, products)))
+    return blocks
+
+
+def centralizer_slices(model: FiniteGroup, n_max: int, *, basis_cap: int = DEFAULT_BASIS_CAP) -> tuple:
+    """The complexes that give the Hochschild and cyclic homology of C[G]
+    in degrees < n_max class by class, on the centralizer subcomplexes.
 
     For class c with representative x and Z = C_G(x), the tuples
     S_x(n) = {(g_0,..,g_n) in Z^(n+1) : g_0...g_n = x} are closed under the
     faces of b and under rotation, since g_n x g_n^-1 = x.  So S_x is a
-    cyclic submodule of the class-c block, and its inclusion induces
-    isomorphisms on HH (Burghelea, Comment. Math. Helv. 1985; Brown,
-    Cohomology of Groups, III.6.2), hence on HC by the SBI sequence and the
-    five lemma.  S_x is read off the slice's class-c tuples; it is the whole
-    block when x is central.
+    cyclic submodule of the class-c block of the whole complex, and its
+    inclusion induces isomorphisms on HH (Burghelea, Comment. Math. Helv.
+    1985; Brown, Cohomology of Groups, III.6.2), hence on HC by the SBI
+    sequence and the five lemma.  S_x(n) is built from its |Z|^n tails and
+    is the whole class block when x is central.  The cap bounds the
+    |G|^(n_max+1) tuples of the whole top degree, before anything is built.
 
-    The Hochschild complex is S_x normalized (Loday, Cyclic Homology,
-    1.1.14): the tuples with some g_i = e for i >= 1 are zero.  In the
-    coordinates (g_1,..,g_n) it is the normalized bar complex of Z, which
-    does not depend on x, so classes with one centralizer share one block,
-    built for the first of them.  The cyclic complex is the cyclic quotient
-    of S_x.  A face or rotation that leaves S_x raises PartitionViolation.
+    Returns three slices on the class table of G:
+    - S_x itself with its b blocks, on which ``chain_identities`` runs;
+    - S_x normalized (Loday, Cyclic Homology, 1.1.14): the tuples with some
+      g_i = e for i >= 1 are zero.  In the coordinates (g_1,..,g_n) it is
+      the normalized bar complex of Z, which does not depend on x, so
+      classes with one centralizer share one block, built for the first of
+      them;
+    - the cyclic quotient of S_x.
+    A face or rotation that leaves S_x raises PartitionViolation.
     """
-    if hochschild.kind != "hochschild":
-        raise DomainError("centralizer complexes are taken of a Hochschild slice")
-    model, table = hochschild.model, hochschild.class_table
+    require_finite(model)
+    if n_max < 0:
+        raise DomainError("degree must be >= 0")
+    dim = model.order ** (n_max + 1)
+    if dim > basis_cap:
+        raise ResourceCapError(f"basis of degree {n_max} has {dim} tuples, over cap {basis_cap}")
+    table = conj_classes(model)
     classes = table.classes
+    per_class = [_centralizer_tuples(model, cls, n_max) for cls in classes]
     sx = []
-    for basis in hochschild.bases:
-        blocks = []
-        for cls, block in zip(classes, basis.blocks):
-            if len(cls.members) > 1 or len(cls.centralizer) < model.order:  # x is not central
-                z, x = frozenset(cls.centralizer), cls.representative
-                block = [t for t in block if z.issuperset(t) and _product(model, t) == x]
-            blocks.append(block)
+    for n in range(n_max + 1):
+        blocks = tuple(degrees[n] for degrees in per_class)
         where = {t: (c, i, 1) for c, block in enumerate(blocks) for i, t in enumerate(block)}
-        sx.append(TupleBasis(tuple(blocks), where))
+        sx.append(TupleBasis(blocks, where))
+    sx_slice = _split_slice(model, "hochschild", table, sx)
     first: dict = {}  # centralizer -> the first class with it
     share = [first.setdefault(cls.centralizer, c) for c, cls in enumerate(classes)]
     normalized = []
@@ -361,7 +312,7 @@ def centralizer_slices(hochschild: ComplexSlice) -> tuple:
         built = {c: hochschild_boundary(model, n, normalized, c) for c in first.values()}
         boundaries[n] = [built[s] for s in share]
     hh = ComplexSlice(model, "hochschild", table, normalized, boundaries)
-    return hh, cyclic_quotient(ComplexSlice(model, "hochschild", table, sx, {}))
+    return sx_slice, hh, cyclic_quotient(sx_slice)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +359,20 @@ def homology_dims(slice_: ComplexSlice) -> HomologyDims:
     return HomologyDims(slice_.kind, total, per_class)
 
 
-def chain_identities(slice_: ComplexSlice) -> dict:
+def chain_identities(slice_: ComplexSlice, *ranked: ComplexSlice) -> dict:
     """Exact checks of b^2 = 0, B^2 = 0 and bB + Bb = 0 on a Hochschild
-    slice, class block by class block.
+    slice, class block by class block, and of b^2 = 0 on the ``ranked``
+    complexes, on the b blocks they hold (a block that several classes
+    share once).
 
     Reads the blocks of b_1..b_(n_max) from the slice and builds the blocks
-    of B_0..B_(n_max-1).  Keys are ``b(n-1)b(n)``, ``B(n+1)B(n)`` (n <= 2)
-    and ``bB+Bb@n``; a value is "0" when the product vanishes on every
-    class, else "NONZERO".
+    of B_0..B_(n_max-1).  A centralizer subcomplex S_x is closed under B: a
+    rotation of a tuple of S_x has product
+    (g_0...g_(i-1))^-1 x (g_0...g_(i-1)) = x, and B only inserts e, which
+    lies in every centralizer, into rotations.  Keys are ``b(n-1)b(n)``,
+    ``B(n+1)B(n)`` (n <= 2) and ``bB+Bb@n``; a value is "0" when the
+    product vanishes on every class of every complex checked, else
+    "NONZERO".
     """
     if slice_.kind != "hochschild":
         raise DomainError("chain identities need a Hochschild slice")
@@ -436,162 +393,10 @@ def chain_identities(slice_: ComplexSlice) -> dict:
             products[f"bB+Bb@{n}"] = anti
         for key, m in products.items():
             zero[key] = zero.get(key, True) and m.is_zero()
+    for other in ranked:
+        b = other.boundaries
+        for n in range(2, other.n_max + 1):
+            pairs = {(id(lo), id(hi)): (lo, hi) for lo, hi in zip(b[n - 1], b[n])}
+            key = f"b{n - 1}b{n}"
+            zero[key] = zero.get(key, True) and all(lo.matmul(hi).is_zero() for lo, hi in pairs.values())
     return {key: "0" if z else "NONZERO" for key, z in zero.items()}
-
-
-# ---------------------------------------------------------------------------
-# the decomposition comparison maps
-
-
-@dataclass(frozen=True)
-class DecompositionMapsReport:
-    class_id: int
-    degree: int
-    tuple_count: int
-    orbit_count: int
-    forward_bijective: bool
-    round_trips_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.forward_bijective and self.round_trips_ok and self.tuple_count == self.orbit_count
-
-
-def decomposition_maps(model: FiniteGroup, class_id: int, n: int) -> DecompositionMapsReport:
-    """Exhaustively verify the two inverse maps between the class-indexed
-    cyclic-bar simplices and the twisted product of the class with the bar
-    resolution.
-
-    Forward: (g_0,..,g_n) -> [prod g_i, [g_0,..,g_n]], canonicalized by the
-    relation (s g, [g_0,..]) ~ (s, [g g_0,..]) to first bar entry 1, which
-    conjugates s by g_0.  Back: [s, [1, g_1,..,g_n]] -> ((g_1..g_n)^-1 s,
-    g_1,..,g_n).
-    """
-    table = conj_classes(model)
-    if not 0 <= class_id < len(table.classes):
-        raise DomainError(f"class id {class_id} out of range")
-    o = model.order
-    members = set(table.classes[class_id].members)
-
-    def canonical(s: int, bar: tuple) -> tuple:
-        g0 = bar[0]
-        s2 = model.conjugate(g0, s)  # g0^-1 s g0
-        return (s2, bar[1:])
-
-    tuples = [
-        t
-        for t in itertools.product(range(o), repeat=n + 1)
-        if table.class_of[_product(model, t)] == class_id
-    ]
-    orbit_basis = set()
-    for s in sorted(members):
-        for tail in itertools.product(range(o), repeat=n):
-            orbit_basis.add((s, tail))
-
-    def forward(t: tuple) -> tuple:
-        return canonical(_product(model, t), t)
-
-    def back(q: tuple) -> tuple:
-        s, tail = q
-        prod_tail = 0
-        for g in tail:
-            prod_tail = model.multiply(prod_tail, g)
-        return (model.multiply(model.inverse(prod_tail), s),) + tail
-
-    images = set()
-    round_trips = True
-    for t in tuples:
-        q = forward(t)
-        if q not in orbit_basis:
-            round_trips = False
-            break
-        images.add(q)
-        if back(q) != t:
-            round_trips = False
-            break
-    else:
-        for q in orbit_basis:
-            t = back(q)
-            if table.class_of[_product(model, t)] != class_id or forward(t) != q:
-                round_trips = False
-                break
-    return DecompositionMapsReport(
-        class_id=class_id,
-        degree=n,
-        tuple_count=len(tuples),
-        orbit_count=len(orbit_basis),
-        forward_bijective=len(images) == len(tuples) == len(orbit_basis),
-        round_trips_ok=round_trips,
-    )
-
-
-# ---------------------------------------------------------------------------
-# simplicial weight functions on ball-truncated models
-
-
-@dataclass(frozen=True)
-class WeightCheckReport:
-    radius: int
-    n_max: int
-    face_checks: int
-    degeneracy_checks: int
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def weight_check(
-    model: GroupModel,
-    radius: int,
-    n_max: int,
-    *,
-    basis_cap: int = DEFAULT_BASIS_CAP,
-) -> WeightCheckReport:
-    """Verify the simplicial weight w = sum of entry lengths never grows
-    under faces and is preserved exactly by degeneracies, exhaustively over
-    tuples with entries in the ball.
-
-    Both simplicial structures are exercised: the cyclic one (adjacent
-    merges plus the wrap-around face) and the bar one (adjacent merges plus
-    dropping the last entry).
-    """
-    b = ball(model, radius)
-    cap = 2 * radius + 1
-    length: dict = {}
-
-    def L(e):
-        got = length.get(e)
-        if got is None:
-            got = exact_length(model, e, cap)
-            length[e] = got
-        return got
-
-    ident = model.identity()
-    face_checks = 0
-    degeneracy_checks = 0
-    failures = []
-    for n in range(n_max + 1):
-        if len(b.elements) ** (n + 1) > basis_cap:
-            raise ResourceCapError(
-                f"{len(b.elements)}^{n + 1} tuples exceed the basis cap {basis_cap}"
-            )
-        for t in itertools.product(b.elements, repeat=n + 1):
-            w = sum(L(g) for g in t)
-            faces = []
-            if n >= 1:
-                for i in range(n):
-                    faces.append(t[:i] + (model.multiply(t[i], t[i + 1]),) + t[i + 2:])
-                faces.append((model.multiply(t[n], t[0]),) + t[1:n])  # cyclic wrap
-                faces.append(t[:n])  # bar structure drops the last entry
-            for face in faces:
-                face_checks += 1
-                if sum(L(g) for g in face) > w:
-                    failures.append(("face", t, face))
-            for j in range(n + 1):
-                degenerate = t[: j + 1] + (ident,) + t[j + 1:]
-                degeneracy_checks += 1
-                if sum(L(g) for g in degenerate) != w:
-                    failures.append(("degeneracy", t, degenerate))
-    return WeightCheckReport(radius, n_max, face_checks, degeneracy_checks, tuple(failures))

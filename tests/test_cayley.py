@@ -353,6 +353,12 @@ def test_coned_distance_never_exceeds_cayley(f2):
             assert coned.distance(i, j) <= base.distance(i, j)
 
 
+def _cones(coned):
+    """(factor, coset id) per cone vertex, in vertex order: factor by factor,
+    each factor's by coset id."""
+    return [(fi, cid) for fi, members in enumerate(coned.coset_members) for cid in range(len(members))]
+
+
 def test_coned_off_builds_one_metric_graph(f2, monkeypatch):
     built = []
 
@@ -364,7 +370,8 @@ def test_coned_off_builds_one_metric_graph(f2, monkeypatch):
     monkeypatch.setattr(cayley, "MetricGraph", Counting)
     coned = coned_off(ball(f2, 3), [CyclicSubgroup((1,)), CyclicSubgroup((2,))])
     assert built == [coned.graph.n]
-    assert coned.cone_start == len(coned.ball) == coned.graph.n - len(coned.cones)
+    assert coned.cone_start == len(coned.ball) == coned.graph.n - len(_cones(coned))
+    assert coned.summary()["cone_vertices"] == len(_cones(coned))
 
 
 def test_coned_cone_count_matches_membership_oracle():
@@ -378,9 +385,9 @@ def test_coned_cone_count_matches_membership_oracle():
             oracle.contains(P, P.multiply(P.inverse(r), e)) for r in reps
         ):
             reps.append(e)
-    assert len(coned.cones) == len(reps)
+    assert coned.summary()["cone_vertices"] == len(reps)
     # every cone vertex joins exactly the ball elements of its coset
-    for ci, (fi, cid) in enumerate(coned.cones):
+    for ci, (fi, cid) in enumerate(_cones(coned)):
         members = set(coned.coset_members[fi][cid])
         attached = {
             u if v == coned.cone_start + ci else v
@@ -528,7 +535,7 @@ def test_coned_off_by_coset_key_equals_generic_scan(name, text):
     keyed = coned_off(b, [CyclicSubgroup(h, "H")])
     ids = _generic_scan(b, member)
     assert keyed.coset_of == [ids]
-    assert keyed.cones == [(0, cid) for cid in range(max(ids) + 1)]
+    assert keyed.summary()["cone_vertices"] == max(ids) + 1
     cone_edges = {(i, len(b) + cid, 1) for i, cid in enumerate(ids)}
     assert keyed.graph.edges == sorted(set(_oracle_cayley_edges(b)) | cone_edges)
 
@@ -571,7 +578,7 @@ def test_coned_off_matches_per_element_builder(make, text):
     ids, members = _oracle_cosets(b, oracle)
     assert coned.coset_of == [ids]
     assert coned.coset_members == [members]
-    assert coned.cones == [(0, cid) for cid in range(len(members))]
+    assert coned.summary()["cone_vertices"] == len(members)
     cone_edges = {(i, len(b) + cid, 1) for i, cid in enumerate(ids)}
     assert coned.graph.edges == sorted(set(_oracle_cayley_edges(b)) | cone_edges)
 
@@ -588,11 +595,11 @@ def test_coset_key_is_called_once_per_chain(f2, monkeypatch):
     oracle = _CountingKey((1,))
     coned = coned_off(ball(f2, 5), [oracle])
     assert getattr(oracle, "calls", 0) == 0
-    assert len(coned.cones) == 3**5
+    assert coned.summary()["cone_vertices"] == 3**5
     # (0,-4) and (1,-3) lie in one coset of <(1,1)> but in two chains
     oracle = _CountingKey((1, 1))
     coned = coned_off(ball(FreeAbelian(2), 4), [oracle])
-    assert oracle.calls > len(coned.cones)
+    assert oracle.calls > len(_cones(coned))
     assert coned.coset_of[0][coned.ball.index[(0, -4)]] == coned.coset_of[0][coned.ball.index[(1, -3)]]
 
 
@@ -605,7 +612,7 @@ def test_tree_cosets_without_keys_match_per_element_builder(f2, monkeypatch, tex
     oracle = _CountingKey(f2.parse_element(text))
     coned = coned_off(b, [oracle])
     # past the limit no check needs a key, and each chain is a coset
-    if len(coned.cones) > limit:
+    if len(_cones(coned)) > limit:
         assert getattr(oracle, "calls", 0) == 0
     ids, members = _oracle_cosets(b, CyclicSubgroup(oracle.generator))
     assert coned.coset_of == [ids]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -14,7 +13,6 @@ import ggtkit
 from ggtkit.cayley import ball
 from ggtkit.conjugacy import (
     CONJUGACY,
-    bounded_conjugacy,
     brute_force_conjugator,
     centralizer_generators,
     classify_element,
@@ -38,7 +36,6 @@ from ggtkit.groups import (
     heisenberg_group,
     symmetric_group_3,
 )
-from ggtkit.rdalgebra import IDENTITY, Affine, Const
 
 F2 = FreeGroup(2)
 HEIS = heisenberg_group()
@@ -112,32 +109,13 @@ def test_brute_force_refutes_every_finite_pair_at_radius_0():
 # -- bounded search ---------------------------------------------------------------
 
 
-def test_bounded_conjugacy_matches_brute_force_definitionally():
-    rng = random.Random(0)
-    b3 = ball(F2, 3)
-    bound = Affine(1, 1)
-    for _ in range(25):
-        u = b3.elements[rng.randrange(len(b3))]
-        v = b3.elements[rng.randrange(len(b3))]
-        got = bounded_conjugacy(F2, u, v, bound)
-        radius = int(math.ceil(bound(exact_length(F2, u, 8) + exact_length(F2, v, 8))))
-        expect = brute_force_conjugator(F2, u, v, radius)
-        assert got.status == expect.status
-        if got.is_conjugate:
-            assert got.witness_length == expect.witness_length
-
-
-def test_bounded_conjugacy_identity_with_tiny_bound():
-    res = bounded_conjugacy(F2, (), (), Const(Fraction(1, 2)))
-    assert res.is_conjugate and res.witness == ()
-
-
 def test_bounded_conjugacy_linear_bound_agrees_on_conjugate_pairs():
-    # all conjugate pairs in the radius-4 ball are settled by a linear bound
+    # all conjugate pairs in the radius-4 ball are settled by a search out to
+    # the linear bound L(u) + L(v)
     prof = profile_conjugacy_bound(F2, 2)
     for rec in prof.records:
-        res = bounded_conjugacy(F2, rec.u, rec.v, IDENTITY)
-        assert res.is_conjugate
+        radius = exact_length(F2, rec.u) + exact_length(F2, rec.v)
+        assert brute_force_conjugator(F2, rec.u, rec.v, radius).is_conjugate
 
 
 def test_theory_backed_upgrade():
@@ -145,7 +123,7 @@ def test_theory_backed_upgrade():
     # conjugate.  The bounded search refutes the pair by its complete key
     # before any scan, and the exact solver by its rotation test.
     u, v = (1, 1, 2, 2), (1, 2, 1, 2)
-    plain = bounded_conjugacy(F2, u, v, Const(1))
+    plain = brute_force_conjugator(F2, u, v, 1)
     assert (plain.status, plain.certificate) == ("not_conjugate", "the conjugacy keys differ")
     exact = free_group_conjugacy(F2, u, v)
     assert (exact.status, exact.certificate) == (

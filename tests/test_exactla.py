@@ -10,10 +10,10 @@ import pytest
 
 from ggtkit.exactla import (
     SparseRationalMatrix,
-    bareiss_rank,
     smith_normal_form,
     solve_integer_system,
 )
+from oracles import bareiss_rank
 
 
 def matmul(X, Y):

@@ -1,5 +1,6 @@
 """Hochschild/cyclic complexes: identities, dimensions, class splitting,
-the decomposition comparison maps, and simplicial weight subadditivity."""
+the centralizer complexes against the whole slice, the decomposition
+comparison maps, and simplicial weight subadditivity."""
 
 from __future__ import annotations
 
@@ -12,27 +13,32 @@ import pytest
 
 import ggtkit.homology
 from ggtkit.cli import run
-from ggtkit.config import DEFAULT_BASIS_CAP
 from ggtkit.errors import ConfigError, DomainError, PartitionViolation, ResourceCapError
-from ggtkit.exactla import SparseRationalMatrix, bareiss_rank
+from ggtkit.exactla import SparseRationalMatrix
 from ggtkit.groups import FiniteGroup, FreeAbelian, FreeGroup, cyclic_group, symmetric_group_3
 from ggtkit.homology import (
     ComplexSlice,
     ConjClassTable,
     _b_faces,
     _B_faces,
-    _hochschild_bases,
     centralizer_slices,
     chain_identities,
     conj_classes,
     connes_B,
     cyclic_quotient,
     hochschild_boundary,
-    hochschild_slice,
     homology_dims,
+)
+from oracles import (
+    bareiss_rank,
+    centralizer_blocks,
     decomposition_maps,
+    hochschild_bases,
+    hochschild_slice,
     tau_matrix,
     weight_check,
+    whole_b,
+    whole_B,
 )
 
 
@@ -165,7 +171,7 @@ def _oracle_cyclic_quotient(G, n_max):
         tuples_lo = list(itertools.product(range(o), repeat=n))
         seen_lo, rep_pos_lo = orbit_info[n - 1]
         by_col = {}
-        for (i, j), v in hochschild_boundary(G, n).entries.items():
+        for (i, j), v in whole_b(G, n).entries.items():
             by_col.setdefault(j, []).append((i, v))
         induced = SparseRationalMatrix(len(rep_pos_lo), len(reps_per_degree[n]))
         for col, rep in enumerate(reps_per_degree[n]):
@@ -204,7 +210,7 @@ def test_s3_class_equation():
 
 
 def test_b1_formula_spot():
-    b1 = hochschild_boundary(S3, 1)
+    b1 = whole_b(S3, 1)
     # b1(g0, g1) = (g0 g1) - (g1 g0) on one non-commuting pair
     t = S3.names.index("(12)")
     r = S3.names.index("(123)")
@@ -215,7 +221,7 @@ def test_b1_formula_spot():
 
 
 def test_B0_formula_spot():
-    B0 = connes_B(Z2, 0)
+    B0 = whole_B(Z2, 0)
     # B0(a) = (1, a) - (a, 1) + (a, 1) - ... for a != 1: (1,a) appears from
     # the non-degenerate sum; the degenerate sum contributes (a, 1)
     col = 1
@@ -225,7 +231,7 @@ def test_B0_formula_spot():
 
 def test_B_spot_value_vs_hand_expansion():
     # one full column of B_1 for Z3, expanded by hand from the two sums
-    B1 = connes_B(Z3, 1)
+    B1 = whole_B(Z3, 1)
     a, b = 1, 2
     col = a * 3 + b
     expect = {}
@@ -244,67 +250,98 @@ def test_B_spot_value_vs_hand_expansion():
 @pytest.mark.parametrize("name,G,nclasses", GROUPS)
 def test_chain_identities_exact(name, G, nclasses):
     for n in (2, 3):
-        assert hochschild_boundary(G, n - 1).matmul(hochschild_boundary(G, n)).is_zero()
+        assert whole_b(G, n - 1).matmul(whole_b(G, n)).is_zero()
     for n in (0, 1):
-        assert connes_B(G, n + 1).matmul(connes_B(G, n)).is_zero()
+        assert whole_B(G, n + 1).matmul(whole_B(G, n)).is_zero()
     for n in (1, 2):
         anti = _sum_matrices(
-            hochschild_boundary(G, n + 1).matmul(connes_B(G, n)),
-            connes_B(G, n - 1).matmul(hochschild_boundary(G, n)),
+            whole_b(G, n + 1).matmul(whole_B(G, n)),
+            whole_B(G, n - 1).matmul(whole_b(G, n)),
         )
         assert anti.is_zero()
 
 
 def test_degenerate_sum_sign_is_forced(monkeypatch):
     # flipping the sign of the degenerate sum breaks B^2 = 0 already over Z/2
-    assert connes_B(Z2, 1).matmul(connes_B(Z2, 0)).is_zero()
+    assert whole_B(Z2, 1).matmul(whole_B(Z2, 0)).is_zero()
     monkeypatch.setattr(ggtkit.homology, "_B_faces", _B_faces_flipped)
-    assert not connes_B(Z2, 1).matmul(connes_B(Z2, 0)).is_zero()
+    assert not whole_B(Z2, 1).matmul(whole_B(Z2, 0)).is_zero()
 
 
 @pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS + ORDER_EIGHT)
 def test_chain_identities_all_zero(name, G, nclasses):
-    got = chain_identities(hochschild_slice(G, 3))
-    assert got == {
-        "b1b2": "0", "b2b3": "0", "B1B0": "0", "B2B1": "0", "bB+Bb@1": "0", "bB+Bb@2": "0"
-    }
+    want = {"b1b2": "0", "b2b3": "0", "B1B0": "0", "B2B1": "0", "bB+Bb@1": "0", "bB+Bb@2": "0"}
+    # on S_x and the two complexes that are ranked, and on the whole slice
+    assert chain_identities(*centralizer_slices(G, 3)) == want
+    assert chain_identities(hochschild_slice(G, 3)) == want
 
 
 def test_chain_identities_flag_flipped_B(monkeypatch):
     monkeypatch.setattr(ggtkit.homology, "_B_faces", _B_faces_flipped)
-    got = chain_identities(hochschild_slice(Z2, 3))
+    got = chain_identities(*centralizer_slices(Z2, 3))
     assert got["B1B0"] == "NONZERO"
     assert got["b1b2"] == got["b2b3"] == "0"
 
 
+@pytest.mark.parametrize("ranked", [1, 2], ids=["normalized", "cyclic"])
+def test_chain_identities_flag_a_flipped_entry_of_a_ranked_complex(ranked):
+    slices = centralizer_slices(S3, 3)
+    assert set(chain_identities(*slices).values()) == {"0"}
+    b = slices[ranked].boundaries
+    # negate an entry (i, j) of a b_3 block where column i of b_2 is nonzero:
+    # column j of b_2 b_3 becomes -2 b_3[i, j] times that column
+    c, (i, j) = next(
+        (c, (i, j))
+        for c, m in enumerate(b[3])
+        for (i, j) in m.entries
+        if any(col == i for _, col in b[2][c].entries)
+    )
+    b[3][c].entries[i, j] *= -1
+    got = chain_identities(*slices)
+    assert got.pop("b2b3") == "NONZERO"
+    assert set(got.values()) == {"0"}
+
+
 def test_chain_identities_need_a_hochschild_slice():
-    cyclic = cyclic_quotient(hochschild_slice(Z2, 2))
+    _, _, cyclic = centralizer_slices(Z2, 2)
     with pytest.raises(DomainError):
         chain_identities(cyclic)
     with pytest.raises(DomainError):
         cyclic_quotient(cyclic)
-    with pytest.raises(DomainError):
-        centralizer_slices(cyclic)
 
 
 def test_z2_rank_b1_gives_hh0():
-    b1 = hochschild_boundary(Z2, 1)
+    b1 = whole_b(Z2, 1)
     assert b1.is_zero()  # abelian group
     assert 2 - b1.rank() == 2
 
 
 def test_basis_cap_enforced():
-    with pytest.raises(ResourceCapError):
-        hochschild_boundary(S3, 3, basis_cap=100)
+    # the cap bounds the |G|^(n_max+1) tuples of the whole top degree
+    with pytest.raises(ResourceCapError, match="basis of degree 3 has 1296 tuples, over cap 1295"):
+        centralizer_slices(S3, 3, basis_cap=1295)
+    centralizer_slices(S3, 3, basis_cap=1296)
+
+
+def test_cli_cap_basis_is_checked_before_anything_is_built(monkeypatch, capsys):
+    built = []
+    tuples = ggtkit.homology._centralizer_tuples
+    monkeypatch.setattr(ggtkit.homology, "_centralizer_tuples", lambda *args: built.append(1) or tuples(*args))
+    argv = ["homology", "--group", "S3", "--nmax", "3", "--cap-basis"]
+    assert run(argv + ["1295"]) == 3
+    assert built == [] and "over cap 1295" in capsys.readouterr().err
+    assert run(argv + ["1296"]) == 0
+    assert built == [1, 1, 1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda G: hochschild_slice(G, 2),
+        lambda G: centralizer_slices(G, 2),
         conj_classes,
-        lambda G: hochschild_boundary(G, 1),
-        lambda G: connes_B(G, 0),
+        lambda G: whole_b(G, 1),
+        lambda G: whole_B(G, 0),
         lambda G: tau_matrix(G, 1),
         lambda G: decomposition_maps(G, 0, 1),
     ],
@@ -352,7 +389,7 @@ def test_cyclic_coinvariants_two_ways(G, top):
 def test_boundary_descends_to_quotient(name, G, nclasses):
     _, _, projections, boundaries = _oracle_cyclic_quotient(G, 3)
     for n in (1, 2, 3):
-        lhs = projections[n - 1].matmul(hochschild_boundary(G, n))
+        lhs = projections[n - 1].matmul(whole_b(G, n))
         rhs = boundaries[n].matmul(projections[n])
         diff = SparseRationalMatrix(lhs.rows, lhs.cols, dict(lhs.entries))
         for (i, j), v in rhs.entries.items():
@@ -372,7 +409,7 @@ def test_z2_degree1_blocks():
 @pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
 def test_split_blocks_sum_to_totals(name, G, nclasses):
     # block-sum totals against dense ranks of the whole matrices
-    whole = {n: hochschild_boundary(G, n) for n in (1, 2, 3)}
+    whole = {n: whole_b(G, n) for n in (1, 2, 3)}
     dims = [G.order ** (n + 1) for n in range(4)]
     assert _full_rank_dims(dims, whole) == (nclasses, 0, 0)
     hh = homology_dims(hochschild_slice(G, 3))
@@ -385,7 +422,7 @@ def test_block_preservation_verified_for_s3():
     # the whole b_2 never joins tuples whose products lie in different classes
     table = conj_classes(S3)
     tuples = [list(itertools.product(range(6), repeat=n + 1)) for n in (1, 2)]
-    for (i, j) in hochschild_boundary(S3, 2).entries:
+    for (i, j) in whole_b(S3, 2).entries:
         assert _class_of_tuple(S3, table, tuples[0][i]) == _class_of_tuple(S3, table, tuples[1][j])
 
 
@@ -400,7 +437,7 @@ def test_partition_violation_detected(monkeypatch):
         hochschild_slice(S3, 2)
     monkeypatch.undo()
     # the cyclic quotient checks the bases it is handed, too
-    bases = _hochschild_bases(S3, 2, sabotaged.class_of, DEFAULT_BASIS_CAP)
+    bases = hochschild_bases(S3, 2, sabotaged.class_of)
     with pytest.raises(PartitionViolation):
         cyclic_quotient(ComplexSlice(S3, "hochschild", sabotaged, bases, {}))
 
@@ -416,6 +453,8 @@ def test_partition_violation_detected(monkeypatch):
         hochschild_slice(S3, 2)
     with pytest.raises(PartitionViolation):
         cyclic_quotient(hh)
+    with pytest.raises(PartitionViolation):
+        centralizer_slices(S3, 2)
 
 
 # -- centralizer subcomplexes ---------------------------------------------------------
@@ -426,24 +465,44 @@ def test_centralizer_complexes_match_the_class_blocks(name, G, nclasses):
     # the oracle: the whole class blocks of the slice and of its cyclic quotient
     for n_max in range(1, 5):
         sl = hochschild_slice(G, n_max, basis_cap=G.order ** (n_max + 1))
-        hh, hc = centralizer_slices(sl)
+        _, hh, hc = centralizer_slices(G, n_max, basis_cap=G.order ** (n_max + 1))
         assert homology_dims(hh) == homology_dims(sl)
         assert homology_dims(hc) == homology_dims(cyclic_quotient(sl))
 
 
+@pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS + ORDER_EIGHT)
+def test_centralizer_bases_equal_the_filtered_class_blocks(name, G, nclasses):
+    # S_x built from its tails is the oracle's class block filtered to the
+    # tuples over C_G(x) with product x, in the same order
+    sx, _, _ = centralizer_slices(G, 4, basis_cap=G.order**5)
+    for n, blocks in enumerate(centralizer_blocks(G, 4)):
+        assert list(map(list, sx.bases[n].blocks)) == blocks
+        assert sx.bases[n].where == {t: (c, i, 1) for c, block in enumerate(blocks) for i, t in enumerate(block)}
+    # |C_G(x)|^n tuples, one per tail, against the class's share of |G|^(n+1)
+    classes = sx.class_table.classes
+    assert [len(block) for block in sx.bases[4].blocks] == [cls.centralizer_order**4 for cls in classes]
+
+
 def test_centralizer_complexes_s3_degree_five():
     # closed form: class c contributes H_*(C_G(x); C), which is C in degree 0
-    hh, hc = centralizer_slices(hochschild_slice(S3, 5, basis_cap=6**6))
+    _, hh, hc = centralizer_slices(S3, 5, basis_cap=6**6)
     assert set(homology_dims(hh).per_class.values()) == {(1, 0, 0, 0, 0)}
     assert set(homology_dims(hc).per_class.values()) == {(1, 0, 1, 0, 1)}
     # (|C_G(x)| - 1)^n normalized tuples: centralizers of order 6, 2 and 3
     assert [len(b) for b in hh.bases[5].blocks] == [5**5, 1**5, 2**5]
 
 
+def test_cli_s3_degree_five(capsys):
+    assert run(["homology", "--group", "S3", "--nmax", "5", "--cap-basis", "100000"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["hochschild"]["total"] == [3, 0, 0, 0, 0]
+    assert results["cyclic"]["total"] == [3, 0, 3, 0, 3]
+    assert len(results["identities"]) == 11 and set(results["identities"].values()) == {"0"}
+
+
 @pytest.mark.parametrize("G,centralizers", [(cyclic_group(6), 1), (S3, 3)], ids=["Z6", "S3"])
 def test_classes_with_one_centralizer_rank_one_bar_complex(monkeypatch, G, centralizers):
-    sl = hochschild_slice(G, 3)
-    hh, hc = centralizer_slices(sl)
+    _, hh, hc = centralizer_slices(G, 3)
     for n in (1, 2, 3):
         assert len({id(m) for m in hh.boundaries[n]}) == centralizers
     ranked = []
@@ -452,42 +511,38 @@ def test_classes_with_one_centralizer_rank_one_bar_complex(monkeypatch, G, centr
     assert set(homology_dims(hh).per_class.values()) == {(1, 0, 0)}
     assert len(ranked) == 3 * centralizers
     if centralizers == 1:  # abelian: every S_x is its whole class block
-        assert hc.bases == cyclic_quotient(sl).bases
+        assert hc.bases == cyclic_quotient(hochschild_slice(G, 3)).bases
 
 
-def test_sabotaged_centralizer_detected():
-    sl = hochschild_slice(S3, 3)
-    table = sl.class_table
+def test_sabotaged_centralizer_detected(monkeypatch):
+    table = conj_classes(S3)
     e, t23, t12 = (S3.names.index(x) for x in ("e", "(23)", "(12)"))
     assert [cls.representative for cls in table.classes] == [e, t23, S3.names.index("(123)")]
 
-    def sabotaged(c, centralizer):
+    def sabotage(c, centralizer):
         classes = list(table.classes)
         classes[c] = replace(classes[c], centralizer=centralizer)
-        return replace(sl, class_table=replace(table, classes=tuple(classes)))
+        monkeypatch.setattr(ggtkit.homology, "conj_classes", lambda G: replace(table, classes=tuple(classes)))
 
-    # not a subgroup, and (12) does not commute with (23): a face of the
-    # normalized S_x leaves it
+    # not a subgroup, and (12) does not commute with (23): a face leaves S_x
+    sabotage(1, (e, t23, t12))
     with pytest.raises(PartitionViolation, match="outside the complex"):
-        centralizer_slices(sabotaged(1, (e, t23, t12)))
-    # the 3-cycles given the identity's centralizer share its Hochschild
-    # block, so the rotation check of the cyclic quotient must catch it
-    with pytest.raises(PartitionViolation, match="left class 2"):
-        centralizer_slices(sabotaged(2, table.classes[0].centralizer))
+        centralizer_slices(S3, 3)
+    # the 3-cycles given the whole group: the wrap-around face conjugates
+    # the product out of S_x
+    sabotage(2, table.classes[0].centralizer)
+    with pytest.raises(PartitionViolation, match="outside the complex"):
+        centralizer_slices(S3, 3)
 
 
 def test_cli_homology_builds_the_tuple_bases_once(monkeypatch, capsys):
     calls = []
-
-    def counted(*args):
-        calls.append(args[1])
-        return _hochschild_bases(*args)
-
-    monkeypatch.setattr(ggtkit.homology, "_hochschild_bases", counted)
-    for group in ("S3", "Z6"):
+    tuples = ggtkit.homology._centralizer_tuples
+    monkeypatch.setattr(ggtkit.homology, "_centralizer_tuples", lambda *args: calls.append(args[2]) or tuples(*args))
+    for group, nclasses in (("S3", 3), ("Z6", 6)):
         calls.clear()
         assert run(["homology", "--group", group, "--nmax", "3", "--split"]) == 0
-        assert calls == [3]
+        assert calls == [3] * nclasses  # S_x(0..3) once per class
     capsys.readouterr()
 
 
@@ -514,7 +569,7 @@ def _class_block_dims(sl, rank):
 @pytest.mark.parametrize("name,G,nclasses", ALL_GROUPS)
 def test_class_block_dims_match_dense_bareiss(name, G, nclasses):
     hh = hochschild_slice(G, 3)
-    for sl in (hh, cyclic_quotient(hh)):
+    for sl in (hh, cyclic_quotient(hh), *centralizer_slices(G, 3)[1:]):
         assert homology_dims(sl).per_class == _class_block_dims(sl, _dense_rank)
 
 
@@ -529,7 +584,7 @@ def test_class_block_dims_match_sympy(G):
         return dense.rank()
 
     hh = hochschild_slice(G, 3)
-    for sl in (hh, cyclic_quotient(hh)):
+    for sl in (hh, cyclic_quotient(hh), *centralizer_slices(G, 3)[1:]):
         assert homology_dims(sl).per_class == _class_block_dims(sl, sympy_rank)
 
 
@@ -541,7 +596,7 @@ def test_class_blocks_equal_the_restricted_whole_matrices(name, G, nclasses):
     table = conj_classes(G)
     o = G.order
     cap = o ** 5
-    bases = ggtkit.homology._hochschild_bases(G, 4, table.class_of, cap)
+    bases = hochschild_bases(G, 4, table.class_of, cap)
     by_class = []  # per degree: class -> tuple indices in increasing order
     for n in range(5):
         degree = [[] for _ in range(nclasses)]
@@ -551,11 +606,11 @@ def test_class_blocks_equal_the_restricted_whole_matrices(name, G, nclasses):
         assert [[_tuple_index(o, t) for t in block] for block in bases[n].blocks] == degree
     for c in range(nclasses):
         for n in (1, 2, 3):
-            want = _restrict(hochschild_boundary(G, n), by_class[n - 1][c], by_class[n][c])
+            want = _restrict(whole_b(G, n), by_class[n - 1][c], by_class[n][c])
             got = hochschild_boundary(G, n, bases, c)
             assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
         for n in (0, 1, 2, 3):
-            want = _restrict(connes_B(G, n, basis_cap=cap), by_class[n + 1][c], by_class[n][c])
+            want = _restrict(whole_B(G, n, basis_cap=cap), by_class[n + 1][c], by_class[n][c])
             got = connes_B(G, n, bases, c)
             assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
 

@@ -1,11 +1,14 @@
-"""Every import in the package is used, or marked ``# noqa: F401``.
+"""Every import in the package is used, or marked ``# noqa: F401``, and
+every top-level function and class is read by the package itself.
 
-A stdlib ``ast`` pass, so deleting code cannot leave dead imports behind
-without a linter installed."""
+Stdlib ``ast`` passes, so deleting code cannot leave dead imports behind
+without a linter installed, and code that only the tests call cannot grow
+back into the package: such code belongs in ``tests/oracles.py``."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,66 @@ def test_unused_import_is_found_and_noqa_honoured():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# Top-level names that the package keeps without reading them, each with the
+# ROADMAP item that will read it.
+UNREAD_ALLOWED = {
+    "classify_element",  # ROADMAP item 6: splits the profile fits into hyperbolic and parabolic pairs
+}
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """Names read in ``tree``, as a name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    )
+
+
+def _unread_top_level(sources: dict) -> list[str]:
+    """Top-level functions and classes of the modules in ``sources`` (name ->
+    source) that no module reads outside their own body, as a name or an
+    attribute, and that ``__init__`` does not export; in module and source
+    order."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = sum((_reads(tree) for tree in trees.values()), Counter())
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(trees["__init__"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and read[node.name] <= _reads(node)[node.name]
+    ]
+
+
+def test_unread_top_level_names_are_found():
+    sources = {
+        "__init__": "from .a import Exported\n",
+        "a": (
+            "class Exported: pass\n"
+            "class Unread: pass\n"
+            "def helper(): return 1\n"
+            "def caller(): return helper()\n"
+            "def method_name(): pass\n"
+            "def only_itself(): return only_itself\n"
+        ),
+        "b": "import a\nx = a.method_name\ndef g(): pass\n",
+    }
+    # a read in the definition's own body does not count
+    assert _unread_top_level(sources) == ["a.Unread", "a.caller", "a.only_itself", "b.g"]
+
+
+def test_package_reads_every_top_level_name():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unread = {entry.split(".", 1)[1] for entry in _unread_top_level(sources)}
+    assert unread - UNREAD_ALLOWED == set()
+    assert UNREAD_ALLOWED <= unread  # an entry that is read again leaves the list
