@@ -108,6 +108,12 @@ class MetricGraph:
     vertex u are ``_nbr[_indptr[u]:_indptr[u + 1]]``, in increasing order,
     with weights ``_wt`` alongside.  ``edges`` may list an edge more than once, in either
     direction, but always with the same weight.
+
+    Distance rows come from one of three paths, chosen once per graph from
+    the graph alone: a tree (``_tree``), whose rows are read off the root
+    row; a graph with cone apexes (``_reduced``), searched with the apexes
+    eliminated; and any other graph, searched as it is by ``_level_bfs``,
+    which is also the oracle of the other two.
     """
 
     def __init__(self, n: int, edges, ball_radius: Optional[int] = None):
@@ -167,17 +173,40 @@ class MetricGraph:
         return list(map(tuple, self._edge_array().tolist()))
 
     def _rows(self, sources: np.ndarray) -> np.ndarray:
-        """Distance rows (-1 unreached, dtype as ``_level_bfs`` chose it)
-        from the given vertices, one lane each of one ``_level_bfs``.
+        """Distance rows (-1 unreached) from the given vertices, in the
+        dtype that ``_level_bfs`` picks for the graph it searches: the
+        whole graph on a tree.
 
-        Over the graph, or over ``_reduced`` when it has cone apexes: then
-        an apex source seeds its lane from its neighbours, which all lie at
-        distance w from it, and each apex h reads its distance back as the
-        least d(u) + w(u, h) over its neighbours u.
+        On a tree (``_tree``), with D the row of the root, each row is
+        d(s, v) = (D[v] - D[lca]) + (D[s] - D[lca]) with lca the least common
+        ancestor of s and v.  D[lca] is written over the pre-order interval
+        of each ancestor of s, from the root down, so each vertex ends with
+        that of its deepest ancestor on the path to s; the two differences
+        are each at most d(s, v), so the sum never passes the dtype.
+
+        Otherwise one lane each of one ``_level_bfs``, over the graph, or
+        over ``_reduced`` when it has cone apexes: then an apex source seeds
+        its lane from its neighbours, which all lie at distance w from it,
+        and each apex h reads its distance back as the least d(u) + w(u, h)
+        over its neighbours u.
         """
         k, n = len(sources), self.n
+        tree, red = self._search
+        if tree is not None:
+            D, parent, tin, tout = tree
+            dist = np.empty((k, n), dtype=D.dtype)
+            lca = np.empty(n, dtype=D.dtype)  # by pre-order position
+            for row, s in zip(dist, sources.tolist()):
+                path = [s]
+                while parent[path[-1]] >= 0:
+                    path.append(parent[path[-1]])
+                for a in reversed(path):
+                    lca[tin[a]:tout[a]] = D[a]
+                at = lca[tin]
+                np.subtract(D, at, out=row)
+                row += D[s] - at
+            return dist
         lane = np.arange(k) * n
-        red = self._reduced
         if red is None:
             return _level_bfs(self._csr, lane + sources, k).reshape(k, n)
         csr, is_apex, apex, heads, seg, w = red
@@ -202,7 +231,9 @@ class MetricGraph:
     def distances_from(self, source: int) -> np.ndarray:
         """Scaled shortest-path distances from one vertex, as a read-only
         int32 array (int64 only when (n - 1)·max weight reaches 2^31),
-        cached; -1 marks an unreachable vertex.  One lane of ``_rows``."""
+        cached; -1 marks an unreachable vertex.  One row of ``_rows``: on
+        a tree, read off the root row and the ancestors of the source, and
+        otherwise one lane of a BFS."""
         source = self._vertex(source)
         got = self._dist_cache.get(source)
         if got is not None:
@@ -212,21 +243,17 @@ class MetricGraph:
         self._dist_cache[source] = row
         return row
 
-    @cached_property
-    def _reduced(self):
-        """The graph with its cone apexes eliminated, or None when it has
-        none or their shortcuts would outnumber the graph's arcs.
+    def _apex_pairs(self):
+        """The cone apexes and the pairs of their neighbours, or None when
+        the graph has none or the pairs would outnumber its arcs.
 
         An apex is a vertex whose arcs all carry the least weight w and none
-        of whose neighbours is such a vertex, so no two apexes are adjacent
-        and a shortest path through an apex h enters and leaves it by
-        non-apex neighbours u, v: each h becomes the shortcut arcs u -> v of
-        weight 2w, and loses its own arcs.  A shortcut beside an arc u -> v
-        of weight at most 2w (u and u·h, for a cone of <h> with h a
-        generator) is left out, found by searching the sorted arc keys
-        u·n + v.  Returns the reduced CSR arrays (as ``_level_bfs`` takes
-        them), the apex mask and ids, the heads of the apexes' arcs with
-        each apex's first position among them, and w.
+        of whose neighbours is such a vertex, so no two apexes are adjacent.
+        Returns the tail of every arc, the apex mask and ids, the apexes'
+        arcs apex by apex, the arcs a and b of every ordered pair of
+        distinct arcs of one apex, and for each pair the arc that the
+        sorted arc keys u·n + v give for nbr[a] -> nbr[b], with a mask of
+        the pairs where that arc exists.
         """
         if len(self._weights) < 2:  # every vertex touches another of least weight
             return None
@@ -246,7 +273,83 @@ class MetricGraph:
         a, b = a[a != b], b[a != b]
         key, pair = tail * self.n + nbr, nbr[a] * self.n + nbr[b]
         at = np.minimum(np.searchsorted(key, pair), len(key) - 1)
-        new = (key[at] != pair) | (wt[at] > 2 * w)
+        return tail, is_apex, apex, arcs, a, b, at, key[at] == pair
+
+    @cached_property
+    def _search(self):
+        """How ``_rows`` finds distances, chosen once from the graph alone,
+        with the apex pairs enumerated once: (tree, None) on a tree
+        (``_tree``), (None, reduced) when cone apexes are eliminated
+        (``_reduced``), and (None, None) for the plain ``_level_bfs``."""
+        pairs = self._apex_pairs()
+        tree = self._tree(pairs)
+        return tree, (None if tree is not None else self._reduced(pairs))
+
+    def _tree(self, pairs):
+        """The graph as a tree rooted at vertex 0, or None when it is not one
+        once its dominated arcs are dropped.
+
+        An arc u -> v of weight at least 2w whose ends share an apex
+        neighbour h (``pairs``, from ``_apex_pairs``) is dominated: the path
+        u-h-v costs 2w, so dropping it keeps every distance, and an apex's
+        own arcs, of weight w < 2w, are never dropped.  When the kept edges
+        number n - 1 and the root row D reaches every vertex, they form a
+        tree and every distance is along it.  Each kept arc then joins a
+        parent to a child of larger D, so the vertices of one D have no
+        ancestor among themselves: subtree sizes are summed one D at a time
+        from the largest, and each child's pre-order start, its parent's
+        plus 1 plus the sizes of its earlier siblings, is added one D at a
+        time from the root.  Returns D, the parents (-1 at the root) and the
+        pre-order interval [tin, tout) of each subtree.
+        """
+        n, nbr = self.n, self._nbr
+        keep = np.ones(len(nbr), dtype=bool)
+        if pairs is not None:
+            at, hit = pairs[-2:]
+            keep[at[hit & (self._wt[at] >= 2 * self._weights[0])]] = False
+        if int(keep.sum()) != 2 * (n - 1):
+            return None
+        D = _level_bfs(self._csr, [0])
+        if D.min() < 0:
+            return None  # n - 1 edges that do not join every vertex
+        tail = np.repeat(np.arange(n), self._deg)
+        down = keep & (D[nbr] > D[tail])
+        kids, par = nbr[down], tail[down]  # grouped by parent, as the arcs are
+        parent = np.full(n, -1)
+        parent[kids] = par
+        order = np.argsort(D, kind="stable")
+        levels = np.split(order, np.flatnonzero(np.diff(D[order])) + 1)[1:]  # the root alone has D = 0
+        size = np.ones(n, dtype=np.int64)
+        for level in reversed(levels):
+            np.add.at(size, parent[level], size[level])
+        before = np.cumsum(size[kids]) - size[kids]
+        first = np.flatnonzero(np.diff(par, prepend=-1))
+        before -= np.repeat(before[first], np.diff(first, append=len(par)))
+        tin = np.zeros(n, dtype=np.int64)
+        tin[kids] = before + 1
+        for level in levels:
+            tin[level] += tin[parent[level]]
+        return D, parent, tin, tin + size
+
+    def _reduced(self, pairs):
+        """The graph with its cone apexes eliminated, or None when it has
+        none or their shortcuts would outnumber the graph's arcs (``pairs``
+        is None, from ``_apex_pairs``).
+
+        No two apexes are adjacent, so a shortest path through an apex h
+        enters and leaves it by non-apex neighbours u, v: each h becomes the
+        shortcut arcs u -> v of weight 2w, and loses its own arcs.  A
+        shortcut beside an arc u -> v of weight at most 2w (u and u·h, for a
+        cone of <h> with h a generator) is left out.  Returns the reduced
+        CSR arrays (as ``_level_bfs`` takes them), the apex mask and ids,
+        the heads of the apexes' arcs with each apex's first position among
+        them, and w.
+        """
+        if pairs is None:
+            return None
+        tail, is_apex, apex, arcs, a, b, at, hit = pairs
+        nbr, wt, w = self._nbr, self._wt, self._weights[0]
+        new = ~hit | (wt[at] > 2 * w)
         a, b = a[new], b[new]
         own = ~(is_apex[tail] | is_apex[nbr])
         tails = np.concatenate([tail[own], nbr[a]])
@@ -257,6 +360,7 @@ class MetricGraph:
         ptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(count, out=ptr[1:])
         csr = ptr, count, heads, wts, np.unique(wts).tolist()
+        d = self._deg[apex]
         return csr, is_apex, apex, nbr[arcs], np.cumsum(d) - d, w
 
     def distance_scaled(self, u: int, v: int) -> int:

@@ -944,18 +944,7 @@ def model_from_dict(data) -> GroupModel:
 
 
 # ---------------------------------------------------------------------------
-# spec-level operations (validating wrappers)
-
-
-def multiply(model: GroupModel, a: Element, b: Element) -> Element:
-    model.validate_element(a)
-    model.validate_element(b)
-    return model.multiply(a, b)
-
-
-def inverse(model: GroupModel, a: Element) -> Element:
-    model.validate_element(a)
-    return model.inverse(a)
+# spec-level operations
 
 
 def exact_length(model: GroupModel, a: Element, radius_cap: int = DEFAULT_RADIUS_CAP) -> int:

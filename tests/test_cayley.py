@@ -126,6 +126,54 @@ def connected_graphs(draw, max_n=9):
     return MetricGraph(n, [(u, v, w) for (u, v), w in edges.items()])
 
 
+@st.composite
+def trees_with_chords(draw, max_n=10):
+    """Random trees with weights in {1, 2, 3}, and chords u-v between two
+    tree neighbours of a vertex h whose tree edges all weigh 1.  A chord of
+    weight 2 or 3 is dominated by u-h-v when h is an apex; one of weight 1
+    never is."""
+    n = draw(st.integers(2, max_n))
+    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    hubs = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    edges = {}
+    for v in range(1, n):
+        p = parent[v]
+        edges[(p, v)] = 1 if p in hubs or v in hubs else draw(st.sampled_from([1, 2, 3]))
+    for h in sorted(hubs):
+        around = sorted({v for v in range(1, n) if parent[v] == h} | ({parent[h]} - {None}))
+        for u, v in itertools.combinations(around, 2):
+            if draw(st.booleans()):
+                edges[(u, v)] = draw(st.sampled_from([1, 2, 2, 3]))
+    return MetricGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def _is_tree_once_dominated_arcs_drop(graph):
+    """The tree rule of ``MetricGraph._tree``, restated over the edge list:
+    drop each edge u-v of weight at least 2w whose ends share an apex
+    neighbour, an apex being a vertex whose edges all weigh the least
+    weight w and touch no such vertex; then n - 1 edges must remain and
+    join every vertex.  Nothing drops when the ordered pairs of apex
+    neighbours outnumber the arcs."""
+    nx = pytest.importorskip("networkx")
+    edges = graph.edges
+    w = min((wt for _, _, wt in edges), default=0)
+    near = {v: set() for v in range(graph.n)}
+    for u, v, wt in edges:
+        near[u].add((v, wt))
+        near[v].add((u, wt))
+    light = {v for v in near if near[v] and all(wt == w for _, wt in near[v])}
+    apex = {v for v in light if not any(u in light for u, _ in near[v])}
+    if sum(len(near[h]) * (len(near[h]) - 1) for h in apex) > 2 * len(edges):
+        apex = set()
+    kept = [
+        (u, v) for u, v, wt in edges
+        if wt < 2 * w or not any(h in apex for h, _ in near[u] if (h, w) in near[v])
+    ]
+    tree = nx.Graph(kept)
+    tree.add_nodes_from(range(graph.n))
+    return len(kept) == graph.n - 1 and nx.is_connected(tree)
+
+
 def _assert_rows_match_networkx(graph, sources):
     nx = pytest.importorskip("networkx")
     g = nx.Graph()
@@ -137,7 +185,7 @@ def _assert_rows_match_networkx(graph, sources):
 
 
 @settings(max_examples=60, deadline=None)
-@given(connected_graphs())
+@given(st.one_of(connected_graphs(), trees_with_chords()))
 def test_distances_and_edge_weights_match_networkx_on_random_graphs(g):
     _assert_rows_match_networkx(g, range(g.n))
 
@@ -203,42 +251,63 @@ def _assert_rows_match_plain_bfs_and_scipy(graph, sources):
     for s, want in zip(sources, ref):
         oracle = _mask_level_bfs(n, graph._indptr, graph._nbr, graph._wt, graph._weights, [s], 0)
         lane = cayley._level_bfs(graph._csr, [s])
-        assert graph.distances_from(s).tolist() == oracle.tolist() == lane.tolist() == want.tolist()
+        row = graph.distances_from(s)
+        assert row.tolist() == oracle.tolist() == lane.tolist() == want.tolist()
+        assert row.dtype == lane.dtype and not row.flags.writeable
 
 
-@settings(max_examples=60, deadline=None)
-@given(connected_graphs())
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(connected_graphs(), trees_with_chords()))
 def test_rows_match_plain_bfs_and_scipy_on_random_graphs(g):
+    assert (g._search[0] is not None) == _is_tree_once_dominated_arcs_drop(g)
     _assert_rows_match_plain_bfs_and_scipy(g, range(g.n))
 
 
-# name -> (ball, cones, whether the apexes are eliminated)
+_Z2_Z3 = FreeProduct([cyclic_group(2), cyclic_group(3)])
+_Z1_Z3 = FreeProduct([FreeAbelian(1), cyclic_group(3)])
+_HEIS = heisenberg_group()
+
+# name -> (ball, cones (none for the Cayley graph), whether the apexes are
+# eliminated, whether the tree path is taken)
 _APEX_CASES = {
-    "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))], True),
-    "F2 r=4 <a>,<b>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,)), CyclicSubgroup((2,))], True),
-    "Z2*Z3 r=4 factors": (
-        lambda: ball(FreeProduct([cyclic_group(2), cyclic_group(3)]), 4),
-        [FactorSubgroup(0), FactorSubgroup(1)],
-        True,
+    "F2 r=4 Cayley": (lambda: ball(FreeGroup(2), 4), [], False, True),
+    "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))], True, True),
+    "F2 r=4 <a>,<b>": (
+        lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,)), CyclicSubgroup((2,))], True, True,
+    ),
+    "Z2*Z3 r=4 factors": (lambda: ball(_Z2_Z3, 4), [FactorSubgroup(0), FactorSubgroup(1)], True, True),
+    "Z*Z3 r=4 factors": (lambda: ball(_Z1_Z3, 4), [FactorSubgroup(0), FactorSubgroup(1)], True, True),
+    # consecutive members of a coset of <ab> are not adjacent: nothing drops
+    "F2 r=4 <ab>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))], True, False),
+    "Heisenberg r=3 <a>": (
+        lambda: ball(_HEIS, 3), [CyclicSubgroup(_HEIS.parse_element("1,0|0"))], True, False,
     ),
     # wide cosets: the shortcuts would outnumber the arcs
-    "Z^2 r=6 <(1,0)>": (lambda: ball(FreeAbelian(2), 6), [CyclicSubgroup((1, 0))], False),
+    "Z^2 r=6 <(1,0)>": (lambda: ball(FreeAbelian(2), 6), [CyclicSubgroup((1, 0))], False, False),
 }
 
 
 @pytest.mark.parametrize("name", list(_APEX_CASES))
 def test_coned_rows_with_apexes_eliminated_match_plain_bfs_and_scipy(name):
-    make, cones, eliminated = _APEX_CASES[name]
-    coned = coned_off(make(), cones)
-    g = coned.graph
-    assert (g._reduced is not None) == eliminated
+    make, cones, eliminated, tree = _APEX_CASES[name]
+    b = make()
+    if cones:
+        coned = coned_off(b, cones)
+        g, cone_start = coned.graph, coned.cone_start
+    else:
+        g, cone_start = cayley_graph(b), len(b)
+    taken, red = g._search
+    assert (taken is not None) == tree
+    assert red is None or not tree  # a tree's rows build no reduced graph
+    # ball sources, and cone-vertex sources of every factor
+    sources = [*range(0, cone_start, 7), *range(cone_start, g.n, 3), g.n - 1]
+    _assert_rows_match_plain_bfs_and_scipy(g, sources)
+    red = g._reduced(g._apex_pairs())
+    assert (red is not None) == eliminated
     if eliminated:  # no shortcut runs beside an arc, so no two arcs join one pair
-        _, count, heads, _, _ = g._reduced[0]
+        _, count, heads, _, _ = red[0]
         tails = np.repeat(np.arange(g.n), count)
         assert len(set(zip(tails.tolist(), heads.tolist()))) == len(heads)
-    # ball sources, and cone-vertex sources of every factor
-    sources = [*range(0, coned.cone_start, 7), *range(coned.cone_start, g.n, 3), g.n - 1]
-    _assert_rows_match_plain_bfs_and_scipy(g, sources)
 
 
 def _assert_matrix_matches_scipy_and_rows(graph, vertices):
@@ -262,17 +331,16 @@ def test_distance_matrix_matches_scipy_and_rows_on_random_graphs(g, data):
     _assert_matrix_matches_scipy_and_rows(g, picks)
 
 
+# name -> (ball, cones, whether the tree path is taken)
 _MATRIX_CASES = {
-    "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))]),
-    "F2 r=4 <ab>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))]),
-    "Z2*Z3 r=4 factors": (
-        lambda: ball(FreeProduct([cyclic_group(2), cyclic_group(3)]), 4),
-        [FactorSubgroup(0), FactorSubgroup(1)],
-    ),
+    "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))], True),
+    "F2 r=4 <ab>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))], False),
+    "Z2*Z3 r=4 factors": (lambda: ball(_Z2_Z3, 4), [FactorSubgroup(0), FactorSubgroup(1)], True),
     # wide cosets: no apex is eliminated
     "Z^2*Z r=3 factors": (
         lambda: ball(FreeProduct([FreeAbelian(2), FreeAbelian(1)]), 3),
         [FactorSubgroup(0), FactorSubgroup(1)],
+        False,
     ),
 }
 
@@ -280,14 +348,16 @@ _MATRIX_CASES = {
 @pytest.mark.parametrize("lanes", ["default", "one row", "ragged"])
 @pytest.mark.parametrize("name", list(_MATRIX_CASES))
 def test_coned_distance_matrix_matches_scipy_and_rows(name, lanes, monkeypatch):
-    make, cones = _MATRIX_CASES[name]
+    make, cones, tree = _MATRIX_CASES[name]
     coned = coned_off(make(), cones)
     g = coned.graph
+    assert (g._search[0] is not None) == tree
     # ball and cone vertices, with repeats; 52 vertices, not a multiple of 3
     verts = [*range(0, coned.cone_start, 9), *range(coned.cone_start, g.n, 7)]
     verts = (verts * 3)[:50] + [g.n - 1, 0]
     assert len(verts) % 3 and max(verts[:50]) >= coned.cone_start
-    assert g._reduced is None or g._reduced[1][verts].any()  # eliminated apexes among them
+    pairs = g._apex_pairs()
+    assert pairs is None or pairs[1][verts].any()  # apexes among them
     if lanes == "one row":
         monkeypatch.setattr(cayley, "_LANE_BLOCK", 1)
     elif lanes == "ragged":
@@ -326,6 +396,12 @@ def test_disconnected_graph_rejected():
         MetricGraph(4, [(0, 1, 2), (2, 3, 1)])
     with pytest.raises(DomainError):
         MetricGraph(3, [(0, 1, 2)])
+
+
+def test_disconnected_graph_with_n_minus_1_edges_rejected():
+    # a triangle and a lone vertex: n - 1 edges, but no tree
+    with pytest.raises(DomainError, match="connected"):
+        MetricGraph(4, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
 
 
 # -- coned-off graphs ----------------------------------------------------------
@@ -883,18 +959,35 @@ def test_rows_past_int32_take_the_int64_path():
 def test_row_dtype_follows_the_distance_bound(w, dtype):
     # (n - 1)·max weight bounds every distance: here the one edge's weight
     g = MetricGraph(2, [(0, 1, w)])
+    assert g._search[0] is not None
     assert cayley._level_bfs(g._csr, [0]).dtype == dtype
     row = g.distances_from(1)
     assert row.dtype == dtype and row.tolist() == [w, 0]
 
 
+def test_tree_rows_near_the_int32_bound_do_not_overflow():
+    # every distance fits int32, but D[s] + D[v] from the root row does not
+    nx = pytest.importorskip("networkx")
+    w = 2**30 - 1
+    edges = [(0, 1, w), (1, 2, w)]
+    g = MetricGraph(3, edges)
+    assert g._search[0] is not None
+    ref = nx.Graph()
+    ref.add_weighted_edges_from(edges)
+    for s in range(3):
+        row = g.distances_from(s)
+        assert row.dtype == np.int32
+        want = nx.single_source_dijkstra_path_length(ref, s)
+        assert row.tolist() == [want[v] for v in range(3)]
+
+
 def test_coned_rows_with_apexes_are_int32():
-    # the apex read-back runs on uint32/int32 views
-    coned = coned_off(ball(FreeGroup(2), 4), [CyclicSubgroup((1,))])
+    # the apex read-back runs on uint32/int32 views; <ab> is not a tree
+    coned = coned_off(ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))])
     g = coned.graph
     sources = np.array([0, coned.cone_start, g.n - 1])
     rows = g._rows(sources)
-    assert g._reduced is not None and rows.dtype == np.int32
+    assert g._search[1] is not None and rows.dtype == np.int32
     assert rows.tolist() == _scipy_distances(g, sources.tolist()).tolist()
 
 
@@ -1149,7 +1242,6 @@ def test_cyclic_membership_is_exact_past_the_power_cap(model, g, off):
 
 
 _Z2_Z1 = FreeProduct([FreeAbelian(2), FreeAbelian(1)])
-_Z2_Z3 = FreeProduct([cyclic_group(2), cyclic_group(3)])
 _FREE_PRODUCT_CONES = {
     "Z^2*Z-factor": (_Z2_Z1, 2, "0:1,0"),
     "Z^2*Z-conjugated": (_Z2_Z1, 2, "1:1*0:1,0*1:-1"),

@@ -59,22 +59,35 @@ UNREAD_ALLOWED = {
 }
 
 
-def _reads(tree: ast.AST) -> Counter:
-    """Names read in ``tree``, as a name or as an attribute."""
+def _imported(tree: ast.AST) -> set:
+    """Names bound by the import statements of ``tree``."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def _reads(tree: ast.AST, imported: set) -> Counter:
+    """Names read in ``tree``, as a name or as an attribute of a name in
+    ``imported``: ``module.f`` reads f, but ``model.f`` does not."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported
     )
 
 
 def _unread_top_level(sources: dict) -> list[str]:
     """Top-level functions and classes of the modules in ``sources`` (name ->
     source) that no module reads outside their own body, as a name or an
-    attribute, and that ``__init__`` does not export; in module and source
-    order."""
+    attribute of an imported name, and that ``__init__`` does not export;
+    in module and source order."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = sum((_reads(tree) for tree in trees.values()), Counter())
+    imported = {name: _imported(tree) for name, tree in trees.items()}
+    read = sum((_reads(tree, imported[name]) for name, tree in trees.items()), Counter())
     exported = {
         alias.asname or alias.name
         for node in ast.walk(trees["__init__"])
@@ -87,7 +100,7 @@ def _unread_top_level(sources: dict) -> list[str]:
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name not in exported
-        and read[node.name] <= _reads(node)[node.name]
+        and read[node.name] <= _reads(node, imported[name])[node.name]
     ]
 
 
@@ -101,11 +114,13 @@ def test_unread_top_level_names_are_found():
             "def caller(): return helper()\n"
             "def method_name(): pass\n"
             "def only_itself(): return only_itself\n"
+            "def inverse(): pass\n"
         ),
-        "b": "import a\nx = a.method_name\ndef g(): pass\n",
+        "b": "import a\nx = a.method_name\ndef g(model): return model.inverse()\n",
     }
-    # a read in the definition's own body does not count
-    assert _unread_top_level(sources) == ["a.Unread", "a.caller", "a.only_itself", "b.g"]
+    # a read in the definition's own body does not count, nor does an
+    # attribute of a name that no import binds
+    assert _unread_top_level(sources) == ["a.Unread", "a.caller", "a.only_itself", "a.inverse", "b.g"]
 
 
 def test_package_reads_every_top_level_name():
