@@ -109,11 +109,14 @@ class MetricGraph:
     with weights ``_wt`` alongside.  ``edges`` may list an edge more than once, in either
     direction, but always with the same weight.
 
-    Distance rows come from one of three paths, chosen once per graph from
-    the graph alone: a tree (``_tree``), whose rows are read off the root
-    row; a graph with cone apexes (``_reduced``), searched with the apexes
-    eliminated; and any other graph, searched as it is by ``_level_bfs``,
-    which is also the oracle of the other two.
+    The graph is connected: the constructor runs one ``_level_bfs`` from
+    vertex 0, raises DomainError unless it reaches every vertex, and keeps
+    it as the root row ``_root``, whose dtype every distance row shares.
+    Rows come from one of three paths, chosen from the graph alone on the
+    first row asked for: a tree (``_tree``), whose rows are read off the
+    root row; a graph with cone apexes (``_reduced``), searched with the
+    apexes eliminated; and any other graph, searched as it is by
+    ``_level_bfs``, which is also the oracle of the other two.
     """
 
     def __init__(self, n: int, edges, ball_radius: Optional[int] = None):
@@ -152,8 +155,8 @@ class MetricGraph:
         np.cumsum(self._deg, out=self._indptr[1:])
         self._weights = np.unique(w).tolist()
         self._csr = self._indptr, self._deg, self._nbr, self._wt, self._weights
-        self._dist_cache: dict[int, np.ndarray] = {}
-        if n > 0 and self.distances_from(0).min() < 0:
+        self._root = _level_bfs(self._csr, [0] if n else [])
+        if (self._root < 0).any():
             raise DomainError("metric graph must be connected")
 
     def _vertex(self, v) -> int:
@@ -173,9 +176,8 @@ class MetricGraph:
         return list(map(tuple, self._edge_array().tolist()))
 
     def _rows(self, sources: np.ndarray) -> np.ndarray:
-        """Distance rows (-1 unreached) from the given vertices, in the
-        dtype that ``_level_bfs`` picks for the graph it searches: the
-        whole graph on a tree.
+        """Distance rows from the given vertices, fresh arrays in the
+        dtype of the root row.
 
         On a tree (``_tree``), with D the row of the root, each row is
         d(s, v) = (D[v] - D[lca]) + (D[s] - D[lca]) with lca the least common
@@ -188,7 +190,8 @@ class MetricGraph:
         over ``_reduced`` when it has cone apexes: then an apex source seeds
         its lane from its neighbours, which all lie at distance w from it,
         and each apex h reads its distance back as the least d(u) + w(u, h)
-        over its neighbours u.
+        over its neighbours u.  The graph is connected, so every lane reaches
+        every vertex but the apexes, and every apex has a neighbour.
         """
         k, n = len(sources), self.n
         tree, red = self._search
@@ -218,30 +221,17 @@ class MetricGraph:
             np.repeat(lane[at], count) + self._nbr[_arcs(self._indptr[hub + 1], count)],
         ])
         dist = _level_bfs(csr, seeds, k).reshape(k, n)
-        dist[at] = np.where(dist[at] < 0, -1, dist[at] + w)  # lanes seeded at distance w
-        # unsigned, -1 is the largest value: an unreached neighbour never
-        # gives the least, and an apex with none reached reads -1 back
-        unsigned = np.uint32 if dist.dtype == np.int32 else np.uint64
-        near = np.take(dist, heads, axis=1).view(unsigned)
-        d = np.minimum.reduceat(near, seg, axis=1).view(dist.dtype)
-        dist[:, apex] = np.where(d < 0, -1, d + w)
+        dist[at] += w  # lanes seeded at distance w
+        dist[:, apex] = np.minimum.reduceat(np.take(dist, heads, axis=1), seg, axis=1) + w
         dist[np.arange(k), sources] = 0  # an apex source read back 2w
-        return dist
+        return dist.astype(self._root.dtype, copy=False)
 
     def distances_from(self, source: int) -> np.ndarray:
-        """Scaled shortest-path distances from one vertex, as a read-only
-        int32 array (int64 only when (n - 1)·max weight reaches 2^31),
-        cached; -1 marks an unreachable vertex.  One row of ``_rows``: on
-        a tree, read off the root row and the ancestors of the source, and
-        otherwise one lane of a BFS."""
-        source = self._vertex(source)
-        got = self._dist_cache.get(source)
-        if got is not None:
-            return got
-        row = self._rows(np.array([source]))[0]
-        row.flags.writeable = False
-        self._dist_cache[source] = row
-        return row
+        """Scaled shortest-path distances from one vertex to every vertex,
+        as a fresh int32 array (int64 only when (n - 1)·max weight reaches
+        2^31).  One row of ``_rows``: on a tree, read off the root row and
+        the ancestors of the source, and otherwise one lane of a BFS."""
+        return self._rows(np.array([self._vertex(source)]))[0]
 
     def _apex_pairs(self):
         """The cone apexes and the pairs of their neighbours, or None when
@@ -277,10 +267,11 @@ class MetricGraph:
 
     @cached_property
     def _search(self):
-        """How ``_rows`` finds distances, chosen once from the graph alone,
-        with the apex pairs enumerated once: (tree, None) on a tree
-        (``_tree``), (None, reduced) when cone apexes are eliminated
-        (``_reduced``), and (None, None) for the plain ``_level_bfs``."""
+        """How ``_rows`` finds distances, chosen from the graph alone on the
+        first row asked for, with the apex pairs enumerated once: (tree,
+        None) on a tree (``_tree``), (None, reduced) when cone apexes are
+        eliminated (``_reduced``), and (None, None) for the plain
+        ``_level_bfs``."""
         pairs = self._apex_pairs()
         tree = self._tree(pairs)
         return tree, (None if tree is not None else self._reduced(pairs))
@@ -292,14 +283,14 @@ class MetricGraph:
         An arc u -> v of weight at least 2w whose ends share an apex
         neighbour h (``pairs``, from ``_apex_pairs``) is dominated: the path
         u-h-v costs 2w, so dropping it keeps every distance, and an apex's
-        own arcs, of weight w < 2w, are never dropped.  When the kept edges
-        number n - 1 and the root row D reaches every vertex, they form a
-        tree and every distance is along it.  Each kept arc then joins a
-        parent to a child of larger D, so the vertices of one D have no
-        ancestor among themselves: subtree sizes are summed one D at a time
-        from the largest, and each child's pre-order start, its parent's
-        plus 1 plus the sizes of its earlier siblings, is added one D at a
-        time from the root.  Returns D, the parents (-1 at the root) and the
+        own arcs, of weight w < 2w, are never dropped.  So the kept edges
+        still join every vertex, and when they number n - 1 they form a
+        tree, every distance is along it, and D is the root row.  Each kept
+        arc then joins a parent to a child of larger D, so the vertices of
+        one D have no ancestor among themselves: subtree sizes are summed
+        one D at a time from the largest, and each child's pre-order start,
+        its parent's plus 1 plus the sizes of its earlier siblings, is added
+        one D at a time from the root.  Returns D, the parents (-1 at the root) and the
         pre-order interval [tin, tout) of each subtree.
         """
         n, nbr = self.n, self._nbr
@@ -309,9 +300,7 @@ class MetricGraph:
             keep[at[hit & (self._wt[at] >= 2 * self._weights[0])]] = False
         if int(keep.sum()) != 2 * (n - 1):
             return None
-        D = _level_bfs(self._csr, [0])
-        if D.min() < 0:
-            return None  # n - 1 edges that do not join every vertex
+        D = self._root
         tail = np.repeat(np.arange(n), self._deg)
         down = keep & (D[nbr] > D[tail])
         kids, par = nbr[down], tail[down]  # grouped by parent, as the arcs are
@@ -364,10 +353,7 @@ class MetricGraph:
         return csr, is_apex, apex, nbr[arcs], np.cumsum(d) - d, w
 
     def distance_scaled(self, u: int, v: int) -> int:
-        d = int(self.distances_from(u)[self._vertex(v)])
-        if d < 0:
-            raise DomainError("vertices are disconnected")  # defensive; balls are connected
-        return d
+        return int(self.distances_from(u)[self._vertex(v)])
 
     def distance(self, u: int, v: int) -> Fraction:
         return Fraction(self.distance_scaled(u, v), SCALE)
@@ -653,7 +639,6 @@ class ConedOffGraph:
 
     ball: Ball
     graph: MetricGraph
-    coset_of: list  # per factor: list of coset ids per ball element
     coset_members: list  # per factor: list of member index lists per coset
 
     @property
@@ -670,8 +655,9 @@ class ConedOffGraph:
         return out
 
 
-def _check_factor_consistency(b: Ball, oracles) -> list[list[int]]:
-    """Membership lists per factor, after closure and intersection checks."""
+def _check_factor_consistency(b: Ball, oracles) -> None:
+    """Check each factor's members for closure, and the factors for
+    intersecting only in the identity."""
     model = b.model
     members_per_factor = []
     for oracle in oracles:
@@ -701,7 +687,6 @@ def _check_factor_consistency(b: Ball, oracles) -> list[list[int]]:
                     f"factors {oracles[fi].label} and {oracles[fj].label} intersect "
                     f"nontrivially on the ball"
                 )
-    return members_per_factor
 
 
 def _word(b: Ball, x: Element) -> list[int]:
@@ -819,7 +804,6 @@ def coned_off(b: Ball, factors) -> ConedOffGraph:
         raise DomainError("at least one subgroup factor is required")
     _check_factor_consistency(b, oracles)
     cosets = [_cosets(b, oracle) for oracle in oracles]
-    coset_of = [ids.tolist() for ids, _ in cosets]
     coset_members = [members for _, members in cosets]
 
     # cone vertex of (factor fi, coset cid) is offset[fi] + cid
@@ -832,7 +816,7 @@ def coned_off(b: Ball, factors) -> ConedOffGraph:
     ]
     n_cones = sum(len(m) for m in coset_members)
     graph = MetricGraph(n + n_cones, np.concatenate([_ball_edges(b), *cone_edges]), ball_radius=b.radius)
-    return ConedOffGraph(b, graph, coset_of, coset_members)
+    return ConedOffGraph(b, graph, coset_members)
 
 
 # ---------------------------------------------------------------------------

@@ -121,19 +121,23 @@ def _rational(flag: str, text: str) -> Fraction:
         raise ConfigError(f"--{flag} {text!r} is not a rational number") from None
 
 
+# (PresentationConstants field, flag), the flags that `bounds eval` and `bounds theorem` share
+_CONSTANT_FLAGS = [
+    ("delta", "delta"),
+    ("L_pres", "L"),
+    ("M_pres", "M"),
+    ("C_ds", "C"),
+    ("M_ballcard", "Mball"),
+    ("K_axis", "Kaxis"),
+    ("K_h", "Kh"),
+    ("d_trans", "dtrans"),
+]
+
+
 def _constants_from_args(args) -> PresentationConstants:
     kwargs = {}
-    for field, flag in [
-        ("delta", "delta"),
-        ("L_pres", "L"),
-        ("M_pres", "M"),
-        ("C_ds", "C"),
-        ("M_ballcard", "Mball"),
-        ("K_axis", "Kaxis"),
-        ("K_h", "Kh"),
-        ("d_trans", "dtrans"),
-    ]:
-        val = getattr(args, flag, None)
+    for field, flag in _CONSTANT_FLAGS:
+        val = getattr(args, flag)
         if val is not None:
             kwargs[field] = _rational(flag, val)
     return PresentationConstants(**kwargs)
@@ -429,18 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound-formula evaluators")
     bounds_sub = p.add_subparsers(dest="bounds_action", required=True)
-    pe = bounds_sub.add_parser("eval", parents=[timed], help="coset-penetration constant chain")
+    constants = argparse.ArgumentParser(add_help=False, parents=[timed])
+    for _, flag in _CONSTANT_FLAGS:
+        constants.add_argument(f"--{flag}")
+    pe = bounds_sub.add_parser("eval", parents=[constants], help="coset-penetration constant chain")
     pe.add_argument("--k", required=True)
-    for flag in ("--delta", "--L", "--M", "--C", "--Mball", "--Kaxis", "--Kh", "--dtrans"):
-        pe.add_argument(flag)
     pe.set_defaults(func=_cmd_bounds)
-    pt = bounds_sub.add_parser("theorem", parents=[timed], help="composite conjugator-length bound")
+    pt = bounds_sub.add_parser("theorem", parents=[constants], help="composite conjugator-length bound")
     pt.add_argument("--lu", required=True)
     pt.add_argument("--lv", required=True)
     pt.add_argument("--c", default="(1+x)", help="coset-penetration bound function")
     pt.add_argument("--q", action="append", default=[], help="subgroup polynomial bound (repeatable)")
-    for flag in ("--delta", "--L", "--M", "--C", "--Mball", "--Kaxis", "--Kh", "--dtrans"):
-        pt.add_argument(flag)
     pt.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("conj", help="conjugacy solvers")

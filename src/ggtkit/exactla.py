@@ -1,5 +1,5 @@
-"""Exact integer/rational linear algebra: sparse matrices, fraction-free
-rank, Smith normal form, and integer linear systems.
+"""Exact integer linear algebra: sparse matrices, fraction-free rank,
+Smith normal form, and integer linear systems.
 
 No floating point anywhere in this module.
 """
@@ -7,38 +7,29 @@ No floating point anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError
 
 
 @dataclass
 class SparseRationalMatrix:
-    """Sparse matrix over Q; zero entries are never stored.
-
-    Integral entries are Python ints and stay ints under ``add_at`` and
-    ``matmul``; any other value is stored as an exact Fraction.
-    """
+    """Sparse matrix over Z, with Python int entries; zero entries are
+    never stored."""
 
     rows: int
     cols: int
-    entries: dict = field(default_factory=dict)  # (i, j) -> int | Fraction
+    entries: dict = field(default_factory=dict)  # (i, j) -> int
 
-    def add_at(self, i: int, j: int, value) -> None:
+    def add_at(self, i: int, j: int, value: int) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DomainError(f"entry ({i},{j}) outside a {self.rows}x{self.cols} matrix")
-        if not isinstance(value, int):
-            value = Fraction(value)  # floats convert exactly
         new = self.entries.get((i, j), 0) + value
         if new == 0:
             self.entries.pop((i, j), None)
         else:
             self.entries[(i, j)] = new
-
-    def get(self, i: int, j: int):
-        return self.entries.get((i, j), 0)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -62,21 +53,17 @@ class SparseRationalMatrix:
         """Rank by sparse fraction-free elimination with Markowitz-style
         pivots (after Dumas-Saunders-Villard, JSC 2001).
 
-        Each row is a {col: int} dict, scaled once by the lcm of its
-        denominators.  A step takes the shortest remaining row and, in it,
-        the column held by the fewest remaining rows, then clears that
-        column with row <- (p/g) row - (f/g) pivot_row, g = gcd(p, f), and
-        divides each changed row by its content.  Exact over Z throughout.
+        Each row is a {col: int} dict.  A step takes the shortest remaining
+        row and, in it, the column held by the fewest remaining rows, then
+        clears that column with row <- (p/g) row - (f/g) pivot_row,
+        g = gcd(p, f), and divides each changed row by its content.  Exact
+        over Z throughout.
         """
         rows: dict = {}
+        col_rows: dict = {}  # col -> ids of the remaining rows holding it
         for (i, j), v in self.entries.items():
             rows.setdefault(i, {})[j] = v
-        col_rows: dict = {}  # col -> ids of the remaining rows holding it
-        for i, row in rows.items():
-            scale = lcm(*(v.denominator for v in row.values()))
-            rows[i] = {j: int(v * scale) for j, v in row.items()}
-            for j in row:
-                col_rows.setdefault(j, set()).add(i)
+            col_rows.setdefault(j, set()).add(i)
         queue = [(len(row), i) for i, row in rows.items()]  # stale entries skipped
         heapify(queue)
         rank = 0

@@ -188,13 +188,6 @@ class Ball:
             raise DomainError("element is not in the ball")
         return idx
 
-    def verify_parent(self, i: int) -> bool:
-        p, s = self.parents[i], self.parent_gen[i]
-        if i == 0:
-            return p == -1 and self.lengths[0] == 0
-        step = self.model.multiply(self.elements[p], self.model.generator_elements()[s])
-        return step == self.elements[i] and self.lengths[i] == self.lengths[p] + 1
-
     def grow(self, radius: int, cap: Optional[int] = None) -> "Ball":
         """Extend the BFS out to the given radius, one sphere at a time;
         past ``cap`` elements it raises ResourceCapError."""

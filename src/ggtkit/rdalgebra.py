@@ -342,9 +342,6 @@ class SupportedVector:
         else:
             self.coeffs.pop(elem, None)
 
-    def support(self):
-        return list(self.coeffs.keys())
-
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: self.model.element_str(kv[0]))
 

@@ -7,6 +7,8 @@
 - The decomposition comparison maps (acceptance criterion 6) and the
   simplicial weight check on ball-truncated models (criterion 9).
 - Dense Bareiss rank, the oracle of the sparse elimination.
+- The parent check of a BFS ball: each element is its parent times its
+  parent generator, one step further from e.
 - N(k, R) = n_tilde(k) + R + 2 delta (criterion 4) and the relative bound
   K_h (lu + lv) of a hyperbolic pair, which the composite theorem bound
   must dominate.
@@ -301,6 +303,20 @@ def bareiss_rank(rows: list[list[int]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# balls
+
+
+def verify_parent(b, i: int) -> bool:
+    """Element i of the ball b is its parent times its parent generator and
+    one step further from e; e itself has no parent."""
+    p, s = b.parents[i], b.parent_gen[i]
+    if i == 0:
+        return p == -1 and b.lengths[0] == 0
+    step = b.model.multiply(b.elements[p], b.model.generator_elements()[s])
+    return step == b.elements[i] and b.lengths[i] == b.lengths[p] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from ggtkit.groups import (
     heisenberg_group,
     symmetric_group_3,
 )
+from oracles import verify_parent
 
 # -- balls --------------------------------------------------------------------
 
@@ -48,7 +49,7 @@ def test_ball_bfs_structure(heis):
     b = ball(heis, 3)
     assert b.elements[0] == heis.identity()
     assert all(b.lengths[i] <= b.lengths[i + 1] for i in range(len(b) - 1))
-    assert all(b.verify_parent(i) for i in range(len(b)))
+    assert all(verify_parent(b, i) for i in range(len(b)))
 
 
 def test_heisenberg_ball_matches_product_oracle(heis):
@@ -253,7 +254,7 @@ def _assert_rows_match_plain_bfs_and_scipy(graph, sources):
         lane = cayley._level_bfs(graph._csr, [s])
         row = graph.distances_from(s)
         assert row.tolist() == oracle.tolist() == lane.tolist() == want.tolist()
-        assert row.dtype == lane.dtype and not row.flags.writeable
+        assert row.dtype == lane.dtype
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,11 +313,9 @@ def test_coned_rows_with_apexes_eliminated_match_plain_bfs_and_scipy(name):
 
 def _assert_matrix_matches_scipy_and_rows(graph, vertices):
     """The many-source matrix equals scipy's shortest paths and the rows
-    of ``distances_from``, which it neither reads nor fills."""
+    of ``distances_from``."""
     verts = list(range(graph.n)) if vertices is None else list(vertices)
-    cached = set(graph._dist_cache)
     D = graph.distance_matrix_scaled(vertices)
-    assert set(graph._dist_cache) == cached
     assert D.dtype == np.int64 and D.shape == (len(verts), len(verts))
     if verts:
         assert D.tolist() == _scipy_distances(graph, verts)[:, verts].tolist()
@@ -381,7 +380,6 @@ def test_vertices_outside_the_graph_rejected():
     for fn, args, bad in calls:
         with pytest.raises(DomainError, match=re.escape(f"no vertex {bad!r} in a graph of 3 vertices")):
             fn(*args)
-    assert list(g._dist_cache) == [0]  # only the connectivity row
     assert g.distances_from(np.int64(2)).tolist() == [4, 2, 0]
 
 
@@ -433,6 +431,18 @@ def _cones(coned):
     """(factor, coset id) per cone vertex, in vertex order: factor by factor,
     each factor's by coset id."""
     return [(fi, cid) for fi, members in enumerate(coned.coset_members) for cid in range(len(members))]
+
+
+def _coset_ids(coned):
+    """Per factor, the coset id of each ball element, read off ``coset_members``."""
+    out = []
+    for members in coned.coset_members:
+        ids = [-1] * len(coned.ball)
+        for cid, group in enumerate(members):
+            for i in group:
+                ids[i] = cid
+        out.append(ids)
+    return out
 
 
 def test_coned_off_builds_one_metric_graph(f2, monkeypatch):
@@ -610,7 +620,7 @@ def test_coned_off_by_coset_key_equals_generic_scan(name, text):
     b, h, member = _cyclic_case(name, text)
     keyed = coned_off(b, [CyclicSubgroup(h, "H")])
     ids = _generic_scan(b, member)
-    assert keyed.coset_of == [ids]
+    assert _coset_ids(keyed) == [ids]
     assert keyed.summary()["cone_vertices"] == max(ids) + 1
     cone_edges = {(i, len(b) + cid, 1) for i, cid in enumerate(ids)}
     assert keyed.graph.edges == sorted(set(_oracle_cayley_edges(b)) | cone_edges)
@@ -652,7 +662,7 @@ def test_coned_off_matches_per_element_builder(make, text):
     oracle = CyclicSubgroup(b.model.parse_element(text), "H")
     coned = coned_off(b, [oracle])
     ids, members = _oracle_cosets(b, oracle)
-    assert coned.coset_of == [ids]
+    assert _coset_ids(coned) == [ids]
     assert coned.coset_members == [members]
     assert coned.summary()["cone_vertices"] == len(members)
     cone_edges = {(i, len(b) + cid, 1) for i, cid in enumerate(ids)}
@@ -676,7 +686,8 @@ def test_coset_key_is_called_once_per_chain(f2, monkeypatch):
     oracle = _CountingKey((1, 1))
     coned = coned_off(ball(FreeAbelian(2), 4), [oracle])
     assert oracle.calls > len(_cones(coned))
-    assert coned.coset_of[0][coned.ball.index[(0, -4)]] == coned.coset_of[0][coned.ball.index[(1, -3)]]
+    ids = _coset_ids(coned)[0]
+    assert ids[coned.ball.index[(0, -4)]] == ids[coned.ball.index[(1, -3)]]
 
 
 @pytest.mark.parametrize("limit", [cayley.REP_VERIFY_LIMIT, 0], ids=["default-limit", "limit-0"])
@@ -691,7 +702,7 @@ def test_tree_cosets_without_keys_match_per_element_builder(f2, monkeypatch, tex
     if len(_cones(coned)) > limit:
         assert getattr(oracle, "calls", 0) == 0
     ids, members = _oracle_cosets(b, CyclicSubgroup(oracle.generator))
-    assert coned.coset_of == [ids]
+    assert _coset_ids(coned) == [ids]
     assert coned.coset_members == [members]
 
 
@@ -702,7 +713,7 @@ def test_tree_cosets_of_a_generator_outside_the_ball_are_keyed(f2):
     coned = coned_off(b, [oracle])
     assert oracle.calls == len(b) > cayley.REP_VERIFY_LIMIT
     ids, members = _oracle_cosets(b, CyclicSubgroup(oracle.generator))
-    assert coned.coset_of == [ids]
+    assert _coset_ids(coned) == [ids]
     assert coned.coset_members == [members]
     assert ids[b.index[(-1,) * 4]] == ids[b.index[(1,) * 3]]
 
@@ -850,7 +861,7 @@ def test_sweep_dtype_rule_matches_brute_force_at_its_bounds(top, dtype, monkeypa
         assert spy.dtypes == [np.dtype(dtype)]
 
 
-def test_exhaustive_delta_on_z2_makes_two_rows(monkeypatch):
+def test_exhaustive_delta_on_z2_reads_no_single_row(monkeypatch):
     sources = []
     row = MetricGraph.distances_from
 
@@ -862,9 +873,9 @@ def test_exhaustive_delta_on_z2_makes_two_rows(monkeypatch):
     g = cayley_graph(ball(FreeAbelian(2), 6))
     assert max(map(len, g.blocks)) == 81
     assert estimate_delta_4point(g, exhaustive=True) == 6
-    # the connectivity rows of the graph and of its block; the block's
-    # matrix is one many-source sweep
-    assert sources == [0, 0]
+    # the constructors check connectivity with their own root rows, and the
+    # block's matrix is one many-source sweep
+    assert sources == []
 
 
 @st.composite
@@ -950,7 +961,7 @@ def test_rows_past_int32_take_the_int64_path():
     ref.add_weighted_edges_from(edges)
     for s in range(4):
         row = g.distances_from(s)
-        assert row.dtype == np.int64 and not row.flags.writeable
+        assert row.dtype == np.int64
         want = nx.single_source_dijkstra_path_length(ref, s)
         assert row.tolist() == [want[v] for v in range(4)]
 
@@ -982,13 +993,63 @@ def test_tree_rows_near_the_int32_bound_do_not_overflow():
 
 
 def test_coned_rows_with_apexes_are_int32():
-    # the apex read-back runs on uint32/int32 views; <ab> is not a tree
+    # the apex read-back runs in the reduced BFS's dtype; <ab> is not a tree
     coned = coned_off(ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))])
     g = coned.graph
     sources = np.array([0, coned.cone_start, g.n - 1])
     rows = g._rows(sources)
     assert g._search[1] is not None and rows.dtype == np.int32
     assert rows.tolist() == _scipy_distances(g, sources.tolist()).tolist()
+
+
+def test_reduced_rows_take_the_whole_graphs_dtype():
+    # vertex 0 is an apex, and its shortcut 1 -> 2 of weight 2^30 gives the
+    # reduced graph the bound 3·2^30 >= 2^31; the graph's own is 3·(2^29 + 1)
+    nx = pytest.importorskip("networkx")
+    edges = [(0, 1, 2**29), (0, 2, 2**29), (1, 3, 2**29 + 1), (2, 3, 2**29 + 1)]
+    g = MetricGraph(4, edges)
+    assert g._search[1] is not None
+    assert cayley._level_bfs(g._reduced(g._apex_pairs())[0], [1]).dtype == np.int64
+    ref = nx.Graph()
+    ref.add_weighted_edges_from(edges)
+    for s in range(4):
+        row = g.distances_from(s)
+        assert row.dtype == cayley._level_bfs(g._csr, [s]).dtype == np.int32
+        want = nx.single_source_dijkstra_path_length(ref, s)
+        assert row.tolist() == [want[v] for v in range(4)]
+
+
+def test_empty_and_one_vertex_graphs_build():
+    g = MetricGraph(0, [])
+    assert g.edges == [] and g.blocks == [] and g.distance_matrix_scaled().shape == (0, 0)
+    g = MetricGraph(1, [])
+    assert g.distances_from(0).tolist() == [0] and g.distance_matrix_scaled().tolist() == [[0]]
+    with pytest.raises(DomainError, match="connected"):
+        MetricGraph(2, [])
+
+
+# name -> (graph, whether the tree path is taken, whether apexes are eliminated)
+_PATH_CASES = {
+    "tree": (lambda: cayley_graph(ball(FreeGroup(2), 2)), True, False),
+    "reduced": (lambda: coned_off(ball(FreeGroup(2), 2), [CyclicSubgroup((1, 2))]).graph, False, True),
+    "plain": (lambda: cayley_graph(ball(FreeAbelian(2), 2)), False, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_PATH_CASES))
+def test_rows_are_fresh_arrays_and_searched_only_when_read(name):
+    make, tree, reduced = _PATH_CASES[name]
+    g = make()
+    g.summary(), g.edges, g.blocks
+    assert "_search" not in vars(g)  # no row read yet
+    for s in (0, g.n - 1):
+        row = g.distances_from(s)
+        want = row.tolist()
+        row[:] = -7
+        assert g.distances_from(s).tolist() == want
+    tree_, red = g._search
+    assert (tree_ is not None, red is not None) == (tree, reduced)
+    assert g._root.min() == 0 and g.distances_from(0).tolist() == g._root.tolist()
 
 
 def test_delta_sampled_mode_deterministic(f2):
@@ -1164,7 +1225,7 @@ def test_duplicate_edges_collapse_and_rows_are_int32():
     assert g.edges == [(0, 1, 2), (1, 2, 1)]
     assert all(type(x) is int for edge in g.edges for x in edge)
     row = g.distances_from(0)
-    assert row.dtype == np.int32 and not row.flags.writeable
+    assert row.dtype == np.int32
     assert row.tolist() == [0, 2, 3]
     assert type(g.distance_scaled(0, 2)) is int and g.distance(0, 2) == Fraction(3, 2)
 
@@ -1217,7 +1278,7 @@ def test_torsion_free_cyclic_cones_match_integer_solve(name):
     # has |k| at most the largest coordinate seen there
     bound = max(abs(c) for d in diffs.values() for c in _coordinates(model, d))
     members = _powers(model, g, bound)
-    ids = coned.coset_of[0]
+    ids = _coset_ids(coned)[0]
     assert all((ids[i] == ids[j]) == (d in members) for (i, j), d in diffs.items())
     assert coned.graph.edges == _oracle_coned_edges(coned)
     _assert_rows_match_networkx(coned.graph, range(coned.graph.n))
@@ -1259,7 +1320,7 @@ def test_free_product_cyclic_cones_match_brute_force_powers(name):
     # every syllable has length >= 1, so |g^k| >= |k| and the powers in the
     # difference set of a radius-r ball have |k| <= 2r
     members = _powers(model, g, 2 * radius)
-    ids = coned.coset_of[0]
+    ids = _coset_ids(coned)[0]
     for i, x in enumerate(b.elements):
         for j, y in enumerate(b.elements):
             assert (ids[i] == ids[j]) == (model.multiply(model.inverse(x), y) in members)

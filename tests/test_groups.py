@@ -25,6 +25,7 @@ from ggtkit.groups import (
     reduce_word,
     symmetric_group_3,
 )
+from oracles import verify_parent
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0)
 words = st.lists(letters, max_size=12)
@@ -327,7 +328,7 @@ def _ball_state(b):
     table = b.neighbour_table()
     return (
         b.elements, b.index, b.parents, b.parent_gen, b.lengths, b.nbr.tolist(), table.tolist(),
-        [b.verify_parent(i) for i in range(len(b))],
+        [verify_parent(b, i) for i in range(len(b))],
     )
 
 
