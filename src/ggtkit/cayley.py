@@ -112,11 +112,10 @@ class MetricGraph:
     The graph is connected: the constructor runs one ``_level_bfs`` from
     vertex 0, raises DomainError unless it reaches every vertex, and keeps
     it as the root row ``_root``, whose dtype every distance row shares.
-    Rows come from one of three paths, chosen from the graph alone on the
+    Rows come from one of two paths, chosen from the graph alone on the
     first row asked for: a tree (``_tree``), whose rows are read off the
-    root row; a graph with cone apexes (``_reduced``), searched with the
-    apexes eliminated; and any other graph, searched as it is by
-    ``_level_bfs``, which is also the oracle of the other two.
+    root row, and any other graph, searched as it is by ``_level_bfs``,
+    which is also the tree path's oracle.
     """
 
     def __init__(self, n: int, edges, ball_radius: Optional[int] = None):
@@ -185,46 +184,27 @@ class MetricGraph:
         of each ancestor of s, from the root down, so each vertex ends with
         that of its deepest ancestor on the path to s; the two differences
         are each at most d(s, v), so the sum never passes the dtype.
-
-        Otherwise one lane each of one ``_level_bfs``, over the graph, or
-        over ``_reduced`` when it has cone apexes: then an apex source seeds
-        its lane from its neighbours, which all lie at distance w from it,
-        and each apex h reads its distance back as the least d(u) + w(u, h)
-        over its neighbours u.  The graph is connected, so every lane reaches
-        every vertex but the apexes, and every apex has a neighbour.
+        Otherwise one lane each of one ``_level_bfs`` over the graph, whose
+        dtype is the root row's.
         """
         k, n = len(sources), self.n
-        tree, red = self._search
-        if tree is not None:
-            D, parent, tin, tout = tree
-            dist = np.empty((k, n), dtype=D.dtype)
-            lca = np.empty(n, dtype=D.dtype)  # by pre-order position
-            for row, s in zip(dist, sources.tolist()):
-                path = [s]
-                while parent[path[-1]] >= 0:
-                    path.append(parent[path[-1]])
-                for a in reversed(path):
-                    lca[tin[a]:tout[a]] = D[a]
-                at = lca[tin]
-                np.subtract(D, at, out=row)
-                row += D[s] - at
-            return dist
-        lane = np.arange(k) * n
-        if red is None:
-            return _level_bfs(self._csr, lane + sources, k).reshape(k, n)
-        csr, is_apex, apex, heads, seg, w = red
-        at = is_apex[sources]
-        hub = sources[at]
-        count = self._deg[hub]
-        seeds = np.concatenate([
-            lane[~at] + sources[~at],
-            np.repeat(lane[at], count) + self._nbr[_arcs(self._indptr[hub + 1], count)],
-        ])
-        dist = _level_bfs(csr, seeds, k).reshape(k, n)
-        dist[at] += w  # lanes seeded at distance w
-        dist[:, apex] = np.minimum.reduceat(np.take(dist, heads, axis=1), seg, axis=1) + w
-        dist[np.arange(k), sources] = 0  # an apex source read back 2w
-        return dist.astype(self._root.dtype, copy=False)
+        tree = self._tree
+        if tree is None:
+            return _level_bfs(self._csr, np.arange(k) * n + sources, k).reshape(k, n)
+        parent, tin, tout = tree
+        D = self._root
+        dist = np.empty((k, n), dtype=D.dtype)
+        lca = np.empty(n, dtype=D.dtype)  # by pre-order position
+        for row, s in zip(dist, sources.tolist()):
+            path = [s]
+            while parent[path[-1]] >= 0:
+                path.append(parent[path[-1]])
+            for a in reversed(path):
+                lca[tin[a]:tout[a]] = D[a]
+            at = lca[tin]
+            np.subtract(D, at, out=row)
+            row += D[s] - at
+        return dist
 
     def distances_from(self, source: int) -> np.ndarray:
         """Scaled shortest-path distances from one vertex to every vertex,
@@ -233,28 +213,27 @@ class MetricGraph:
         the ancestors of the source, and otherwise one lane of a BFS."""
         return self._rows(np.array([self._vertex(source)]))[0]
 
-    def _apex_pairs(self):
-        """The cone apexes and the pairs of their neighbours, or None when
-        the graph has none or the pairs would outnumber its arcs.
+    def _dominated(self) -> np.ndarray:
+        """The arcs u -> v of weight at least 2w whose ends share a cone
+        apex neighbour h, with w the least weight: the path u-h-v costs 2w,
+        so dropping them keeps every distance.  Empty when the graph has no
+        apex, or when the ordered pairs of apex neighbours would outnumber
+        its arcs.
 
-        An apex is a vertex whose arcs all carry the least weight w and none
-        of whose neighbours is such a vertex, so no two apexes are adjacent.
-        Returns the tail of every arc, the apex mask and ids, the apexes'
-        arcs apex by apex, the arcs a and b of every ordered pair of
-        distinct arcs of one apex, and for each pair the arc that the
-        sorted arc keys u·n + v give for nbr[a] -> nbr[b], with a mask of
-        the pairs where that arc exists.
+        An apex is a vertex whose arcs all carry the weight w and none of
+        whose neighbours is such a vertex.  For each ordered pair of
+        distinct arcs a, b of one apex, the sorted arc keys u·n + v give
+        the arc nbr[a] -> nbr[b], where there is one.
         """
         if len(self._weights) < 2:  # every vertex touches another of least weight
-            return None
+            return np.empty(0, dtype=np.int64)
         indptr, deg, nbr, wt, w = self._indptr, self._deg, self._nbr, self._wt, self._weights[0]
         tail = np.repeat(np.arange(self.n), deg)
         light = (np.bincount(tail[wt != w], minlength=self.n) == 0) & (deg > 0)
-        is_apex = light & (np.bincount(tail[light[nbr]], minlength=self.n) == 0)
-        apex = np.flatnonzero(is_apex)
+        apex = np.flatnonzero(light & (np.bincount(tail[light[nbr]], minlength=self.n) == 0))
         d = deg[apex]
-        if not len(apex) or int((d * (d - 1)).sum()) > len(nbr):
-            return None
+        if int((d * (d - 1)).sum()) > len(nbr):
+            return np.empty(0, dtype=np.int64)
         arcs = _arcs(indptr[apex + 1], d)
         # every ordered pair (a, b) of distinct arcs of one apex
         per = np.repeat(d, d)
@@ -263,41 +242,28 @@ class MetricGraph:
         a, b = a[a != b], b[a != b]
         key, pair = tail * self.n + nbr, nbr[a] * self.n + nbr[b]
         at = np.minimum(np.searchsorted(key, pair), len(key) - 1)
-        return tail, is_apex, apex, arcs, a, b, at, key[at] == pair
+        return at[(key[at] == pair) & (wt[at] >= 2 * w)]
 
     @cached_property
-    def _search(self):
-        """How ``_rows`` finds distances, chosen from the graph alone on the
-        first row asked for, with the apex pairs enumerated once: (tree,
-        None) on a tree (``_tree``), (None, reduced) when cone apexes are
-        eliminated (``_reduced``), and (None, None) for the plain
-        ``_level_bfs``."""
-        pairs = self._apex_pairs()
-        tree = self._tree(pairs)
-        return tree, (None if tree is not None else self._reduced(pairs))
-
-    def _tree(self, pairs):
+    def _tree(self):
         """The graph as a tree rooted at vertex 0, or None when it is not one
-        once its dominated arcs are dropped.
+        once its ``_dominated`` arcs are dropped; decided from the graph
+        alone, on the first row asked for.
 
-        An arc u -> v of weight at least 2w whose ends share an apex
-        neighbour h (``pairs``, from ``_apex_pairs``) is dominated: the path
-        u-h-v costs 2w, so dropping it keeps every distance, and an apex's
-        own arcs, of weight w < 2w, are never dropped.  So the kept edges
-        still join every vertex, and when they number n - 1 they form a
-        tree, every distance is along it, and D is the root row.  Each kept
-        arc then joins a parent to a child of larger D, so the vertices of
-        one D have no ancestor among themselves: subtree sizes are summed
-        one D at a time from the largest, and each child's pre-order start,
-        its parent's plus 1 plus the sizes of its earlier siblings, is added
-        one D at a time from the root.  Returns D, the parents (-1 at the root) and the
-        pre-order interval [tin, tout) of each subtree.
+        An apex's own arcs, of weight w < 2w, are never dominated, so the
+        kept edges still join every vertex, and when they number n - 1 they
+        form a tree, every distance is along it, and the root row D holds
+        its depths.  Each kept arc then joins a parent to a child of larger
+        D, so the vertices of one D have no ancestor among themselves:
+        subtree sizes are summed one D at a time from the largest, and each
+        child's pre-order start, its parent's plus 1 plus the sizes of its
+        earlier siblings, is added one D at a time from the root.  Returns
+        the parents (-1 at the root) and the pre-order interval [tin, tout)
+        of each subtree.
         """
         n, nbr = self.n, self._nbr
         keep = np.ones(len(nbr), dtype=bool)
-        if pairs is not None:
-            at, hit = pairs[-2:]
-            keep[at[hit & (self._wt[at] >= 2 * self._weights[0])]] = False
+        keep[self._dominated()] = False
         if int(keep.sum()) != 2 * (n - 1):
             return None
         D = self._root
@@ -318,39 +284,7 @@ class MetricGraph:
         tin[kids] = before + 1
         for level in levels:
             tin[level] += tin[parent[level]]
-        return D, parent, tin, tin + size
-
-    def _reduced(self, pairs):
-        """The graph with its cone apexes eliminated, or None when it has
-        none or their shortcuts would outnumber the graph's arcs (``pairs``
-        is None, from ``_apex_pairs``).
-
-        No two apexes are adjacent, so a shortest path through an apex h
-        enters and leaves it by non-apex neighbours u, v: each h becomes the
-        shortcut arcs u -> v of weight 2w, and loses its own arcs.  A
-        shortcut beside an arc u -> v of weight at most 2w (u and u·h, for a
-        cone of <h> with h a generator) is left out.  Returns the reduced
-        CSR arrays (as ``_level_bfs`` takes them), the apex mask and ids,
-        the heads of the apexes' arcs with each apex's first position among
-        them, and w.
-        """
-        if pairs is None:
-            return None
-        tail, is_apex, apex, arcs, a, b, at, hit = pairs
-        nbr, wt, w = self._nbr, self._wt, self._weights[0]
-        new = ~hit | (wt[at] > 2 * w)
-        a, b = a[new], b[new]
-        own = ~(is_apex[tail] | is_apex[nbr])
-        tails = np.concatenate([tail[own], nbr[a]])
-        order = np.argsort(tails, kind="stable")
-        heads = np.concatenate([nbr[own], nbr[b]])[order]
-        wts = np.concatenate([wt[own], np.full(len(a), 2 * w)])[order]
-        count = np.bincount(tails, minlength=self.n)
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(count, out=ptr[1:])
-        csr = ptr, count, heads, wts, np.unique(wts).tolist()
-        d = self._deg[apex]
-        return csr, is_apex, apex, nbr[arcs], np.cumsum(d) - d, w
+        return parent, tin, tin + size
 
     def distance_scaled(self, u: int, v: int) -> int:
         return int(self.distances_from(u)[self._vertex(v)])
@@ -536,8 +470,9 @@ def _lattice_cyclic(coordinates):
     then central part) are additive along <h>: the coordinate t at h's first
     nonzero entry moves by k h_t from elem to elem h^k, since it lies in the
     base part unless h is central.  So elem h^(-floor(elem_t / h_t)) is the
-    one element of elem<h> with its coordinate t in [0, |h_t|), and elem is
-    in <h> exactly when that key is e."""
+    one element of elem<h> whose coordinate t is elem_t mod h_t, in [0, h_t)
+    when h_t > 0 and in (h_t, 0] when h_t < 0, and elem is in <h> exactly
+    when that key is e."""
 
     def build(model, h):
         t, ht = next((t, v) for t, v in enumerate(coordinates(h)) if v)

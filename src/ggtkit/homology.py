@@ -24,10 +24,6 @@ class ConjClass:
     members: tuple
     centralizer: tuple  # the elements that commute with the representative
 
-    @property
-    def centralizer_order(self) -> int:
-        return len(self.centralizer)
-
 
 @dataclass(frozen=True)
 class ConjClassTable:

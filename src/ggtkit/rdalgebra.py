@@ -368,16 +368,6 @@ class SupportedVector:
             out.add_term(elem, (a * cr - b * ci, a * ci + b * cr))
         return out
 
-    def abs_coefficient(self, elem: Element):
-        """|coeff(elem)|: exact for a real or imaginary coefficient, a float
-        otherwise (the modulus is irrational in general)."""
-        re, im = self.coeffs[elem]
-        if im == 0:
-            return abs(re)
-        if re == 0:
-            return abs(im)
-        return math.sqrt(float(re * re + im * im))
-
     def _numerators(self) -> tuple:
         """(d, [(elem, (re*d, im*d))]): the coefficients as integer pairs over
         d, the lcm of their denominators."""
@@ -468,8 +458,8 @@ def _abs_sums(d: int, nums: list, key) -> tuple:
     """One pass over integer numerators over d: (exact, inexact), where
     exact[k] sums |numerator| over the real or imaginary coefficients with
     key(g) = k, and inexact[k] lists the float moduli of those with both
-    parts nonzero, each sqrt((re^2 + im^2) / d^2), the same float as
-    ``abs_coefficient``."""
+    parts nonzero, each sqrt((re^2 + im^2) / d^2), the same float as the
+    modulus computed from the coefficient itself."""
     exact: dict = {}
     inexact: dict = {}
     for elem, (re, im) in nums:

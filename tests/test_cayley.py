@@ -240,10 +240,10 @@ def _scipy_distances(graph, sources):
 
 
 def _assert_rows_match_plain_bfs_and_scipy(graph, sources):
-    """Rows equal the mask-based level BFS over the graph's own arcs, with
-    no apex eliminated, scipy's shortest paths over its edge list, and the
-    lane BFS over the graph's own arcs, one source at a time and all
-    sources as lanes of one sweep."""
+    """Rows equal the mask-based level BFS over the graph's own arcs,
+    scipy's shortest paths over its edge list, and the lane BFS over the
+    graph's own arcs, one source at a time and all sources as lanes of one
+    sweep, in the lane BFS's dtype."""
     sources = list(sources)
     ref = _scipy_distances(graph, sources)
     n, k = graph.n, len(sources)
@@ -260,7 +260,7 @@ def _assert_rows_match_plain_bfs_and_scipy(graph, sources):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(connected_graphs(), trees_with_chords()))
 def test_rows_match_plain_bfs_and_scipy_on_random_graphs(g):
-    assert (g._search[0] is not None) == _is_tree_once_dominated_arcs_drop(g)
+    assert (g._tree is not None) == _is_tree_once_dominated_arcs_drop(g)
     _assert_rows_match_plain_bfs_and_scipy(g, range(g.n))
 
 
@@ -268,47 +268,39 @@ _Z2_Z3 = FreeProduct([cyclic_group(2), cyclic_group(3)])
 _Z1_Z3 = FreeProduct([FreeAbelian(1), cyclic_group(3)])
 _HEIS = heisenberg_group()
 
-# name -> (ball, cones (none for the Cayley graph), whether the apexes are
-# eliminated, whether the tree path is taken)
+# name -> (ball, cones (none for the Cayley graph), whether the tree path is
+# taken)
 _APEX_CASES = {
-    "F2 r=4 Cayley": (lambda: ball(FreeGroup(2), 4), [], False, True),
-    "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))], True, True),
+    "F2 r=4 Cayley": (lambda: ball(FreeGroup(2), 4), [], True),
+    "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))], True),
     "F2 r=4 <a>,<b>": (
-        lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,)), CyclicSubgroup((2,))], True, True,
+        lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,)), CyclicSubgroup((2,))], True,
     ),
-    "Z2*Z3 r=4 factors": (lambda: ball(_Z2_Z3, 4), [FactorSubgroup(0), FactorSubgroup(1)], True, True),
-    "Z*Z3 r=4 factors": (lambda: ball(_Z1_Z3, 4), [FactorSubgroup(0), FactorSubgroup(1)], True, True),
+    "Z2*Z3 r=4 factors": (lambda: ball(_Z2_Z3, 4), [FactorSubgroup(0), FactorSubgroup(1)], True),
+    "Z*Z3 r=4 factors": (lambda: ball(_Z1_Z3, 4), [FactorSubgroup(0), FactorSubgroup(1)], True),
     # consecutive members of a coset of <ab> are not adjacent: nothing drops
-    "F2 r=4 <ab>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))], True, False),
+    "F2 r=4 <ab>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))], False),
     "Heisenberg r=3 <a>": (
-        lambda: ball(_HEIS, 3), [CyclicSubgroup(_HEIS.parse_element("1,0|0"))], True, False,
+        lambda: ball(_HEIS, 3), [CyclicSubgroup(_HEIS.parse_element("1,0|0"))], False,
     ),
-    # wide cosets: the shortcuts would outnumber the arcs
-    "Z^2 r=6 <(1,0)>": (lambda: ball(FreeAbelian(2), 6), [CyclicSubgroup((1, 0))], False, False),
+    # wide cosets: the apex pairs would outnumber the arcs
+    "Z^2 r=6 <(1,0)>": (lambda: ball(FreeAbelian(2), 6), [CyclicSubgroup((1, 0))], False),
 }
 
 
 @pytest.mark.parametrize("name", list(_APEX_CASES))
-def test_coned_rows_with_apexes_eliminated_match_plain_bfs_and_scipy(name):
-    make, cones, eliminated, tree = _APEX_CASES[name]
+def test_coned_rows_with_apexes_match_plain_bfs_and_scipy(name):
+    make, cones, tree = _APEX_CASES[name]
     b = make()
     if cones:
         coned = coned_off(b, cones)
         g, cone_start = coned.graph, coned.cone_start
     else:
         g, cone_start = cayley_graph(b), len(b)
-    taken, red = g._search
-    assert (taken is not None) == tree
-    assert red is None or not tree  # a tree's rows build no reduced graph
+    assert (g._tree is not None) == tree
     # ball sources, and cone-vertex sources of every factor
     sources = [*range(0, cone_start, 7), *range(cone_start, g.n, 3), g.n - 1]
     _assert_rows_match_plain_bfs_and_scipy(g, sources)
-    red = g._reduced(g._apex_pairs())
-    assert (red is not None) == eliminated
-    if eliminated:  # no shortcut runs beside an arc, so no two arcs join one pair
-        _, count, heads, _, _ = red[0]
-        tails = np.repeat(np.arange(g.n), count)
-        assert len(set(zip(tails.tolist(), heads.tolist()))) == len(heads)
 
 
 def _assert_matrix_matches_scipy_and_rows(graph, vertices):
@@ -335,7 +327,7 @@ _MATRIX_CASES = {
     "F2 r=4 <a>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1,))], True),
     "F2 r=4 <ab>": (lambda: ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))], False),
     "Z2*Z3 r=4 factors": (lambda: ball(_Z2_Z3, 4), [FactorSubgroup(0), FactorSubgroup(1)], True),
-    # wide cosets: no apex is eliminated
+    # wide cosets: the apex pairs would outnumber the arcs, so nothing drops
     "Z^2*Z r=3 factors": (
         lambda: ball(FreeProduct([FreeAbelian(2), FreeAbelian(1)]), 3),
         [FactorSubgroup(0), FactorSubgroup(1)],
@@ -350,13 +342,11 @@ def test_coned_distance_matrix_matches_scipy_and_rows(name, lanes, monkeypatch):
     make, cones, tree = _MATRIX_CASES[name]
     coned = coned_off(make(), cones)
     g = coned.graph
-    assert (g._search[0] is not None) == tree
+    assert (g._tree is not None) == tree
     # ball and cone vertices, with repeats; 52 vertices, not a multiple of 3
     verts = [*range(0, coned.cone_start, 9), *range(coned.cone_start, g.n, 7)]
     verts = (verts * 3)[:50] + [g.n - 1, 0]
     assert len(verts) % 3 and max(verts[:50]) >= coned.cone_start
-    pairs = g._apex_pairs()
-    assert pairs is None or pairs[1][verts].any()  # apexes among them
     if lanes == "one row":
         monkeypatch.setattr(cayley, "_LANE_BLOCK", 1)
     elif lanes == "ragged":
@@ -560,7 +550,7 @@ def _generic_scan(b, member):
 # powers and elements with a conjugating prefix
 _CYCLIC_CASES = {
     "F2": (FreeGroup(2), 5, ["a", "ab", "aa", "baB", "abAB", "e"]),
-    "Z^2": (FreeAbelian(2), 6, ["e", "1,0", "2,-2", "0,3"]),
+    "Z^2": (FreeAbelian(2), 6, ["e", "1,0", "2,-2", "0,3", "-3,1"]),
     "Heisenberg": (heisenberg_group(), 4,
                    ["e", "0,0|1", "0,0|2", "2,0|0", "1,1|0", "1,0|1", "0,-1|0"]),
     "S3": (symmetric_group_3(), 3, ["e", "(123)", "(12)", "(13)"]),
@@ -970,7 +960,7 @@ def test_rows_past_int32_take_the_int64_path():
 def test_row_dtype_follows_the_distance_bound(w, dtype):
     # (n - 1)·max weight bounds every distance: here the one edge's weight
     g = MetricGraph(2, [(0, 1, w)])
-    assert g._search[0] is not None
+    assert g._tree is not None
     assert cayley._level_bfs(g._csr, [0]).dtype == dtype
     row = g.distances_from(1)
     assert row.dtype == dtype and row.tolist() == [w, 0]
@@ -982,7 +972,7 @@ def test_tree_rows_near_the_int32_bound_do_not_overflow():
     w = 2**30 - 1
     edges = [(0, 1, w), (1, 2, w)]
     g = MetricGraph(3, edges)
-    assert g._search[0] is not None
+    assert g._tree is not None
     ref = nx.Graph()
     ref.add_weighted_edges_from(edges)
     for s in range(3):
@@ -993,23 +983,23 @@ def test_tree_rows_near_the_int32_bound_do_not_overflow():
 
 
 def test_coned_rows_with_apexes_are_int32():
-    # the apex read-back runs in the reduced BFS's dtype; <ab> is not a tree
+    # <ab> is not a tree, so its rows are lanes of one BFS over the graph
     coned = coned_off(ball(FreeGroup(2), 4), [CyclicSubgroup((1, 2))])
     g = coned.graph
     sources = np.array([0, coned.cone_start, g.n - 1])
     rows = g._rows(sources)
-    assert g._search[1] is not None and rows.dtype == np.int32
+    assert g._tree is None and rows.dtype == np.int32
     assert rows.tolist() == _scipy_distances(g, sources.tolist()).tolist()
 
 
 def test_reduced_rows_take_the_whole_graphs_dtype():
-    # vertex 0 is an apex, and its shortcut 1 -> 2 of weight 2^30 gives the
-    # reduced graph the bound 3·2^30 >= 2^31; the graph's own is 3·(2^29 + 1)
+    # vertex 0 is an apex, and a shortcut 1 -> 2 of weight 2^30 through it
+    # would bound distances by 3·2^30 >= 2^31; the graph's own bound is
+    # 3·(2^29 + 1), and its rows are int32
     nx = pytest.importorskip("networkx")
     edges = [(0, 1, 2**29), (0, 2, 2**29), (1, 3, 2**29 + 1), (2, 3, 2**29 + 1)]
     g = MetricGraph(4, edges)
-    assert g._search[1] is not None
-    assert cayley._level_bfs(g._reduced(g._apex_pairs())[0], [1]).dtype == np.int64
+    assert g._tree is None
     ref = nx.Graph()
     ref.add_weighted_edges_from(edges)
     for s in range(4):
@@ -1028,27 +1018,26 @@ def test_empty_and_one_vertex_graphs_build():
         MetricGraph(2, [])
 
 
-# name -> (graph, whether the tree path is taken, whether apexes are eliminated)
+# name -> (graph, whether the tree path is taken)
 _PATH_CASES = {
-    "tree": (lambda: cayley_graph(ball(FreeGroup(2), 2)), True, False),
-    "reduced": (lambda: coned_off(ball(FreeGroup(2), 2), [CyclicSubgroup((1, 2))]).graph, False, True),
-    "plain": (lambda: cayley_graph(ball(FreeAbelian(2), 2)), False, False),
+    "tree": (lambda: cayley_graph(ball(FreeGroup(2), 2)), True),
+    "coned": (lambda: coned_off(ball(FreeGroup(2), 2), [CyclicSubgroup((1, 2))]).graph, False),
+    "plain": (lambda: cayley_graph(ball(FreeAbelian(2), 2)), False),
 }
 
 
 @pytest.mark.parametrize("name", list(_PATH_CASES))
 def test_rows_are_fresh_arrays_and_searched_only_when_read(name):
-    make, tree, reduced = _PATH_CASES[name]
+    make, tree = _PATH_CASES[name]
     g = make()
     g.summary(), g.edges, g.blocks
-    assert "_search" not in vars(g)  # no row read yet
+    assert "_tree" not in vars(g)  # no row read yet
     for s in (0, g.n - 1):
         row = g.distances_from(s)
         want = row.tolist()
         row[:] = -7
         assert g.distances_from(s).tolist() == want
-    tree_, red = g._search
-    assert (tree_ is not None, red is not None) == (tree, reduced)
+    assert (g._tree is not None) == tree
     assert g._root.min() == 0 and g.distances_from(0).tolist() == g._root.tolist()
 
 

@@ -200,10 +200,10 @@ def test_s3_class_equation():
     sizes = sorted(len(c.members) for c in table.classes)
     assert sizes == [1, 2, 3]
     assert sum(sizes) == 6
-    orders = sorted(c.centralizer_order for c in table.classes)
+    orders = sorted(len(c.centralizer) for c in table.classes)
     assert orders == [2, 3, 6]
     for c in table.classes:
-        assert len(c.members) * c.centralizer_order == 6
+        assert len(c.members) * len(c.centralizer) == 6
 
 
 # -- boundary and degree +1 operators ----------------------------------------------
@@ -480,7 +480,7 @@ def test_centralizer_bases_equal_the_filtered_class_blocks(name, G, nclasses):
         assert sx.bases[n].where == {t: (c, i, 1) for c, block in enumerate(blocks) for i, t in enumerate(block)}
     # |C_G(x)|^n tuples, one per tail, against the class's share of |G|^(n+1)
     classes = sx.class_table.classes
-    assert [len(block) for block in sx.bases[4].blocks] == [cls.centralizer_order**4 for cls in classes]
+    assert [len(block) for block in sx.bases[4].blocks] == [len(cls.centralizer)**4 for cls in classes]
 
 
 def test_centralizer_complexes_s3_degree_five():

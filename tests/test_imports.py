@@ -1,5 +1,6 @@
 """Every import in the package is used, or marked ``# noqa: F401``, and
-every top-level function and class is read by the package itself.
+every top-level function and class, and every private method of a class,
+is read by the package itself.
 
 Stdlib ``ast`` passes, so deleting code cannot leave dead imports behind
 without a linter installed, and code that only the tests call cannot grow
@@ -128,3 +129,60 @@ def test_package_reads_every_top_level_name():
     unread = {entry.split(".", 1)[1] for entry in _unread_top_level(sources)}
     assert unread - UNREAD_ALLOWED == set()
     assert UNREAD_ALLOWED <= unread  # an entry that is read again leaves the list
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    """Attribute names read in ``tree``, of any object."""
+    return Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _unread_private_members(sources: dict) -> list[str]:
+    """Private methods and properties (``_name``, not dunder) of the
+    top-level classes of the modules in ``sources`` (name -> source) that no
+    module reads as an attribute outside their own body, in module and
+    source order.  An attribute of any object counts, so ``self._rows`` and
+    ``graph._rows`` both read ``_rows``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    return [
+        f"{name}.{cls.name}.{node.name}"
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and read[node.name] <= _attribute_reads(node)[node.name]
+    ]
+
+
+def test_unread_private_members_are_found():
+    sources = {
+        "a": (
+            "class A:\n"
+            "    def public(self): return self._helper()\n"
+            "    def unread_public(self): pass\n"
+            "    def _helper(self): return 1\n"
+            "    def _unread(self): pass\n"
+            "    def _only_itself(self): return self._only_itself()\n"
+            "    @cached_property\n"
+            "    def _cached(self): return 1\n"
+            "    def __len__(self): return 0\n"
+            "    def __mangled(self): pass\n"
+            "def _module_level(): pass\n"
+        ),
+        "b": "class B:\n    def _set(self): pass\ndef f(graph): graph._set = graph._cached\n",
+    }
+    # a public or dunder method is out of scope, a read in the member's own
+    # body does not count, nor does an assignment to the attribute
+    assert _unread_private_members(sources) == [
+        "a.A._unread", "a.A._only_itself", "a.A.__mangled", "b.B._set",
+    ]
+
+
+def test_package_reads_every_private_member():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private_members(sources) == []
