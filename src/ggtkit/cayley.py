@@ -15,7 +15,7 @@ from typing import Hashable, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_BALL_CAP, DEFAULT_EXHAUSTIVE_QUADRUPLE_CAP
-from .errors import DomainError, OracleInconsistency, ResourceCapError, UnsupportedCase
+from .errors import ConfigError, DomainError, OracleInconsistency, ResourceCapError, UnsupportedCase
 from .groups import (
     Ball, Element, FiniteGroup, FreeAbelian, FreeGroup, FreeProduct, GroupModel, TwoStepNilpotent,
     cyclic_reduce,
@@ -737,6 +737,15 @@ def coned_off(b: Ball, factors) -> ConedOffGraph:
     oracles = list(factors)
     if not oracles:
         raise DomainError("at least one subgroup factor is required")
+    model = b.model
+    for oracle in oracles:
+        if not isinstance(oracle, FactorSubgroup):
+            continue
+        if not isinstance(model, FreeProduct):
+            raise ConfigError(f"{oracle.label}: factor subgroups need a free product group")
+        i, k = oracle.factor_index, len(model.factors)
+        if type(i) is not int or not 0 <= i < k:
+            raise ConfigError(f"{oracle.label}: factor index {i!r} must be an integer in [0, {k})")
     _check_factor_consistency(b, oracles)
     cosets = [_cosets(b, oracle) for oracle in oracles]
     coset_members = [members for _, members in cosets]

@@ -327,7 +327,7 @@ def _cmd_rd(args):
                 elem = b.elements[rng.randrange(len(b.elements))]
                 vec.add_term(elem, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
             vecs.append(vec)
-        rep = check_product_estimate(vecs[0], vecs[1], f, length_cap=2 * args.radius + 1)
+        rep = check_product_estimate(vecs[0], vecs[1], f)
         if not rep.holds:
             failures += 1
             if first_failure is None:

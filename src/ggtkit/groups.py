@@ -22,22 +22,14 @@ import itertools
 import string
 import weakref
 from array import array
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_RADIUS_CAP
+from .config import DEFAULT_BALL_CAP, DEFAULT_RADIUS_CAP
 from .errors import ConfigError, DomainError, LengthCapError, ModelMismatch, ResourceCapError
 
 Element = Any  # model-specific payload, always hashable
-
-
-@dataclass(frozen=True)
-class LengthLowerBound:
-    """Certified lower bound: the true word length is >= value."""
-
-    value: int
 
 
 def _as_int_tuple(seq: Iterable[str], what: str) -> tuple[int, ...]:
@@ -121,7 +113,12 @@ class GroupModel:
         gens = self.generator_elements()
         return gens[: len(gens) // 2]
 
-    def word_length(self, a: Element, radius_cap: int = DEFAULT_RADIUS_CAP):
+    def word_length(self, a: Element) -> int:
+        """The exact word length of a on the standard generators.  Free,
+        free abelian and finite groups always know it; a two-step nilpotent
+        group reads it off a memo ball grown to at most DEFAULT_RADIUS_CAP,
+        and past that raises LengthCapError; a free product sums its
+        syllables' lengths, so it raises where a factor does."""
         raise NotImplementedError
 
     def torsion_order(self, a: Element) -> Optional[int]:
@@ -144,17 +141,6 @@ class GroupModel:
 
     def commutes(self, a: Element, b: Element) -> bool:
         return self.multiply(a, b) == self.multiply(b, a)
-
-    def _ball_word_length(self, a: Element, radius_cap: int):
-        """Length read off a memo ball grown one level at a time, so short
-        elements never force a deep BFS."""
-        b = getattr(self, "_length_ball", None)
-        if b is None:  # a weak back-reference, so model and memo form no cycle
-            b = self._length_ball = Ball(weakref.proxy(self))
-        while a not in b.index and b.radius < radius_cap:
-            b.grow(b.radius + 1)
-        i = b.index.get(a)
-        return LengthLowerBound(radius_cap + 1) if i is None else b.lengths[i]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +318,7 @@ class FreeGroup(GroupModel):
     def generator_elements(self):
         return [(i,) for i in range(1, self.rank + 1)] + [(-i,) for i in range(1, self.rank + 1)]
 
-    def word_length(self, a, radius_cap=DEFAULT_RADIUS_CAP):
+    def word_length(self, a):
         return len(a)
 
     def torsion_order(self, a):
@@ -412,7 +398,7 @@ class FreeAbelian(GroupModel):
             gens.append(tuple(v))
         return gens + [self.inverse(g) for g in gens]
 
-    def word_length(self, a, radius_cap=DEFAULT_RADIUS_CAP):
+    def word_length(self, a):
         return sum(abs(x) for x in a)
 
     def torsion_order(self, a):
@@ -472,6 +458,7 @@ class TwoStepNilpotent(GroupModel):
                 if tuple(-v for v in C[i][j]) != C[j][i]:
                     raise ConfigError("structure constants must be antisymmetric")
         self.C = C
+        self._cmax = max(abs(v) for row in C for vec in row for v in vec)
 
     def __eq__(self, other):
         return (
@@ -545,13 +532,33 @@ class TwoStepNilpotent(GroupModel):
             gens.append(((0,) * self.m, tuple(c)))
         return gens + [self.inverse(g) for g in gens]
 
-    def word_length(self, a, radius_cap=DEFAULT_RADIUS_CAP):
-        # l1 of the base part is a certified lower bound; skip the BFS when
-        # it already exceeds the cap.
-        lower = sum(abs(v) for v in a[0])
-        if lower > radius_cap:
-            return LengthLowerBound(radius_cap + 1)
-        return self._ball_word_length(a, radius_cap)
+    def word_length(self, a):
+        """Read off a memo ball grown one sphere at a time, so a short
+        element never forces a deep BFS.  Two bounds refuse an element
+        longer than the cap before any BFS.  Every word for (x, c) has at
+        least |x|_1 base letters.  And in a word of L letters each central
+        letter moves c_t by at most 1, while each pair of base letters
+        adds at most cmax = max |C[i][j][t]| to it, since q is bilinear and
+        the inverse of a base generator has central part 0: so
+        |c_t| <= L + cmax L(L-1)/2.  The memo holds at most DEFAULT_BALL_CAP
+        elements; past that it is dropped and ResourceCapError raised."""
+        cap = DEFAULT_RADIUS_CAP
+        central_cap = cap + self._cmax * cap * (cap - 1) // 2
+        if sum(map(abs, a[0])) > cap or max(map(abs, a[1])) > central_cap:
+            raise LengthCapError(f"element has word length >= {cap + 1}, beyond the cap {cap}")
+        b = getattr(self, "_length_ball", None)
+        if b is None:  # a weak back-reference, so model and memo form no cycle
+            b = self._length_ball = Ball(weakref.proxy(self))
+        try:
+            while a not in b.index and b.radius < cap:
+                b.grow(b.radius + 1, DEFAULT_BALL_CAP)
+        except ResourceCapError:
+            del self._length_ball  # a sphere cut short is no ball to grow on
+            raise
+        i = b.index.get(a)
+        if i is None:
+            raise LengthCapError(f"element has word length >= {cap + 1}, beyond the cap {cap}")
+        return b.lengths[i]
 
     def torsion_order(self, a):
         return 1 if a == self.identity() else None
@@ -643,8 +650,10 @@ class FiniteGroup(GroupModel):
                 raise ConfigError("generator indices must be nonzero elements")
         self.gens = gens
         self.label = label
-        if len(Ball(self).grow(order)) != order:
+        b = Ball(self).grow(order)
+        if len(b) != order:
             raise ConfigError("declared generators do not generate the group")
+        self._lengths = dict(zip(b.elements, b.lengths))
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and other.table == self.table and other.gens == self.gens
@@ -671,9 +680,8 @@ class FiniteGroup(GroupModel):
     def generator_elements(self):
         return list(self.gens) + [self.inv_table[g] for g in self.gens]
 
-    def word_length(self, a, radius_cap=DEFAULT_RADIUS_CAP):
-        # the full length table is finite; compute it once
-        return self._ball_word_length(a, max(radius_cap, self.order))
+    def word_length(self, a):
+        return self._lengths[a]
 
     def torsion_order(self, a):
         k, power = 1, a
@@ -812,21 +820,10 @@ class FreeProduct(GroupModel):
             ((i, self.factors[i].inverse(g)),) for i, g in pos
         ]
 
-    def word_length(self, a, radius_cap=DEFAULT_RADIUS_CAP):
+    def word_length(self, a):
         # syllable normal forms are geodesic for the disjoint union of the
         # factor generating sets, so lengths add over syllables
-        total = 0
-        exact = True
-        for idx, payload in a:
-            piece = self.factors[idx].word_length(payload, radius_cap)
-            if isinstance(piece, LengthLowerBound):
-                exact = False
-                total += piece.value
-            else:
-                total += piece
-        if not exact:
-            return LengthLowerBound(max(total, radius_cap + 1))
-        return total
+        return sum(self.factors[idx].word_length(payload) for idx, payload in a)
 
     def cyclic_syllable_reduce(self, x):
         """Split x as prefix * core * prefix^-1 with core cyclically reduced.
@@ -934,16 +931,3 @@ def model_from_dict(data) -> GroupModel:
     except KeyError as exc:
         raise ConfigError(f"group spec of type {kind!r} is missing field {exc.args[0]!r}") from exc
     raise ConfigError(f"unknown group type {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# spec-level operations
-
-
-def exact_length(model: GroupModel, a: Element, radius_cap: int = DEFAULT_RADIUS_CAP) -> int:
-    got = model.word_length(a, radius_cap)
-    if isinstance(got, LengthLowerBound):
-        raise LengthCapError(
-            f"element has word length >= {got.value}, beyond the cap {radius_cap}"
-        )
-    return got

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .config import DEFAULT_RADIUS_CAP
 from .errors import ConfigError, DomainError
-from .groups import Element, GroupModel, exact_length
+from .groups import Element, GroupModel
 
 Number = Union[int, Fraction, float]
 
@@ -414,7 +413,7 @@ class SupportedVector:
             vec.add_term(elem, (Fraction(term["re"]), Fraction(term["im"])))
         return vec
 
-    def seminorm(self, f: BoundingFunction, length_cap: int = DEFAULT_RADIUS_CAP):
+    def seminorm(self, f: BoundingFunction):
         """Weighted l1 seminorm: sum |coeff(g)| * f(L(g)) over the support.
 
         The sum is taken as sum_L f(L) * (sum of |coeff(g)| with L(g) = L):
@@ -422,9 +421,8 @@ class SupportedVector:
         denominator, and f is evaluated once per distinct length.  The
         result is exact unless a coefficient has both parts nonzero, or f
         returns a float."""
-        model = self.model
         d, nums = self._numerators()
-        return _weighted_sum(d, *_abs_sums(d, nums, lambda elem: exact_length(model, elem, length_cap)), f)
+        return _weighted_sum(d, *_abs_sums(d, nums, self.model.word_length), f)
 
     def l1(self):
         """sum |coeff(g)| over the support, by the kernel of ``seminorm``
@@ -512,7 +510,6 @@ def check_product_estimate(
     a: SupportedVector,
     b: SupportedVector,
     f: BoundingFunction,
-    length_cap: int = DEFAULT_RADIUS_CAP,
 ) -> ProductEstimateReport:
     """Executable submultiplicativity estimate for the weighted seminorms:
 
@@ -532,10 +529,7 @@ def check_product_estimate(
     if b.model != a.model:
         raise DomainError("vectors live over different models")
     model = a.model
-
-    def length(elem):
-        return exact_length(model, elem, length_cap)
-
+    length = model.word_length
     (da, na), (db, nb) = a._numerators(), b._numerators()
     den, product = _product_sums(model, (da, na), (db, nb))
     lhs = _weighted_sum(den, *_abs_sums(den, product, length), f)

@@ -25,7 +25,7 @@ from ggtkit.bounds import PresentationConstants, n_tilde
 from ggtkit.cayley import ball
 from ggtkit.config import DEFAULT_BASIS_CAP
 from ggtkit.errors import DomainError, ResourceCapError
-from ggtkit.groups import FiniteGroup, GroupModel, exact_length
+from ggtkit.groups import FiniteGroup, GroupModel, TwoStepNilpotent
 from ggtkit.homology import ComplexSlice, TupleBasis
 
 # ---------------------------------------------------------------------------
@@ -227,13 +227,12 @@ def weight_check(
     dropping the last entry).
     """
     b = ball(model, radius)
-    cap = 2 * radius + 1
     length: dict = {}
 
     def L(e):
         got = length.get(e)
         if got is None:
-            got = exact_length(model, e, cap)
+            got = model.word_length(e)
             length[e] = got
         return got
 
@@ -307,6 +306,14 @@ def bareiss_rank(rows: list[list[int]]) -> int:
 
 # ---------------------------------------------------------------------------
 # balls
+
+
+def m3n1_nilpotent() -> TwoStepNilpotent:
+    # f1 f2 = f2 f1 e1, f1 f3 = f3 f1 e1, f2 f3 = f3 f2 e1: a rank-2 kernel
+    C = [[(0,)] * 3 for _ in range(3)]
+    for i, j in [(1, 0), (2, 0), (2, 1)]:
+        C[i][j], C[j][i] = (1,), (-1,)
+    return TwoStepNilpotent(3, 1, C)
 
 
 def verify_parent(b, i: int) -> bool:

@@ -17,7 +17,7 @@ from ggtkit.bounds import PresentationConstants, bcp_epsilon, n_tilde
 from ggtkit.cayley import CyclicSubgroup, ball, cayley_graph, coned_off, estimate_delta_4point
 from ggtkit.cli import run as cli_run
 from ggtkit.conjugacy import free_group_conjugacy, nilpotent_conjugator, profile_conjugacy_bound
-from ggtkit.groups import FreeAbelian, cyclic_group, exact_length, symmetric_group_3
+from ggtkit.groups import FreeAbelian, cyclic_group, symmetric_group_3
 from ggtkit.homology import centralizer_slices, conj_classes, cyclic_quotient, homology_dims
 from ggtkit.rdalgebra import Const, Poly, SupportedVector, check_product_estimate
 from oracles import decomposition_maps, hochschild_slice, neighborhood_n, weight_check, whole_b, whole_B
@@ -78,7 +78,7 @@ def test_criterion_1_nilpotent_oracle_equivalence(heis, heis_ball3, heis_ball10)
                     assert heis.conjugate(exact.witness, u) == v
                     # the claimed minimum is the oracle's, and the witness's length
                     assert exact.witness_length == glen
-                    assert exact_length(heis, exact.witness) == exact.witness_length
+                    assert heis.word_length(exact.witness) == exact.witness_length
                 else:
                     # no conjugator within radius 10: a valid solver witness
                     # would have to be longer (and none exists when the
@@ -221,7 +221,7 @@ def test_criterion_7_product_estimate(f2):
         failures = 0
         for f in weights:
             for a, b in pairs:
-                if not check_product_estimate(a, b, f, length_cap=8).holds:
+                if not check_product_estimate(a, b, f).holds:
                     failures += 1
         assert failures == 0
 

@@ -24,7 +24,7 @@ from ggtkit.cayley import (
     estimate_delta_4point,
     exhaustive_fits,
 )
-from ggtkit.errors import DomainError, OracleInconsistency, ResourceCapError
+from ggtkit.errors import ConfigError, DomainError, OracleInconsistency, ResourceCapError
 from ggtkit.groups import (
     FreeAbelian,
     FreeGroup,
@@ -448,6 +448,23 @@ def test_coned_off_builds_one_metric_graph(f2, monkeypatch):
     assert built == [coned.graph.n]
     assert coned.cone_start == len(coned.ball) == coned.graph.n - len(_cones(coned))
     assert coned.summary()["cone_vertices"] == len(_cones(coned))
+
+
+@pytest.mark.parametrize(
+    "model,index,message",
+    [
+        (FreeGroup(2), 0, "H0: factor subgroups need a free product group"),
+        (FreeProduct([cyclic_group(2), cyclic_group(3)]), 5, "H5: factor index 5 must be an integer in [0, 2)"),
+        (FreeProduct([cyclic_group(2), cyclic_group(3)]), -1, "H-1: factor index -1 must be an integer in [0, 2)"),
+        (FreeProduct([cyclic_group(2), cyclic_group(3)]), True, "HTrue: factor index True must be an integer in [0, 2)"),
+    ],
+    ids=["F2", "Z2*Z3-5", "Z2*Z3-negative", "Z2*Z3-bool"],
+)
+def test_factor_subgroup_outside_the_model_is_a_config_error(model, index, message):
+    b = ball(model, 2)
+    with pytest.raises(ConfigError) as exc:
+        coned_off(b, [CyclicSubgroup(model.generator_elements()[0]), FactorSubgroup(index)])
+    assert str(exc.value) == message
 
 
 def test_coned_cone_count_matches_membership_oracle():

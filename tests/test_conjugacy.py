@@ -32,10 +32,10 @@ from ggtkit.groups import (
     GroupModel,
     TwoStepNilpotent,
     cyclic_group,
-    exact_length,
     heisenberg_group,
     symmetric_group_3,
 )
+from oracles import m3n1_nilpotent
 
 F2 = FreeGroup(2)
 HEIS = heisenberg_group()
@@ -114,7 +114,7 @@ def test_bounded_conjugacy_linear_bound_agrees_on_conjugate_pairs():
     # the linear bound L(u) + L(v)
     prof = profile_conjugacy_bound(F2, 2)
     for rec in prof.records:
-        radius = exact_length(F2, rec.u) + exact_length(F2, rec.v)
+        radius = F2.word_length(rec.u) + F2.word_length(rec.v)
         assert brute_force_conjugator(F2, rec.u, rec.v, radius).is_conjugate
 
 
@@ -166,7 +166,7 @@ def test_nilpotent_decider_computes_no_keys(monkeypatch):
 def test_nilpotent_witness_is_minimal_with_a_rank_2_kernel():
     # A = (-3 2 5): (1,-1,0) solves A z = -5 with length 2, and the kernel
     # has rank 2; the least solution is (0,0,-1)
-    model = _m3n1_nilpotent()
+    model = m3n1_nilpotent()
     u, v = model.parse_element("2,3,0|0"), model.parse_element("2,3,0|-5")
     res = nilpotent_conjugator(model, u, v)
     assert res.witness == ((0, 0, -1), (0,)) and res.witness_length == 1
@@ -178,7 +178,7 @@ def test_nilpotent_sphere_search_cap(monkeypatch):
     # search holds the whole l1 ball of radius 64 in Z^2: 2*64^2 + 2*64 + 1
     # points; the m=3 pair of length 1 holds 1 + 6 points
     u, v = ((1, 0), (0,)), ((1, 0), (64,))
-    model = _m3n1_nilpotent()
+    model = m3n1_nilpotent()
     u3, v3 = model.parse_element("2,3,0|0"), model.parse_element("2,3,0|-5")
     monkeypatch.setattr(conjugacy, "DEFAULT_BALL_CAP", 2 * 64**2 + 2 * 64 + 1)
     assert nilpotent_conjugator(HEIS, u, v).witness_length == 64
@@ -240,7 +240,7 @@ def test_nilpotent_agrees_with_brute_force_on_ball(heis_ball10):
                 assert HEIS.conjugate(exact.witness, u) == v
                 # minimality equals the oracle's, and the length is the witness's
                 assert exact.witness_length == brute.witness_length
-                assert exact_length(HEIS, exact.witness) == exact.witness_length
+                assert HEIS.word_length(exact.witness) == exact.witness_length
             elif brute.status == "not_conjugate":
                 assert exact.status == "not_conjugate"
             else:  # brute unknown: the exact decision stands either way
@@ -560,14 +560,6 @@ def _m3_nilpotent():
     return TwoStepNilpotent(3, 2, C)
 
 
-def _m3n1_nilpotent():
-    # f1 f2 = f2 f1 e1, f1 f3 = f3 f1 e1, f2 f3 = f3 f2 e1: a rank-2 kernel
-    C = [[(0,)] * 3 for _ in range(3)]
-    for i, j in [(1, 0), (2, 0), (2, 1)]:
-        C[i][j], C[j][i] = (1,), (-1,)
-    return TwoStepNilpotent(3, 1, C)
-
-
 def _oracle_pairs(model, base, search):
     """(ui, vi) -> minimal conjugator length within the search ball: the
     first g in BFS order with g^-1 u g = v, over every ordered pair."""
@@ -676,8 +668,8 @@ PROFILE_CASES = [
     pytest.param(HEIS, 3, 0, id="Heisenberg-r3"),
     pytest.param(HEIS, 3, -5, id="Heisenberg-r3-search1"),
     pytest.param(_m3_nilpotent(), 2, 0, id="nilpotent-m3-r2"),
-    pytest.param(_m3n1_nilpotent(), 2, 0, id="nilpotent-m3n1-r2"),
-    pytest.param(_m3n1_nilpotent(), 2, -3, id="nilpotent-m3n1-r2-search1"),
+    pytest.param(m3n1_nilpotent(), 2, 0, id="nilpotent-m3n1-r2"),
+    pytest.param(m3n1_nilpotent(), 2, -3, id="nilpotent-m3n1-r2-search1"),
     pytest.param(symmetric_group_3(), 2, 0, id="S3-r2"),
 ]
 
@@ -742,7 +734,7 @@ KEY_CASES = [
     pytest.param(cyclic_group(4), 4, None, id="Z4"),
     pytest.param(HEIS, 3, None, id="Heisenberg-r3"),
     pytest.param(_m3_nilpotent(), 2, None, id="nilpotent-m3-r2"),
-    pytest.param(_m3n1_nilpotent(), 2, None, id="nilpotent-m3n1-r2"),
+    pytest.param(m3n1_nilpotent(), 2, None, id="nilpotent-m3n1-r2"),
     pytest.param(_random_nilpotent(1), 2, None, id="nilpotent-random-r2"),
     pytest.param(FreeProduct([Z2, Z3]), 3, 8, id="Z2*Z3-r3"),
     pytest.param(FreeProduct([FreeAbelian(1), Z3]), 2, 7, id="Z*Z3-r2"),

@@ -10,22 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggtkit import groups
 from ggtkit.cayley import ball, cayley_graph
-from ggtkit.errors import ConfigError, ModelMismatch, ResourceCapError
+from ggtkit.errors import ConfigError, LengthCapError, ModelMismatch, ResourceCapError
 from ggtkit.groups import (
     BUILTIN_GROUPS,
     FiniteGroup,
     FreeAbelian,
     FreeGroup,
     FreeProduct,
-    LengthLowerBound,
     cyclic_group,
     heisenberg_group,
     model_from_dict,
     reduce_word,
     symmetric_group_3,
 )
-from oracles import verify_parent
+from oracles import m3n1_nilpotent, verify_parent
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0)
 words = st.lists(letters, max_size=12)
@@ -122,12 +122,41 @@ def test_heisenberg_commutator_is_central_generator(heis):
 def test_heisenberg_central_length_with_standard_generators(heis):
     # the central generator is part of the generating set, so the BFS oracle
     # gives length 1 even though it also equals a 4-letter commutator
-    assert heis.word_length(((0, 0), (1,)), 10) == 1
+    assert heis.word_length(((0, 0), (1,))) == 1
 
 
 def test_heisenberg_length_lower_bound_capped(heis):
-    got = heis.word_length(((5, 5), (0,)), 2)
-    assert got == LengthLowerBound(3)
+    with pytest.raises(LengthCapError, match=r"^element has word length >= 65, beyond the cap 64$"):
+        heis.word_length(((65, 0), (0,)))
+
+
+def test_central_part_past_its_bound_raises_with_no_memo():
+    model = heisenberg_group()
+    with pytest.raises(LengthCapError, match=r"^element has word length >= 65, beyond the cap 64$"):
+        model.word_length(((0, 0), (10**6,)))
+    assert not hasattr(model, "_length_ball")
+
+
+@pytest.mark.parametrize("model,radius", [(heisenberg_group(), 6), (m3n1_nilpotent(), 4)], ids=["Heisenberg", "m3n1"])
+def test_central_part_is_bounded_by_word_length(model, radius):
+    # |c_t| <= L + cmax L(L-1)/2, the bound that refuses (x, c) before a BFS
+    cmax = max(abs(v) for row in model.C for vec in row for v in vec)
+    b = ball(model, radius)
+    for (_, c), length in zip(b.elements, b.lengths):
+        assert max(map(abs, c)) <= length + cmax * length * (length - 1) // 2
+
+
+def test_length_memo_past_the_ball_cap_raises_and_is_dropped(monkeypatch):
+    model, far = heisenberg_group(), ((8, 0), (0,))
+    monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 500)
+    with pytest.raises(ResourceCapError, match="ball size cap 500"):
+        model.word_length(far)
+    assert model.word_length(((1, 1), (0,))) == 2
+    monkeypatch.undo()
+    # the memo cut short mid-sphere is not grown on: lengths stay exact
+    assert model.word_length(far) == 8
+    b = ball(heisenberg_group(), 5)
+    assert [model.word_length(e) for e in b.elements] == b.lengths
 
 
 def test_structure_constants_validated():
@@ -185,7 +214,7 @@ def test_free_product_of_torsion_free_is_torsion_free():
 def test_free_product_length_adds_over_syllables():
     P = FreeProduct([FreeAbelian(2), FreeAbelian(1)])
     w = ((0, (2, -1)), (1, (3,)), (0, (1, 0)))
-    assert P.word_length(w, 10) == 7
+    assert P.word_length(w) == 7
 
 
 # -- model-level wrappers and serialization ----------------------------------
@@ -280,16 +309,13 @@ def test_length_subadditive_and_inverse_symmetric(model):
     b3 = ball(model, 3)
     lengths = {e: l for e, l in zip(b3.elements, b3.lengths)}
     elems = b3.elements[:40]
-    cap = 8
     for a in elems:
-        la = model.word_length(a, cap)
+        la = model.word_length(a)
         model.validate_element(a)
         ia = model.inverse(a)
-        assert model.word_length(ia, cap) == la
+        assert model.word_length(ia) == la
         for b in elems:
-            lab = model.word_length(model.multiply(a, b), cap)
-            if not isinstance(lab, LengthLowerBound):
-                assert lab <= lengths[a] + lengths[b]
+            assert model.word_length(model.multiply(a, b)) <= lengths[a] + lengths[b]
 
 
 def test_heisenberg_center_commutes_with_ball3(heis, heis_ball3):
@@ -298,13 +324,26 @@ def test_heisenberg_center_commutes_with_ball3(heis, heis_ball3):
         assert heis.multiply(center, g) == heis.multiply(g, center)
 
 
-@pytest.mark.parametrize("make,radius", [(heisenberg_group, 4), (symmetric_group_3, 3)], ids=["Heisenberg", "S3"])
+_LENGTH_CASES = {
+    "Heisenberg": (heisenberg_group, 4),
+    "S3": (symmetric_group_3, 3),
+    "F2": (lambda: FreeGroup(2), 3),
+    "Z^2": (lambda: FreeAbelian(2), 3),
+    "Z2*Z3": (lambda: FreeProduct([cyclic_group(2), cyclic_group(3)]), 4),
+    **{f"Z{n}": (lambda n=n: cyclic_group(n), n) for n in range(2, 7)},
+    "Z6 on 2,3": (lambda: FiniteGroup(cyclic_group(6).table, generators=[2, 3]), 3),
+}
+
+
+@pytest.mark.parametrize("make,radius", _LENGTH_CASES.values(), ids=_LENGTH_CASES)
 def test_word_length_equals_ball_lengths(make, radius):
     b = ball(make(), radius)
     # fresh models: one memo grows level by level, the other jumps to the top
     upward, downward = make(), make()
     assert [upward.word_length(e) for e in b.elements] == b.lengths
     assert [downward.word_length(e) for e in reversed(b.elements)] == b.lengths[::-1]
+    if isinstance(upward, FiniteGroup):  # lengths come from the constructor's ball
+        assert not hasattr(upward, "_length_ball") and not hasattr(downward, "_length_ball")
 
 
 def test_memo_ball_is_freed_with_its_model():

@@ -1,6 +1,6 @@
-"""Every import in the package is used, or marked ``# noqa: F401``, and
-every top-level function and class, and every private method of a class,
-is read by the package itself.
+"""Every import in the package and its tests is used, or marked
+``# noqa: F401``, and every top-level function and class, and every
+private method of a class, is read by the package itself.
 
 Stdlib ``ast`` passes, so deleting code cannot leave dead imports behind
 without a linter installed, and code that only the tests call cannot grow
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ggtkit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "ggtkit"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -48,7 +49,7 @@ def test_unused_import_is_found_and_noqa_honoured():
     assert _unused_imports(source) == ["line 1: os", "line 6: e"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_package_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -8,16 +8,18 @@ import random
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggtkit import groups
 from ggtkit.cayley import ball
 from ggtkit.cli import run
 from ggtkit.config import DEFAULT_RADIUS_CAP
 from ggtkit.errors import ConfigError, DomainError, LengthCapError
-from ggtkit.groups import FreeAbelian, FreeGroup, exact_length, heisenberg_group
+from ggtkit.groups import FreeAbelian, FreeGroup, heisenberg_group, model_from_dict
 from ggtkit.rdalgebra import (
     IDENTITY,
     _verify_doubling,
@@ -348,7 +350,7 @@ def test_seminorm_and_l1_match_per_element_oracle(model, radius):
         for _ in range(rng.randint(0, 7)):
             vec.add_term(b.elements[rng.randrange(len(b))], _random_coefficient(rng, rng.choice(kinds)))
         f = fs[trial % len(fs)]
-        terms = [(_abs_oracle(*vec.coeffs[g]), exact_length(model, g)) for g in vec.coeffs]
+        terms = [(_abs_oracle(*vec.coeffs[g]), model.word_length(g)) for g in vec.coeffs]
         want_l1 = sum((c for c, _ in terms), Fraction(0))
         want = sum((c * f(length) for c, length in terms), Fraction(0))
         got_l1, got = vec.l1(), vec.seminorm(f)
@@ -417,7 +419,7 @@ def test_l1_reads_no_word_length():
     far = ((DEFAULT_RADIUS_CAP + 1, 0), (0,))  # base l1 past the cap: no exact length
     vec = SupportedVector(HEIS, [(far, Fraction(3, 2)), (HEIS.identity(), -1j)])
     with pytest.raises(LengthCapError):
-        exact_length(HEIS, far)
+        HEIS.word_length(far)
     with pytest.raises(LengthCapError):
         vec.seminorm(Const(1))
     assert vec.l1() == Fraction(5, 2)
@@ -465,7 +467,7 @@ def test_product_estimate_random_pairs():
                     (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))),
                 )
             vecs.append(vec)
-        rep = check_product_estimate(vecs[0], vecs[1], f, length_cap=8)
+        rep = check_product_estimate(vecs[0], vecs[1], f)
         assert rep.holds, rep
 
 
@@ -565,6 +567,13 @@ def _oracle_case(draw):
     return a, b, draw(st.sampled_from(_ORACLE_FS)), draw(st.integers(0, 5))
 
 
+def _on_fresh_model(*vecs):
+    """The vectors over a new model equal to theirs, whose word-length memo
+    has grown under no other radius cap."""
+    model = model_from_dict(vecs[0].model.to_dict())
+    return [SupportedVector(model, list(v.coeffs.items())) for v in vecs]
+
+
 def _outcome(compute):
     try:
         values = compute()
@@ -580,15 +589,17 @@ def test_product_estimate_equals_public_operations(case):
 
     def oracle():
         f2 = f2_of(f)
-        lhs = a.convolve(b).seminorm(f, cap)
-        return lhs, a.l1() * b.seminorm(f2, cap) + a.seminorm(f2, cap) * b.l1()
+        lhs = a.convolve(b).seminorm(f)
+        return lhs, a.l1() * b.seminorm(f2) + a.seminorm(f2) * b.l1()
 
     def estimate():
-        rep = check_product_estimate(a, b, f, length_cap=cap)
+        rep = check_product_estimate(a, b, f)
         return rep.lhs, rep.rhs
 
     # exact values equal, floats bit-identical, the same error first
-    assert _outcome(estimate) == _outcome(oracle)
+    with patch.object(groups, "DEFAULT_RADIUS_CAP", cap):
+        a, b = _on_fresh_model(a, b)
+        assert _outcome(estimate) == _outcome(oracle)
 
 
 def test_product_estimate_cancelled_and_empty_products():
@@ -600,7 +611,7 @@ def test_product_estimate_cancelled_and_empty_products():
     assert (empty.lhs, empty.rhs, empty.holds) == (0, 0, True)
 
 
-def test_product_estimate_errors_as_public_operations():
+def test_product_estimate_errors_as_public_operations(monkeypatch):
     a = SupportedVector(F2, [((1,), 1)])
     with pytest.raises(DomainError, match="different models"):
         check_product_estimate(a, SupportedVector(Z2, [((1, 0), 1)]), Poly.basis(1))
@@ -609,26 +620,32 @@ def test_product_estimate_errors_as_public_operations():
     # the product f1 f1 has length 2 in the Heisenberg group; a and b length 1
     f1 = HEIS.parse_element("1,0|0")
     x = SupportedVector.delta(HEIS, f1)
+    monkeypatch.setattr(groups, "DEFAULT_RADIUS_CAP", 1)
+    [x] = _on_fresh_model(x)
     with pytest.raises(LengthCapError) as est:
-        check_product_estimate(x, x, Poly.basis(1), length_cap=1)
+        check_product_estimate(x, x, Poly.basis(1))
     with pytest.raises(LengthCapError) as ref:
-        x.convolve(x).seminorm(Poly.basis(1), 1)
+        x.convolve(x).seminorm(Poly.basis(1))
     assert str(est.value) == str(ref.value)
-    assert check_product_estimate(x, x, Poly.basis(1), length_cap=2).holds
+    monkeypatch.setattr(groups, "DEFAULT_RADIUS_CAP", 2)
+    assert check_product_estimate(x, x, Poly.basis(1)).holds
 
 
 @pytest.mark.parametrize("f", [Exp(10**200), Poly.basis(1, 10**400)])
-def test_product_estimate_raises_b_overflow_before_a_length_cap(f):
+def test_product_estimate_raises_b_overflow_before_a_length_cap(f, monkeypatch):
     # b's f2 sum overflows the float range (a complex coefficient's modulus
     # times a huge exact weight), a's word is past the cap, and the product
     # a*b = 2 f1 is within it: the public operations raise b's error first
-    a = SupportedVector(HEIS, [(HEIS.parse_element("2,0|0"), 1 - 1j)])
-    b = SupportedVector(HEIS, [(HEIS.parse_element("-1,0|0"), 1 + 1j)])
+    monkeypatch.setattr(groups, "DEFAULT_RADIUS_CAP", 1)
+    a, b = _on_fresh_model(
+        SupportedVector(HEIS, [(HEIS.parse_element("2,0|0"), 1 - 1j)]),
+        SupportedVector(HEIS, [(HEIS.parse_element("-1,0|0"), 1 + 1j)]),
+    )
     with pytest.raises(LengthCapError):
-        a.seminorm(f2_of(f), 1)
+        a.seminorm(f2_of(f))
     with pytest.raises(OverflowError) as ref:
-        a.convolve(b).seminorm(f, 1)
-        a.l1() * b.seminorm(f2_of(f), 1)
+        a.convolve(b).seminorm(f)
+        a.l1() * b.seminorm(f2_of(f))
     with pytest.raises(OverflowError) as est:
-        check_product_estimate(a, b, f, length_cap=1)
+        check_product_estimate(a, b, f)
     assert str(est.value) == str(ref.value)
