@@ -176,7 +176,8 @@ class Ball:
 
     def grow(self, radius: int, cap: Optional[int] = None) -> "Ball":
         """Extend the BFS out to the given radius, one sphere at a time;
-        past ``cap`` elements it raises ResourceCapError."""
+        past ``cap`` elements it raises ResourceCapError and is left at its
+        last whole sphere."""
         while self.radius < radius and len(self.nbr) < len(self.elements):
             self.nbr = np.concatenate([self.nbr, self._expand(cap, grow=True)])
             self.radius += 1
@@ -206,27 +207,35 @@ class Ball:
     def _expand(self, cap: Optional[int], grow: bool) -> np.ndarray:
         """Neighbour rows of the unexpanded elements.  With ``grow`` a
         product outside the ball joins it as part of the next sphere;
-        without, it is recorded as -1."""
+        without, it is recorded as -1.  The sphere is built aside and joins
+        the ball only when whole, so a cap raised mid-sphere leaves the
+        ball as it was."""
         if grow and self.model.tree:
             return self._expand_tree(cap)
         model, elements, index = self.model, self.elements, self.index
         gens = model.generator_elements()
-        dist = self.radius + 1
         start, stop = len(self.nbr), len(elements)
+        sphere: dict = {}  # new element -> its index
+        parents, parent_gen = [], []
         rows = array("i")
         for ui, u in enumerate(elements[start:stop], start):
             for gi, s in enumerate(gens):
                 w = model.multiply(u, s)
                 vi = index.get(w, -1)
                 if vi < 0 and grow:
-                    if cap is not None and len(elements) >= cap:
-                        raise ResourceCapError(f"ball size cap {cap} exceeded at radius {dist}")
-                    vi = index[w] = len(elements)
-                    elements.append(w)
-                    self.parents.append(ui)
-                    self.parent_gen.append(gi)
-                    self.lengths.append(dist)
+                    vi = sphere.get(w, -1)
+                    if vi < 0:
+                        if cap is not None and stop + len(sphere) >= cap:
+                            raise ResourceCapError(f"ball size cap {cap} exceeded at radius {self.radius + 1}")
+                        vi = sphere[w] = stop + len(sphere)
+                        parents.append(ui)
+                        parent_gen.append(gi)
                 rows.append(vi)
+        elements += sphere
+        index.update(sphere)
+        self.parents += parents
+        self.parent_gen += parent_gen
+        self.lengths += [self.radius + 1] * len(sphere)
         return np.array(rows, dtype=np.int32).reshape(stop - start, len(gens))
 
     def _expand_tree(self, cap: Optional[int]) -> np.ndarray:
@@ -541,7 +550,8 @@ class TwoStepNilpotent(GroupModel):
         adds at most cmax = max |C[i][j][t]| to it, since q is bilinear and
         the inverse of a base generator has central part 0: so
         |c_t| <= L + cmax L(L-1)/2.  The memo holds at most DEFAULT_BALL_CAP
-        elements; past that it is dropped and ResourceCapError raised."""
+        elements; past that ResourceCapError is raised, and the memo stays
+        at its last whole sphere."""
         cap = DEFAULT_RADIUS_CAP
         central_cap = cap + self._cmax * cap * (cap - 1) // 2
         if sum(map(abs, a[0])) > cap or max(map(abs, a[1])) > central_cap:
@@ -549,12 +559,8 @@ class TwoStepNilpotent(GroupModel):
         b = getattr(self, "_length_ball", None)
         if b is None:  # a weak back-reference, so model and memo form no cycle
             b = self._length_ball = Ball(weakref.proxy(self))
-        try:
-            while a not in b.index and b.radius < cap:
-                b.grow(b.radius + 1, DEFAULT_BALL_CAP)
-        except ResourceCapError:
-            del self._length_ball  # a sphere cut short is no ball to grow on
-            raise
+        while a not in b.index and b.radius < cap:
+            b.grow(b.radius + 1, DEFAULT_BALL_CAP)
         i = b.index.get(a)
         if i is None:
             raise LengthCapError(f"element has word length >= {cap + 1}, beyond the cap {cap}")

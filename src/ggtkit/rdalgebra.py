@@ -5,7 +5,12 @@ A bounding function is a symbolic nondecreasing function R+ -> R+ built
 from constants, affine pieces, polynomials over the (1+x)^m basis, and
 exponentials, and positive rational combinations of these.
 Nondecreasingness is guaranteed structurally (all weights and
-coefficients are nonnegative).
+coefficients are nonnegative), and so is the doubling bound f(2x) <=
+f2(x) of ``f2_of``: both are proved by the constructions, not checked at
+run time.  Given both, the estimate |a*b|_f <= |a|_1 |b|_f2 + |a|_f2 |b|_1
+(Jolissaint) holds for all a, b, so a failure reported by
+``check_product_estimate`` is a fault of the implementation or of its
+float tolerance, not a property of the group.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import ConfigError, DomainError
 from .groups import Element, GroupModel
@@ -202,53 +207,29 @@ IDENTITY = Affine(0, 1)
 
 
 def f2_of(f: BoundingFunction) -> BoundingFunction:
-    """A class member f2 with f(2x) <= f2(x) for all x >= 0.
+    """A class member f2 with f(2x) <= f2(x) for all x >= 0, built by a
+    rule per class that proves it, so no value is evaluated here:
 
-    Constructive choices: (1+x)^m -> (1+x)^(2m) since 1+2x <= (1+x)^2;
-    base^(s x) -> base^(2s x); constants unchanged.  A Poly's f2 is the
-    doubled Poly, sum c_m (1+x)^(2m) over the same common denominator, and
-    is checked like every f2 at x = 0..16, on integer numerators.
+    - a constant is unchanged, and a + b*x becomes a + 2b*x: equality;
+    - (1+x)^m becomes (1+x)^(2m), since 1+2x <= (1+x)^2 for x >= 0; a
+      Poly's f2 is sum c_m (1+x)^(2m) over the same common denominator;
+    - base^(s*x) becomes base^(2s*x), which is base^(s*2x): equality;
+    - a Sum doubles term by term, its weights being positive.
+
+    As f is nondecreasing (see the module docstring), f(y) <= f2(x) also
+    holds for every 0 <= y <= 2x.
     """
     if isinstance(f, Const):
-        out = f
-    elif isinstance(f, Affine):
-        out = Affine(f.a, 2 * f.b)
-    elif isinstance(f, Poly):
-        out = Poly(tuple((2 * m, c) for m, c in f.coeffs))
-    elif isinstance(f, Exp):
-        out = Exp(f.base, 2 * f.scale)
-    elif isinstance(f, Sum):
-        out = Sum(tuple((w, f2_of(g)) for w, g in f.terms))
-    else:
-        raise DomainError(f"no doubling rule for {type(f).__name__}")
-    _verify_doubling(f, out)
-    return out
-
-
-def _verify_doubling(f: BoundingFunction, f2: BoundingFunction) -> None:
-    """Check f(2x) <= f2(x) at x = 0..16.  Two Polys over one common
-    denominator are compared on their integer numerators
-    (``Poly._numerator_at``), which gives the same verdicts as their Fraction
-    values."""
-    if isinstance(f, Poly) and isinstance(f2, Poly) and f._den == f2._den:
-        for x in range(0, 17):
-            if f._numerator_at(2 * x, 1) > f2._numerator_at(x, 1):
-                raise DomainError(f"dominance check failed at x={x}: f(2x) <= f2(x)")
-        return
-    _verify_dominance(lambda x: f(2 * x), f2, range(0, 17), "f(2x) <= f2(x)")
-
-
-def _verify_dominance(lhs, rhs, grid: Iterable[int], what: str) -> None:
-    for x in grid:
-        try:
-            lv, rv = lhs(x), rhs(x)
-        except OverflowError:
-            continue
-        if isinstance(lv, float) or isinstance(rv, float):
-            if float(lv) > float(rv) * (1 + 1e-9) + 1e-9:
-                raise DomainError(f"dominance check failed at x={x}: {what}")
-        elif lv > rv:
-            raise DomainError(f"dominance check failed at x={x}: {what}")
+        return f
+    if isinstance(f, Affine):
+        return Affine(f.a, 2 * f.b)
+    if isinstance(f, Poly):
+        return Poly(tuple((2 * m, c) for m, c in f.coeffs))
+    if isinstance(f, Exp):
+        return Exp(f.base, 2 * f.scale)
+    if isinstance(f, Sum):
+        return Sum(tuple((w, f2_of(g)) for w, g in f.terms))
+    raise DomainError(f"no doubling rule for {type(f).__name__}")
 
 
 def parse_bounding_function(text: str) -> BoundingFunction:
@@ -388,7 +369,8 @@ class SupportedVector:
         written as integer numerators over its common denominator (d_a,
         d_b), the products are summed over Z per g1 g2, and each nonzero sum
         becomes one Fraction over d_a d_b.  Sums that cancel to 0 are not
-        stored; each stored product element is validated once."""
+        stored.  The product elements are not validated again: the model's
+        multiply maps two valid elements to a normal form."""
         if other.model != self.model:
             raise DomainError("vectors live over different models")
         den, sums = _product_sums(self.model, self._numerators(), other._numerators())
@@ -434,8 +416,7 @@ class SupportedVector:
 def _product_sums(model: GroupModel, a: tuple, b: tuple) -> tuple:
     """The product of two vectors given as (d, nums) by ``_numerators``, as
     (d_a d_b, [(g, (re, im))]): the products of integer numerators summed
-    over Z per g = g1 g2, and kept when nonzero.  Each kept g is validated
-    once."""
+    over Z per g = g1 g2, and kept when nonzero."""
     da, xs = a
     db, ys = b
     sums: dict = {}
@@ -444,12 +425,7 @@ def _product_sums(model: GroupModel, a: tuple, b: tuple) -> tuple:
             g = model.multiply(g1, g2)
             re, im = sums.get(g, (0, 0))
             sums[g] = (re + p * r - q * s, im + p * s + q * r)
-    out = []
-    for g, pair in sums.items():
-        if pair[0] or pair[1]:
-            model.validate_element(g)
-            out.append((g, pair))
-    return da * db, out
+    return da * db, [(g, pair) for g, pair in sums.items() if pair[0] or pair[1]]
 
 
 def _abs_sums(d: int, nums: list, key) -> tuple:
@@ -524,7 +500,7 @@ def check_product_estimate(
     for a Poly f each |.|_f2 is one integer dot product (``_weighted_sum``).
     The values equal those of ``convolve``, ``seminorm`` and ``l1``, and
     errors come in their order: f2_of, the model check, the product's
-    elements and lengths, then b's lengths and |b|_f2, then a's."""
+    lengths, then b's lengths and |b|_f2, then a's."""
     f2 = f2_of(f)
     if b.model != a.model:
         raise DomainError("vectors live over different models")

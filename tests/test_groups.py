@@ -15,6 +15,7 @@ from ggtkit.cayley import ball, cayley_graph
 from ggtkit.errors import ConfigError, LengthCapError, ModelMismatch, ResourceCapError
 from ggtkit.groups import (
     BUILTIN_GROUPS,
+    Ball,
     FiniteGroup,
     FreeAbelian,
     FreeGroup,
@@ -157,6 +158,22 @@ def test_length_memo_past_the_ball_cap_raises_and_is_dropped(monkeypatch):
     assert model.word_length(far) == 8
     b = ball(heisenberg_group(), 5)
     assert [model.word_length(e) for e in b.elements] == b.lengths
+
+
+@pytest.mark.parametrize("model,cap", [(heisenberg_group(), 88), (FreeGroup(2), 60)], ids=["Heisenberg", "F2-tree"])
+def test_capped_grow_leaves_the_ball_whole(model, cap):
+    # the radius-4 sphere does not fit under the cap: the ball stays at
+    # radius 3, and growing on from it gives the ball grown in one go
+    b = Ball(model).grow(3)
+    before = (len(b), b.radius, dict(b.index), list(b.lengths))
+    assert before[0] < cap < len(Ball(model).grow(4))
+    with pytest.raises(ResourceCapError, match=f"ball size cap {cap} exceeded at radius 4"):
+        b.grow(4, cap=cap)
+    assert (len(b), b.radius, b.index, b.lengths) == before
+    fresh = Ball(model).grow(6)
+    b.grow(6)
+    assert (b.elements, b.lengths, b.parents, b.parent_gen) == (fresh.elements, fresh.lengths, fresh.parents, fresh.parent_gen)
+    assert (b.nbr == fresh.nbr).all()
 
 
 def test_structure_constants_validated():
